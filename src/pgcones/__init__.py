@@ -9,9 +9,10 @@ from .objects import (PointSet, baer_cone, baer_subgeometry, cone,
 from .spectra import (ConeRecognition, PencilProfile, Spectrum,
                       essential_points, is_blocking, pencil_counts,
                       recognize_cone, spectrum)
-from .counting import (Congruence, TheoremInstance, TypeParameters, c_rs,
-                       feasible_k, hyperoval3_step1_congruences,
-                       lemma_congruence, pencil_feasible,
+from .counting import (THEOREMS, Congruence, Theorem, TheoremInstance,
+                       TypeParameters, c_rs, feasible_k,
+                       hyperoval3_step1_congruences, lemma_congruence,
+                       pencil_feasible, run_verification, screen_defaults,
                        step_sign_check, t_closed_form, theorem_instance,
                        verify_identities)
 

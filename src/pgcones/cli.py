@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or failed
 hypothesis.  Point-set files are JSON objects {p, h, n, points: [[c_0..c_n]]}
-with integer-encoded field elements matching the field's element enumeration.
+with integer-encoded field elements matching the field's element enumeration,
+each point listed once, and an optional size equal to the number of points.
 """
 
 from __future__ import annotations
@@ -11,35 +12,14 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import counting, objects, spectra
 from .errors import PgconesError
-from .gf import field_new
-from .pg import Geometry, gaussian_binomial, theta
+from .gf import factor_prime_power, field_new
+from .pg import Geometry, theta
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
-
-
-def factor_prime_power(q: int) -> tuple:
-    """q -> (p, h) with q = p^h, p prime; raises ValueError otherwise."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    h, rem = 0, q
-    while rem % p == 0:
-        rem //= p
-        h += 1
-    if rem != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    return p, h
-
-
-def _geometry(q: int, n: int) -> Geometry:
-    p, h = factor_prime_power(q)
-    return Geometry(field_new(p, h), n)
 
 
 # ---------------------------------------------------------------------------
@@ -67,78 +47,64 @@ def write_pointset(path, ps: objects.PointSet, object_name: str):
 def read_pointset(path) -> objects.PointSet:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a point-set file must hold a JSON object")
     for key in ("p", "h", "n", "points"):
         if key not in doc:
             raise ValueError(f"point-set file is missing the {key!r} field")
+    for key in ("p", "h", "n"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"point-set field {key!r} must be an integer, got {doc[key]!r}")
+    points = doc["points"]
+    if not isinstance(points, list):
+        raise ValueError("point-set field 'points' must be a list of coordinate vectors")
     g = Geometry(field_new(doc["p"], doc["h"]), doc["n"])
-    idx = []
-    for vec in doc["points"]:
-        if len(vec) != g.n + 1 or not all(isinstance(c, int) and 0 <= c < g.q for c in vec):
+    idx = {}
+    for vec in points:
+        if (not isinstance(vec, list) or len(vec) != g.n + 1
+                or not all(type(c) is int and 0 <= c < g.q for c in vec)):
             raise ValueError(f"invalid coordinate vector {vec}")
         if not any(vec):
             raise ValueError(f"invalid coordinate vector {vec} (zero vector)")
-        idx.append(g.point_index(vec))
-    return objects.pointset_from_indices(g, idx)
+        i = g.point_index(vec)
+        if i in idx:
+            raise ValueError(f"duplicate point {vec} (same point as {idx[i]})")
+        idx[i] = vec
+    if "size" in doc and (type(doc["size"]) is not int or doc["size"] != len(points)):
+        raise ValueError(f"point-set field 'size' is {doc['size']!r},"
+                         f" but the file lists {len(points)} points")
+    return objects.pointset_from_indices(g, list(idx))
 
 
 # ---------------------------------------------------------------------------
-# object construction shared by `construct` and `verify`
+# construct
 # ---------------------------------------------------------------------------
 
-def construct_object(name: str, n: int, q: int, r=None, s=None, d=None) -> objects.PointSet:
-    g = _geometry(q, n)
-    if name == "hyperoval-cone":
-        return objects.hyperoval_cone(g)
-    if name == "unital-cone":
-        return objects.unital_cone(g)
-    if name == "maxarc-cone":
-        if d is None:
-            raise ValueError("maxarc-cone requires --d")
-        return objects.maxarc_cone(g, d)
-    if name == "baer-cone":
-        if r is None or s is None:
-            raise ValueError("baer-cone requires --r and --s")
-        return objects.baer_cone(g, r, s)
-    if name == "hyperoval":
-        return objects.hyperoval(g)
-    if name == "unital":
-        return objects.hermitian_unital(g)
-    if name == "denniston-arc":
-        if d is None:
-            raise ValueError("denniston-arc requires --d")
-        return objects.denniston_arc(g, d)
-    if name == "baer":
-        if s is None:
-            raise ValueError("baer requires --s")
-        return objects.baer_subgeometry(g, s)
-    raise ValueError(f"unknown object {name!r}")
+# object name -> (required arguments, constructor taking the geometry and args)
+OBJECTS = {
+    "hyperoval-cone": ((), lambda g, args: objects.hyperoval_cone(g)),
+    "unital-cone": ((), lambda g, args: objects.unital_cone(g)),
+    "maxarc-cone": (("d",), lambda g, args: objects.maxarc_cone(g, args.d)),
+    "baer-cone": (("r", "s"), lambda g, args: objects.baer_cone(g, args.r, args.s)),
+    "hyperoval": ((), lambda g, args: objects.hyperoval(g)),
+    "unital": ((), lambda g, args: objects.hermitian_unital(g)),
+    "denniston-arc": (("d",), lambda g, args: objects.denniston_arc(g, args.d)),
+    "baer": (("s",), lambda g, args: objects.baer_subgeometry(g, args.s)),
+}
 
 
 def cmd_construct(args) -> int:
-    ps = construct_object(args.object, args.n, args.q, r=args.r, s=args.s, d=args.d)
-    write_pointset(args.out, ps, args.object)
+    g = Geometry(field_new(*factor_prime_power(args.q)), args.n)
+    required, build = OBJECTS[args.object]
+    if any(getattr(args, name) is None for name in required):
+        raise ValueError(f"{args.object} requires " + " and ".join(f"--{r}" for r in required))
+    write_pointset(args.out, build(g, args), args.object)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
-
-def _emit_spectrum(spec, identities_ok, fmt, out=None):
-    out = sys.stdout if out is None else out
-    rows = sorted(spec.by_size.items())
-    if fmt == "csv":
-        out.write("size,count\n")
-        for size, count in rows:
-            out.write(f"{size},{count}\n")
-    else:
-        out.write(json.dumps({
-            "d": spec.d,
-            "rows": rows,
-            "total": spec.total,
-            "identities_ok": identities_ok,
-        }, indent=1) + "\n")
-
 
 def cmd_spectrum(args) -> int:
     ps = read_pointset(args.file)
@@ -148,7 +114,14 @@ def cmd_spectrum(args) -> int:
     identities_ok = (d == g.n - 1
                      and counting.verify_identities(spec, ps.k, g.n, g.q))
     assert sum(spec.by_size.values()) == spec.total
-    _emit_spectrum(spec, identities_ok, args.format)
+    rows = sorted(spec.by_size.items())
+    if args.format == "csv":
+        print("size,count")
+        for size, count in rows:
+            print(f"{size},{count}")
+    else:
+        print(json.dumps({"d": spec.d, "rows": rows, "total": spec.total,
+                          "identities_ok": identities_ok}, indent=1))
     return EXIT_OK
 
 
@@ -156,119 +129,19 @@ def cmd_spectrum(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _canonical_cone(inst) -> objects.PointSet:
-    by_id = {
-        "hyperoval3": lambda: construct_object("hyperoval-cone", inst.n, inst.q),
-        "hyperovalN": lambda: construct_object("hyperoval-cone", inst.n, inst.q),
-        "unital": lambda: construct_object("unital-cone", inst.n, inst.q),
-        "maxarc": lambda: construct_object("maxarc-cone", inst.n, inst.q, d=inst.t_or_d),
-        "baer": lambda: construct_object("baer-cone", inst.n, inst.q,
-                                         r=inst.vertex_dim, s=2 * inst.t_or_d),
-    }
-    return by_id[inst.theorem_id]()
-
-
-def _pencil_checks(inst, K, counts) -> list:
-    """Assert the paper-step pencil laws on the constructed instance."""
-    g = K.geometry
-    q = g.q
-    failures = []
-    if inst.theorem_id == "unital":
-        expected = {inst.a: 1, inst.c: q}
-        for h in np.nonzero(counts == inst.a)[0]:
-            axis = g.span(np.nonzero(g.incidence[h] & K.mask)[0])
-            prof = spectra.pencil_counts(K, axis)
-            if prof.u != expected:
-                failures.append(f"a-hyperplane axis profile {prof.u} != {expected}")
-    elif inst.theorem_id in ("hyperoval3", "hyperovalN", "maxarc"):
-        d = 2 if inst.theorem_id.startswith("hyperoval") else inst.t_or_d
-        expected = {inst.a: q // d, inst.c: q + 1 - q // d}
-        h = int(np.nonzero(counts == inst.a)[0][0])
-        vertex_pts = np.nonzero(g.incidence[h] & K.mask)[0]
-        seen = set()
-        for x in np.nonzero(g.incidence[h])[0]:
-            if K.mask[x]:
-                continue
-            axis = g.span(list(vertex_pts) + [x])
-            key = axis.point_indices.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            prof = spectra.pencil_counts(K, axis)
-            if prof.u != expected:
-                failures.append(f"axis profile {prof.u} != {expected}")
-        if len(seen) != q + 1:
-            failures.append(f"expected q+1 axes through the vertex, found {len(seen)}")
-    return failures
-
-
-def _congruence_checks(inst, k: int) -> list:
-    failures = []
-    n, q = inst.n, inst.q
-    if inst.theorem_id == "hyperoval3":
-        if k % (q + 1) != 0 or (k - 1) * (k - 2) % q != 0:
-            failures.append(f"k={k} violates the integrality divisibilities")
-        return failures
-    betas = {"unital": q ** (n - 2), "hyperovalN": q ** (n - 3),
-             "maxarc": q ** (n - 3), "baer": q}[inst.theorem_id]
-    for beta in {betas, q}:
-        cong = counting.lemma_congruence(inst.params, beta)
-        if cong is None:
-            failures.append(f"congruence hypothesis fails mod {beta}")
-        elif not cong.holds(k):
-            failures.append(f"k={k} not {cong.alpha} (mod {beta})")
-    return failures
-
-
-def run_verification(theorem_id: str, n: int, q: int, t_or_d=None,
-                     workers: int = 1) -> dict:
-    """Build the canonical cone and check every instance-level claim.
-
-    Returns a report dict; report["ok"] is the overall verdict.
-    """
-    inst = counting.theorem_instance(theorem_id, n, q, t_or_d)
-    K = _canonical_cone(inst)
-    g = K.geometry
-    failures = []
-
-    if K.k != inst.expected_k:
-        failures.append(f"size {K.k} != expected {inst.expected_k}")
-    counts, _ = spectra._counts(K, g.n - 1, workers)
-    spec = spectra.spectrum(K, g.n - 1, workers)
-    expected_spec = dict(zip((inst.a, inst.b, inst.c), inst.expected_t))
-    if spec.by_size != expected_spec:
-        failures.append(f"spectrum {spec.by_size} != expected {expected_spec}")
-    if not counting.verify_identities(spec, K.k, g.n, g.q):
-        failures.append("double-counting identities fail")
-
-    failures += _congruence_checks(inst, K.k)
-    failures += _pencil_checks(inst, K, counts)
-
-    rec = spectra.recognize_cone(K)
-    if rec.vertex.dim != inst.vertex_dim:
-        failures.append(f"recognized vertex dim {rec.vertex.dim} != {inst.vertex_dim}")
-    if not rec.is_cone_over_vertex:
-        failures.append("recognition failed to reproduce the cone")
-
-    sign_note = None
-    if theorem_id != "hyperoval3":
-        report = counting.step_sign_check(theorem_id, n, q, t_or_d)
-        if not report.ok:
-            failures.append("endpoint sign check failed")
-        sign_note = [(c.label, str(c.value), c.claim, c.passed) for c in report.checks]
-
-    return {
-        "theorem": theorem_id, "n": n, "q": q, "t_or_d": t_or_d,
-        "k": K.k, "spectrum": spec.by_size, "vertex_dim": rec.vertex.dim,
-        "sign_checks": sign_note, "failures": failures, "ok": not failures,
-    }
+def _theorem_args(args) -> tuple:
+    """(n, extra parameter) of a --theorem command; the parameter the
+    theorem names is required."""
+    th = counting.THEOREMS[args.theorem]
+    x = getattr(args, th.param) if th.param else None
+    if th.param and x is None:
+        raise ValueError(f"--theorem {args.theorem} requires --{th.param}")
+    return (th.default_n if args.n is None else args.n), x
 
 
 def cmd_verify(args) -> int:
-    t_or_d = args.t if args.theorem == "baer" else (
-        args.d if args.theorem == "maxarc" else None)
-    n = args.n if args.n is not None else {"hyperoval3": 3}.get(args.theorem, 4)
-    report = run_verification(args.theorem, n, args.q, t_or_d, workers=args.workers)
+    n, t_or_d = _theorem_args(args)
+    report = counting.run_verification(args.theorem, n, args.q, t_or_d, workers=args.workers)
     verdict = "PASS" if report["ok"] else "FAIL"
     print(f"{verdict} {args.theorem} n={n} q={args.q}"
           + (f" t_or_d={t_or_d}" if t_or_d is not None else ""))
@@ -283,56 +156,22 @@ def cmd_verify(args) -> int:
 # feasible-k
 # ---------------------------------------------------------------------------
 
-def _screen_defaults(theorem_id, n, q, t_or_d):
-    """(params, k range, congruences, pencil axis intersection) per theorem."""
-    from fractions import Fraction
-    a, b, c = counting._abc(theorem_id, n, q, t_or_d)
-    if any(isinstance(v, Fraction) for v in (a, b, c)):
-        raise counting.HypothesisViolated("degenerate type parameters")
-    params = counting.TypeParameters(a, b, c, n, q)
-    rt = None
-    if theorem_id == "hyperoval3":
-        return (params, range(c, 2 * q * q + 2),
-                counting.hyperoval3_step1_congruences(q), 0)
-    if theorem_id == "unital":
-        rt = counting._sqrt_q(q)
-        hi = theta(n - 2, q) + rt ** (2 * n - 1)
-        beta = q ** (n - 2)
-    elif theorem_id == "hyperovalN":
-        hi = 2 * q ** (n - 1) + theta(n - 3, q)
-        beta = q ** (n - 3)
-    elif theorem_id == "maxarc":
-        hi = t_or_d * q ** (n - 1) + theta(n - 3, q)
-        beta = q ** (n - 3)
-    elif theorem_id == "baer":
-        rt = counting._sqrt_q(q)
-        hi = a + rt ** (2 * n - 4 * t_or_d + 3) * theta(t_or_d - 1, q)
-        beta = q
-    else:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    cong = counting.lemma_congruence(params, beta)
-    return params, range(c, hi + 1), (cong,) if cong else (), a
-
-
 def cmd_feasible_k(args) -> int:
     if args.abc:
+        if args.n is None:
+            raise ValueError("--abc requires --n")
         a, b, c = args.abc
         params = counting.TypeParameters(a, b, c, args.n, args.q)
-        congs, axis_x = (), a
-        lo = args.k_min if args.k_min is not None else c
-        hi = args.k_max if args.k_max is not None else theta(args.n, args.q)
-        krange = range(lo, hi + 1)
+        krange, congs, axis_x = range(c, theta(args.n, args.q) + 1), (), a
+    elif args.theorem:
+        n, t_or_d = _theorem_args(args)
+        params, krange, congs, axis_x = counting.screen_defaults(args.theorem, n, args.q, t_or_d)
     else:
-        t_or_d = args.t if args.theorem == "baer" else (
-            args.d if args.theorem == "maxarc" else None)
-        n = args.n if args.n is not None else {"hyperoval3": 3}.get(args.theorem, 4)
-        params, krange, congs, axis_x = _screen_defaults(args.theorem, n, args.q, t_or_d)
-        if args.k_min is not None or args.k_max is not None:
-            lo = args.k_min if args.k_min is not None else krange.start
-            hi = args.k_max if args.k_max is not None else krange.stop - 1
-            krange = range(lo, hi + 1)
+        raise ValueError("feasible-k requires --theorem or --abc")
+    lo = krange.start if args.k_min is None else args.k_min
+    hi = krange.stop - 1 if args.k_max is None else args.k_max
 
-    survivors = counting.feasible_k(params, krange, congs)
+    survivors = counting.feasible_k(params, range(lo, hi + 1), congs)
     rows = []
     for k, cert in survivors:
         sols = counting.pencil_feasible(params, k, u_a_min=1, axis_points=axis_x)
@@ -369,20 +208,21 @@ def cmd_recognize(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pgcones",
         description="Cone constructions, spectra and counting checks in PG(n,q)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p = sub.add_parser("construct", help="build a canonical point set")
-    p.add_argument("--object", required=True,
-                   choices=("hyperoval-cone", "unital-cone", "maxarc-cone",
-                            "baer-cone", "hyperoval", "unital", "denniston-arc", "baer"))
+    p.add_argument("--object", required=True, choices=OBJECTS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int)
@@ -395,20 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--d", type=int, default=None,
                    help="subspace dimension (default: hyperplanes)")
-    common(p)
+    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("verify", help="verify a characterization instance")
-    p.add_argument("--theorem", required=True, choices=counting.THEOREM_IDS)
+    p.add_argument("--theorem", required=True, choices=counting.THEOREMS)
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("feasible-k", help="screen candidate set sizes")
-    p.add_argument("--theorem", choices=counting.THEOREM_IDS)
+    p.add_argument("--theorem", choices=counting.THEOREMS)
     p.add_argument("--abc", type=int, nargs=3, metavar=("A", "B", "C"))
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int, required=True)
@@ -416,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
-    common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_feasible_k)
 
     p = sub.add_parser("recognize", help="detect the cone structure of a point set")

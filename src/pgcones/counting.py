@@ -1,8 +1,10 @@
 """Exact counting machinery: double-counting identities, closed forms for
 the hyperplane counts, the coprime-residue congruence, Baer-cone sizes,
-per-theorem parameter tables, feasibility screens and endpoint sign checks.
+feasibility screens and endpoint sign checks, together with `THEOREMS`,
+one record of facts per characterization, and `run_verification`, which
+checks one instance end to end on its canonical cone.
 
-Everything here is integer/rational arithmetic; floating point is never
+The counting is integer/rational arithmetic; floating point is never
 used, so every sign and divisibility decision is exact.
 """
 
@@ -11,13 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Callable
 
+import numpy as np
+
+from . import objects, spectra
 from .errors import (DegenerateType, EmptyRange, HypothesisViolated,
                      NonSquareOrder)
-from .pg import theta
+from .gf import factor_prime_power, field_new
+from .pg import Geometry, theta
 from .spectra import Spectrum
-
-THEOREM_IDS = ("baer", "unital", "hyperoval3", "hyperovalN", "maxarc")
 
 
 def _sqrt_q(q: int) -> int:
@@ -29,7 +34,8 @@ def _sqrt_q(q: int) -> int:
 
 @dataclass(frozen=True)
 class TypeParameters:
-    """Three hyperplane intersection sizes a < b < c in PG(n,q)."""
+    """Three hyperplane intersection sizes a < b < c in PG(n,q); rational
+    only at the endpoint sign checks of a degenerate type."""
 
     a: int
     b: int
@@ -179,38 +185,167 @@ def hyperoval3_step1_congruences(q: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# per-theorem parameter tables
+# the characterizations: one record of facts per theorem
 # ---------------------------------------------------------------------------
 
-def _check(cond: bool, msg: str):
-    if not cond:
-        raise HypothesisViolated(msg)
+@dataclass(frozen=True)
+class Theorem:
+    """The facts of one characterization.  Formulas take (n, q, x), x being
+    the extra parameter named by `param`; k_max and endpoint sizes also take
+    the type (a, b, c) and the size k.  A hypothesis is (holds, message),
+    the message formatted with n, q and x (also as t and d).  An endpoint is
+    (label, index into (t_a, t_b, t_c), claim, size), the size None where
+    its interval is empty."""
+
+    id: str
+    param: str | None          # "t", "d" or None
+    default_n: int
+    hypotheses: tuple          # checked in order by theorem_instance and step_sign_check
+    abc: Callable              # the type; rational where degenerate
+    k: Callable
+    vertex_dim: Callable
+    base: Callable             # description of the cone's base
+    cone: Callable             # (geometry, TheoremInstance) -> the canonical cone
+    k_max: Callable            # top of the feasible-k screen, which starts at c
+    modulus: Callable | None = None  # (n, q) -> beta of lemma_congruence
+    divisibilities: Callable | None = None  # q -> conditions on k in place of the lemma
+    axis_points: int | None = None  # K-points on the feasible-k pencil axis; None: a
+    instance_hypotheses: tuple = ()  # checked after the others, by theorem_instance only
+    endpoints: tuple = ()      # evaluated by step_sign_check
+    empty_note: str | None = None  # note when endpoints of an empty interval are skipped
+    pencil_u_a: Callable | None = None  # (q, x) -> a-hyperplanes through each axis
+    pencil_through_vertex: bool = False  # axes through the vertex inside one
+                                         # a-hyperplane, else a-hyperplane traces
+
+    def check(self, n: int, q: int, x, instance: bool = True):
+        """Raise HypothesisViolated at the first hypothesis that fails; the
+        instance hypotheses are checked last, and only with instance."""
+        for holds, message in self.hypotheses + (self.instance_hypotheses if instance else ()):
+            if not holds(n, q, x):
+                raise HypothesisViolated(f"{self.id}: " + message.format(n=n, q=q, t=x, d=x))
+
+    def integral_abc(self, n: int, q: int, x) -> tuple:
+        """The type (a, b, c); HypothesisViolated where it is not integral."""
+        abc = self.abc(n, q, x)
+        if not all(isinstance(v, int) for v in abc):
+            raise HypothesisViolated(
+                f"{self.id}: degenerate type at (n={n}, q={q}): non-integral intersection size")
+        return abc
 
 
-def _abc(theorem_id: str, n: int, q: int, t_or_d):
-    """(a, b, c) for a theorem's type; exact rationals where degenerate."""
-    if theorem_id == "baer":
-        t = t_or_d
-        return (c_rs(n - 2 * t - 1, 2 * t - 2, q),
-                c_rs(n - 2 * t - 2, 2 * t, q),
-                c_rs(n - 2 * t - 1, 2 * t - 1, q))
-    if theorem_id == "unital":
-        rt = _sqrt_q(q)
-        return (theta(n - 2, q),
-                theta(n - 3, q) + rt ** (2 * n - 3),
-                theta(n - 2, q) + rt ** (2 * n - 3))
-    if theorem_id == "hyperoval3":
-        return (1, q + 2, 2 * q + 1)
-    if theorem_id == "hyperovalN":
-        return (theta(n - 3, q),
-                theta(n - 2, q) + q ** (n - 3),
-                theta(n - 2, q) + q ** (n - 2))
-    if theorem_id == "maxarc":
-        d = t_or_d
-        return (theta(n - 3, q),
-                q ** (n - 3) * (q * d + d - q) + theta(n - 4, q),
-                q ** (n - 2) * d + theta(n - 3, q))
-    raise ValueError(f"unknown theorem id {theorem_id!r}")
+# _sqrt_q raises NonSquareOrder itself when q is not a square
+_SQUARE_Q = (lambda n, q, x: _sqrt_q(q) >= 0, "q must be a square")
+
+
+# each the top of the feasible-k screen and the last sign-check endpoint
+def _baer_top(n, q, t, abc, k):
+    return abc[0] + _sqrt_q(q) ** (2 * n - 4 * t + 3) * theta(t - 1, q)
+
+
+def _hyperovalN_top(n, q, x, abc, k):
+    return 2 * q ** (n - 1) + theta(n - 3, q)
+
+
+def _maxarc_top(n, q, d, abc, k):
+    return d * q ** (n - 1) + theta(n - 3, q)
+
+
+THEOREMS = {th.id: th for th in (
+    Theorem(
+        id="baer", param="t", default_n=4,
+        hypotheses=((lambda n, q, t: t is not None and t >= 1, "the half-codimension t is required"),
+                    (lambda n, q, t: n >= 4, "need n >= 4, got n={n}"),
+                    (lambda n, q, t: 2 * t <= n, "need 2t <= n, got t={t}, n={n}"),
+                    _SQUARE_Q,
+                    (lambda n, q, t: q >= 16 or t == 1, "need q >= 16 when t >= 2, got q={q}"),
+                    (lambda n, q, t: q >= 4, "need q >= 4, got q={q}")),
+        abc=lambda n, q, t: (c_rs(n - 2 * t - 1, 2 * t - 2, q), c_rs(n - 2 * t - 2, 2 * t, q),
+                             c_rs(n - 2 * t - 1, 2 * t - 1, q)),
+        k=lambda n, q, t: c_rs(n - 2 * t - 1, 2 * t, q),
+        vertex_dim=lambda n, q, t: n - 2 * t - 1,
+        base=lambda n, q, t: f"Baer subgeometry of dimension {2 * t}",
+        cone=lambda g, inst: objects.baer_cone(g, inst.vertex_dim, 2 * inst.t_or_d),
+        modulus=lambda n, q: q, k_max=_baer_top,
+        endpoints=(("t_a at lower interval endpoint", 0, "<0", lambda n, q, t, abc, k: k + q),
+                   ("t_a at upper interval endpoint", 0, "<0", _baer_top))),
+    Theorem(
+        id="unital", param=None, default_n=4,
+        hypotheses=((lambda n, q, x: n >= 4, "need n >= 4, got n={n}"),
+                    _SQUARE_Q,
+                    (lambda n, q, x: q >= 4, "need q >= 4, got q={q}")),
+        instance_hypotheses=((lambda n, q, x: x is None, "no extra parameter expected"),),
+        abc=lambda n, q, x: (theta(n - 2, q), theta(n - 3, q) + _sqrt_q(q) ** (2 * n - 3),
+                             theta(n - 2, q) + _sqrt_q(q) ** (2 * n - 3)),
+        k=lambda n, q, x: theta(n - 2, q) + _sqrt_q(q) ** (2 * n - 1),
+        vertex_dim=lambda n, q, x: n - 3,
+        base=lambda n, q, x: "Hermitian unital",
+        cone=lambda g, inst: objects.unital_cone(g),
+        modulus=lambda n, q: q ** (n - 2), k_max=lambda n, q, x, abc, k: k,
+        endpoints=(("t_c at lower interval endpoint", 2, "<0",
+                    lambda n, q, x, abc, k: theta(n - 1, q) + q ** (n - 2)),
+                   ("t_c at upper interval endpoint", 2, "<0",
+                    lambda n, q, x, abc, k: theta(n - 3, q) + _sqrt_q(q) ** (2 * n - 1)),
+                   ("t_b at k = theta_{n-1}", 1, "<0", lambda n, q, x, abc, k: theta(n - 1, q))),
+        pencil_u_a=lambda q, x: 1),
+    Theorem(
+        id="hyperoval3", param=None, default_n=3,
+        hypotheses=((lambda n, q, x: n == 3, "the 3-dimensional statement needs n=3, got n={n}"),
+                    (lambda n, q, x: q % 2 == 0, "hyperovals require even q, got q={q}")),
+        abc=lambda n, q, x: (1, q + 2, 2 * q + 1),
+        k=lambda n, q, x: q * q + 2 * q + 1,
+        vertex_dim=lambda n, q, x: 0,
+        base=lambda n, q, x: "hyperoval",
+        cone=lambda g, inst: objects.hyperoval_cone(g),
+        divisibilities=hyperoval3_step1_congruences,
+        k_max=lambda n, q, x, abc, k: 2 * q * q + 1, axis_points=0,
+        pencil_u_a=lambda q, x: q // 2, pencil_through_vertex=True),
+    Theorem(
+        id="hyperovalN", param=None, default_n=4,
+        hypotheses=((lambda n, q, x: n >= 4, "need n >= 4, got n={n}"),),
+        instance_hypotheses=((lambda n, q, x: q % 2 == 0, "hyperovals require even q, got q={q}"),),
+        abc=lambda n, q, x: (theta(n - 3, q), theta(n - 2, q) + q ** (n - 3),
+                             theta(n - 2, q) + q ** (n - 2)),
+        k=lambda n, q, x: theta(n - 1, q) + q ** (n - 2),
+        vertex_dim=lambda n, q, x: n - 3,
+        base=lambda n, q, x: "hyperoval",
+        cone=lambda g, inst: objects.hyperoval_cone(g),
+        modulus=lambda n, q: q ** (n - 3), k_max=_hyperovalN_top,
+        endpoints=(("t_c at k = c", 2, "<0", lambda n, q, x, abc, k: abc[2]),
+                   ("t_c at upper endpoint of the low interval", 2, "<0",
+                    lambda n, q, x, abc, k: k - q ** (n - 3)),
+                   ("t_a at lower endpoint of the high interval", 0, "<=1/2",
+                    lambda n, q, x, abc, k: k + q ** (n - 3) if q > 2 else None),
+                   ("t_a at k = 2q^{n-1} + theta_{n-3}", 0, "<0",
+                    lambda n, q, x, abc, k: _hyperovalN_top(n, q, x, abc, k) if q > 2 else None)),
+        empty_note="high interval is empty for q = 2; its checks are skipped",
+        pencil_u_a=lambda q, x: q // 2, pencil_through_vertex=True),
+    Theorem(
+        id="maxarc", param="d", default_n=4,
+        hypotheses=((lambda n, q, d: d is not None, "the arc degree d is required"),
+                    (lambda n, q, d: n >= 5, "need n >= 5, got n={n}"),
+                    (lambda n, q, d: 2 <= d <= q - 1, "need 2 <= d <= q-1, got d={d}"),
+                    (lambda n, q, d: gcd(d - 1, q) == 1, "need gcd(d-1, q) = 1, got d={d}, q={q}")),
+        abc=lambda n, q, d: (theta(n - 3, q), q ** (n - 3) * (q * d + d - q) + theta(n - 4, q),
+                             q ** (n - 2) * d + theta(n - 3, q)),
+        k=lambda n, q, d: q ** (n - 2) * (q * d + d - q) + theta(n - 3, q),
+        vertex_dim=lambda n, q, d: n - 3,
+        base=lambda n, q, d: f"maximal arc of degree {d}",
+        cone=lambda g, inst: objects.maxarc_cone(g, inst.t_or_d),
+        modulus=lambda n, q: q ** (n - 3), k_max=_maxarc_top,
+        endpoints=(("t_c at k = c", 2, "<0", lambda n, q, d, abc, k: abc[2]),
+                   ("t_c at upper endpoint of the low interval", 2, "<0",
+                    lambda n, q, d, abc, k: k - q ** (n - 3)),
+                   ("t_a at lower endpoint of the high interval", 0, "<0",
+                    lambda n, q, d, abc, k: k + q ** (n - 3)),
+                   ("t_a at k = d*q^{n-1} + theta_{n-3}", 0, "<1", _maxarc_top)),
+        pencil_u_a=lambda q, d: q // d, pencil_through_vertex=True),
+)}
+
+
+def _theorem(theorem_id: str) -> Theorem:
+    if theorem_id not in THEOREMS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}")
+    return THEOREMS[theorem_id]
 
 
 def theorem_instance(theorem_id: str, n: int, q: int, t_or_d=None) -> TheoremInstance:
@@ -218,61 +353,37 @@ def theorem_instance(theorem_id: str, n: int, q: int, t_or_d=None) -> TheoremIns
 
     Raises HypothesisViolated when the named theorem's hypotheses fail.
     """
-    if theorem_id == "baer":
-        t = t_or_d
-        _check(t is not None and t >= 1, "baer: the half-codimension t is required")
-        _check(n >= 4, f"baer: need n >= 4, got n={n}")
-        _check(2 * t <= n, f"baer: need 2t <= n, got t={t}, n={n}")
-        rt = _sqrt_q(q)  # raises NonSquareOrder for non-squares
-        _check(q >= 16 or t == 1, f"baer: need q >= 16 when t >= 2, got q={q}")
-        _check(q >= 4, f"baer: need q >= 4, got q={q}")
-        k = c_rs(n - 2 * t - 1, 2 * t, q)
-        vertex_dim = n - 2 * t - 1
-        base = f"Baer subgeometry of dimension {2 * t}"
-    elif theorem_id == "unital":
-        _check(t_or_d is None, "unital: no extra parameter expected")
-        _check(n >= 4, f"unital: need n >= 4, got n={n}")
-        rt = _sqrt_q(q)
-        _check(q >= 4, f"unital: need q >= 4, got q={q}")
-        k = theta(n - 2, q) + rt ** (2 * n - 1)
-        vertex_dim = n - 3
-        base = "Hermitian unital"
-    elif theorem_id == "hyperoval3":
-        _check(n == 3, f"hyperoval3: the 3-dimensional statement needs n=3, got n={n}")
-        _check(q % 2 == 0, f"hyperoval3: hyperovals require even q, got q={q}")
-        k = q * q + 2 * q + 1
-        vertex_dim = 0
-        base = "hyperoval"
-    elif theorem_id == "hyperovalN":
-        _check(n >= 4, f"hyperovalN: need n >= 4, got n={n}")
-        _check(q % 2 == 0, f"hyperovalN: hyperovals require even q, got q={q}")
-        k = theta(n - 1, q) + q ** (n - 2)
-        vertex_dim = n - 3
-        base = "hyperoval"
-    elif theorem_id == "maxarc":
-        d = t_or_d
-        _check(d is not None, "maxarc: the arc degree d is required")
-        _check(n >= 5, f"maxarc: need n >= 5, got n={n}")
-        _check(2 <= d <= q - 1, f"maxarc: need 2 <= d <= q-1, got d={d}")
-        _check(gcd(d - 1, q) == 1, f"maxarc: need gcd(d-1, q) = 1, got d={d}, q={q}")
-        k = q ** (n - 2) * (q * d + d - q) + theta(n - 3, q)
-        vertex_dim = n - 3
-        base = f"maximal arc of degree {d}"
-    else:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-
-    a, b, c = _abc(theorem_id, n, q, t_or_d)
-    if any(isinstance(v, Fraction) for v in (a, b, c)):
+    th = _theorem(theorem_id)
+    th.check(n, q, t_or_d)
+    k = th.k(n, q, t_or_d)
+    a, b, c = th.integral_abc(n, q, t_or_d)
+    ts = t_closed_form(TypeParameters(a, b, c, n, q), k)
+    if not all(t.denominator == 1 and t >= 1 for t in ts):
         raise HypothesisViolated(
-            f"{theorem_id}: degenerate type at (n={n}, q={q}): non-integral intersection size")
-    params = TypeParameters(a, b, c, n, q)
-    ts = t_closed_form(params, k)
-    _check(all(t.denominator == 1 and t >= 1 for t in ts),
-           f"{theorem_id}: closed-form counts are not realizable at (n={n}, q={q})")
+            f"{theorem_id}: closed-form counts are not realizable at (n={n}, q={q})")
     return TheoremInstance(theorem_id=theorem_id, n=n, q=q, t_or_d=t_or_d,
                            a=a, b=b, c=c, expected_k=k,
                            expected_t=tuple(int(t) for t in ts),
-                           vertex_dim=vertex_dim, base_descriptor=base)
+                           vertex_dim=th.vertex_dim(n, q, t_or_d),
+                           base_descriptor=th.base(n, q, t_or_d))
+
+
+def screen_defaults(theorem_id: str, n: int, q: int, t_or_d=None) -> tuple:
+    """(type parameters, k range, congruences, K-points on the pencil axis)
+    of the feasible-k screen for a theorem's type.  The theorem's
+    hypotheses are not checked; a non-integral type raises
+    HypothesisViolated."""
+    th = _theorem(theorem_id)
+    abc = th.integral_abc(n, q, t_or_d)
+    params = TypeParameters(*abc, n, q)
+    if th.divisibilities is not None:
+        congruences = th.divisibilities(q)
+    else:
+        cong = lemma_congruence(params, th.modulus(n, q))
+        congruences = (cong,) if cong else ()
+    k_max = th.k_max(n, q, t_or_d, abc, th.k(n, q, t_or_d))
+    axis = params.a if th.axis_points is None else th.axis_points
+    return params, range(params.c, k_max + 1), congruences, axis
 
 
 # ---------------------------------------------------------------------------
@@ -309,72 +420,113 @@ _CLAIMS = {
 }
 
 
-def _signcheck(params, which, label, k, claim) -> SignCheck:
-    value = t_closed_form(params, k)[which]
-    return SignCheck(label=label, k=Fraction(k), value=value, claim=claim,
-                     passed=_CLAIMS[claim](value))
-
-
 def step_sign_check(theorem_id: str, n: int, q: int, t_or_d=None) -> SignReport:
     """Evaluate the interval-endpoint count expressions the proofs rely on
-    and assert the claimed signs, in exact rational arithmetic."""
+    and assert the claimed signs, in exact rational arithmetic.  The type
+    may be rational here (degenerate Baer parameters)."""
+    th = _theorem(theorem_id)
+    if not th.endpoints:
+        raise HypothesisViolated(f"no endpoint sign checks for theorem id {theorem_id!r}")
+    th.check(n, q, t_or_d, instance=False)
+    abc = th.abc(n, q, t_or_d)
+    params = TypeParameters(*abc, n, q)
+    k_theorem = th.k(n, q, t_or_d)
     checks = []
-    notes = []
-    a, b, c = _abc(theorem_id, n, q, t_or_d)
-
-    class _P:  # lightweight stand-in allowing rational a, b, c
-        pass
-    params = _P()
-    params.a, params.b, params.c, params.n, params.q = a, b, c, n, q
-
-    if theorem_id == "baer":
-        t = t_or_d
-        _check(t is not None and 1 <= t and 2 * t <= n and n >= 4,
-               f"baer: bad (n, t) = ({n}, {t_or_d})")
-        _sqrt_q(q)
-        _check(q >= 16 or t == 1, f"baer: need q >= 16 when t >= 2, got q={q}")
-        _check(q >= 4, f"baer: need q >= 4, got q={q}")
-        rt = _sqrt_q(q)
-        k_lo = c_rs(n - 2 * t - 1, 2 * t, q) + q
-        k_hi = a + rt ** (2 * n - 4 * t + 3) * theta(t - 1, q)
-        checks.append(_signcheck(params, 0, "t_a at lower interval endpoint", k_lo, "<0"))
-        checks.append(_signcheck(params, 0, "t_a at upper interval endpoint", k_hi, "<0"))
-    elif theorem_id == "unital":
-        _check(n >= 4, f"unital: need n >= 4, got n={n}")
-        rt = _sqrt_q(q)
-        _check(q >= 4, f"unital: need q >= 4, got q={q}")
-        k_lo = theta(n - 1, q) + q ** (n - 2)
-        k_hi = theta(n - 3, q) + rt ** (2 * n - 1)
-        checks.append(_signcheck(params, 2, "t_c at lower interval endpoint", k_lo, "<0"))
-        checks.append(_signcheck(params, 2, "t_c at upper interval endpoint", k_hi, "<0"))
-        checks.append(_signcheck(params, 1, "t_b at k = theta_{n-1}", theta(n - 1, q), "<0"))
-    elif theorem_id == "hyperovalN":
-        _check(n >= 4, f"hyperovalN: need n >= 4, got n={n}")
-        checks.append(_signcheck(params, 2, "t_c at k = c", c, "<0"))
-        checks.append(_signcheck(params, 2, "t_c at upper endpoint of the low interval",
-                                 theta(n - 1, q) + q ** (n - 2) - q ** (n - 3), "<0"))
-        if q == 2:
-            notes.append("high interval is empty for q = 2; its checks are skipped")
-        else:
-            checks.append(_signcheck(params, 0, "t_a at lower endpoint of the high interval",
-                                     theta(n - 1, q) + q ** (n - 2) + q ** (n - 3), "<=1/2"))
-            checks.append(_signcheck(params, 0, "t_a at k = 2q^{n-1} + theta_{n-3}",
-                                     2 * q ** (n - 1) + theta(n - 3, q), "<0"))
-    elif theorem_id == "maxarc":
-        d = t_or_d
-        _check(d is not None and n >= 5 and 2 <= d <= q - 1 and gcd(d - 1, q) == 1,
-               f"maxarc: bad (n, q, d) = ({n}, {q}, {t_or_d})")
-        k_mid = q ** (n - 2) * (q * d + d - q) + theta(n - 3, q)
-        checks.append(_signcheck(params, 2, "t_c at k = c", c, "<0"))
-        checks.append(_signcheck(params, 2, "t_c at upper endpoint of the low interval",
-                                 k_mid - q ** (n - 3), "<0"))
-        checks.append(_signcheck(params, 0, "t_a at lower endpoint of the high interval",
-                                 k_mid + q ** (n - 3), "<0"))
-        checks.append(_signcheck(params, 0, "t_a at k = d*q^{n-1} + theta_{n-3}",
-                                 d * q ** (n - 1) + theta(n - 3, q), "<1"))
-    else:
-        raise HypothesisViolated(
-            f"no endpoint sign checks for theorem id {theorem_id!r}")
-
+    for label, which, claim, size in th.endpoints:
+        k = size(n, q, t_or_d, abc, k_theorem)
+        if k is not None:
+            value = t_closed_form(params, k)[which]
+            checks.append(SignCheck(label=label, k=Fraction(k), value=value,
+                                    claim=claim, passed=_CLAIMS[claim](value)))
+    notes = (th.empty_note,) if len(checks) < len(th.endpoints) else ()
     return SignReport(theorem_id=theorem_id, n=n, q=q, t_or_d=t_or_d,
-                      checks=tuple(checks), notes=tuple(notes))
+                      checks=tuple(checks), notes=notes)
+
+
+# ---------------------------------------------------------------------------
+# end-to-end verification of one instance
+# ---------------------------------------------------------------------------
+
+def _congruence_failures(th: Theorem, inst: TheoremInstance, k: int) -> list:
+    if th.divisibilities is not None:
+        if all(holds(k) for holds in th.divisibilities(inst.q)):
+            return []
+        return [f"k={k} violates the integrality divisibilities"]
+    failures = []
+    for beta in {th.modulus(inst.n, inst.q), inst.q}:
+        cong = lemma_congruence(inst.params, beta)
+        if cong is None:
+            failures.append(f"congruence hypothesis fails mod {beta}")
+        elif not cong.holds(k):
+            failures.append(f"k={k} not {cong.alpha} (mod {beta})")
+    return failures
+
+
+def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
+    """The pencil law: each axis lies on u_a a-hyperplanes and q+1-u_a
+    c-hyperplanes."""
+    if th.pencil_u_a is None:
+        return []
+    g, q = K.geometry, inst.q
+    u_a = th.pencil_u_a(q, inst.t_or_d)
+    expected = {inst.a: u_a, inst.c: q + 1 - u_a}
+    a_planes = np.nonzero(counts == inst.a)[0]
+    if th.pencil_through_vertex:  # join the vertex K ∩ h to the points of h off K
+        h = a_planes[0]
+        vertex_pts = list(np.nonzero(g.incidence[h] & K.mask)[0])
+        axes = {}
+        for x in np.nonzero(g.incidence[h] & ~K.mask)[0]:
+            axis = g.span(vertex_pts + [x])
+            axes.setdefault(axis.point_indices.tobytes(), axis)
+        axes = list(axes.values())
+    else:
+        axes = [g.span(np.nonzero(g.incidence[h] & K.mask)[0]) for h in a_planes]
+    failures = [f"axis profile {u} != {expected}"
+                for u in (spectra.pencil_counts(K, axis).u for axis in axes) if u != expected]
+    if th.pencil_through_vertex and len(axes) != q + 1:
+        failures.append(f"expected q+1 axes through the vertex, found {len(axes)}")
+    return failures
+
+
+def run_verification(theorem_id: str, n: int, q: int, t_or_d=None,
+                     workers: int = 1) -> dict:
+    """Build the canonical cone and check every instance-level claim.
+
+    Returns a report dict; report["ok"] is the overall verdict.
+    """
+    inst = theorem_instance(theorem_id, n, q, t_or_d)
+    th = THEOREMS[theorem_id]
+    K = th.cone(Geometry(field_new(*factor_prime_power(q)), n), inst)
+    failures = []
+
+    if K.k != inst.expected_k:
+        failures.append(f"size {K.k} != expected {inst.expected_k}")
+    counts, _ = spectra._counts(K, n - 1, workers)
+    spec = spectra.spectrum_of_counts(K.geometry, counts, n - 1)
+    expected_spec = dict(zip((inst.a, inst.b, inst.c), inst.expected_t))
+    if spec.by_size != expected_spec:
+        failures.append(f"spectrum {spec.by_size} != expected {expected_spec}")
+    if not verify_identities(spec, K.k, n, q):
+        failures.append("double-counting identities fail")
+
+    failures += _congruence_failures(th, inst, K.k)
+    failures += _pencil_failures(th, inst, K, counts)
+
+    rec = spectra.recognize_cone(K)
+    if rec.vertex.dim != inst.vertex_dim:
+        failures.append(f"recognized vertex dim {rec.vertex.dim} != {inst.vertex_dim}")
+    if not rec.is_cone_over_vertex:
+        failures.append("recognition failed to reproduce the cone")
+
+    sign_note = None
+    if th.endpoints:
+        report = step_sign_check(theorem_id, n, q, t_or_d)
+        if not report.ok:
+            failures.append("endpoint sign check failed")
+        sign_note = [(c.label, str(c.value), c.claim, c.passed) for c in report.checks]
+
+    return {
+        "theorem": theorem_id, "n": n, "q": q, "t_or_d": t_or_d,
+        "k": K.k, "spectrum": spec.by_size, "vertex_dim": rec.vertex.dim,
+        "sign_checks": sign_note, "failures": failures, "ok": not failures,
+    }

@@ -180,6 +180,20 @@ def field_new(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
     return Field(p=p, h=h, q=q, modulus=modulus, add=add, mul=mul, neg=neg, inv=inv)
 
 
+def factor_prime_power(q: int) -> tuple:
+    """q -> (p, h) with q = p^h, p prime; raises ValueError otherwise."""
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    h, rem = 0, q
+    while rem % p == 0:
+        rem //= p
+        h += 1
+    if rem != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p, h
+
+
 def subfield(field: Field) -> list:
     """The sqrt(q)-order subfield as a sorted list of element codes.
 

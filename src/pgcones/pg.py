@@ -69,7 +69,6 @@ class Geometry:
         self.num_points = npts
 
         self.points = kernels.combo_vectors(n + 1, q)  # normalized, lex order
-        self.hyperplanes = self.points  # same normalized representatives
         self.pows = q ** np.arange(n + 1, dtype=np.int64)
         codes = self.points.astype(np.int64) @ self.pows
         self.code_to_index = np.full(q ** (n + 1), -1, dtype=np.int64)
@@ -77,9 +76,9 @@ class Geometry:
 
         # incidence[i, j]: point j lies on hyperplane i (field dot product 0)
         add, mul = field.add, field.mul
-        dot = mul[self.points[:, 0][None, :], self.hyperplanes[:, 0][:, None]]
+        dot = mul[self.points[:, 0][None, :], self.points[:, 0][:, None]]
         for c in range(1, n + 1):
-            dot = add[dot, mul[self.points[:, c][None, :], self.hyperplanes[:, c][:, None]]]
+            dot = add[dot, mul[self.points[:, c][None, :], self.points[:, c][:, None]]]
         self.incidence = dot == 0
 
     # -- coordinate helpers -------------------------------------------------
@@ -144,13 +143,6 @@ class Geometry:
             bases = kernels.pattern_bases_numpy(pivots, free, rows, self.n + 1, self.q)
             for b in bases:
                 yield self.subspace_from_basis(b)
-
-    def hyperplane_subspace(self, h_index: int) -> Subspace:
-        pts = np.nonzero(self.incidence[h_index])[0]
-        basis = self.rref(self.points[pts[: self.n + 1]])
-        if basis.shape[0] < self.n:  # first n+1 points may be degenerate
-            basis = self.rref(self.points[pts])
-        return Subspace(self.n - 1, basis, pts.astype(np.int64))
 
 
 def geometry_new(field: Field, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Geometry:

@@ -20,9 +20,6 @@ class Spectrum:
     d: int
     total: int
 
-    def sizes(self) -> tuple:
-        return tuple(sorted(self.by_size))
-
 
 @dataclass(frozen=True)
 class PencilProfile:
@@ -50,13 +47,16 @@ def _counts(K: PointSet, d: int, workers: int = 1):
         g.pows, g.code_to_index, K.mask, workers)
 
 
-def spectrum(K: PointSet, d: int, workers: int = 1) -> Spectrum:
-    """Exact intersection spectrum of K against all d-subspaces."""
-    counts, _ = _counts(K, d, workers)
+def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
+    """The spectrum tallied from the intersection counts of every d-subspace."""
     sizes, mult = np.unique(counts, return_counts=True)
-    g = K.geometry
     return Spectrum(by_size={int(s): int(m) for s, m in zip(sizes, mult)},
                     d=d, total=gaussian_binomial(g.n + 1, d + 1, g.q))
+
+
+def spectrum(K: PointSet, d: int, workers: int = 1) -> Spectrum:
+    """Exact intersection spectrum of K against all d-subspaces."""
+    return spectrum_of_counts(K.geometry, _counts(K, d, workers)[0], d)
 
 
 def is_blocking(K: PointSet, d: int, workers: int = 1) -> bool:
@@ -114,7 +114,7 @@ def _complementary_subspace(g: Geometry, vertex: Subspace) -> Subspace:
     return g.span(chosen)
 
 
-def recognize_cone(K: PointSet, workers: int = 1) -> ConeRecognition:
+def recognize_cone(K: PointSet) -> ConeRecognition:
     """Detect the maximal vertex of K and test whether K is a cone over it.
 
     The vertex is the span of all points P of K such that every line

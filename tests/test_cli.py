@@ -112,3 +112,51 @@ def test_bad_construct_arguments(capsys):
     capsys.readouterr()
     assert main(["construct", "--object", "hyperoval", "--n", "2", "--q", "9",
                  "--out", "-"]) == 2  # odd order has no such arc
+
+
+@pytest.mark.parametrize("argv", [
+    ["--abc", "21", "37", "53", "--q", "4"],             # no --n
+    ["--theorem", "maxarc", "--n", "5", "--q", "4"],     # no --d
+    ["--theorem", "baer", "--n", "4", "--q", "4"],       # no --t
+], ids=["abc-without-n", "maxarc-without-d", "baer-without-t"])
+def test_feasible_k_missing_parameter(argv, capsys):
+    assert main(["feasible-k", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+_POINTS_DOC = {"p": 2, "h": 2, "n": 2, "object": "junk", "size": 2,
+               "points": [[1, 0, 0], [0, 1, 0]]}
+
+
+@pytest.mark.parametrize("change,named", [
+    ({"p": "2"}, "'p'"),
+    ({"h": True}, "'h'"),
+    ({"n": 2.0}, "'n'"),
+    ({"points": [[True, 0, 0], [0, 1, 0]]}, "[True, 0, 0]"),
+    ({"points": [[1, 0, 0], [1, 0, 0]]}, "duplicate point [1, 0, 0]"),
+    ({"points": [[1, 1, 0], [2, 2, 0]]}, "duplicate point [2, 2, 0]"),  # same projective point
+    ({"size": 3}, "'size'"),
+    ({"size": True}, "'size'"),
+], ids=["p-string", "h-bool", "n-float", "bool-coordinate", "duplicate", "duplicate-scaled",
+        "size-mismatch", "size-bool"])
+def test_point_file_contract(tmp_path, capsys, change, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_POINTS_DOC, **change}))
+    assert main(["spectrum", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--file", "unused.json", "--workers", "0"],
+    ["verify", "--theorem", "hyperoval3", "--q", "4", "--workers", "-3"],
+    ["feasible-k", "--theorem", "hyperoval3", "--q", "4", "--workers", "1"],  # no such flag
+], ids=["spectrum-workers-0", "verify-workers-negative", "feasible-k-workers"])
+def test_rejected_worker_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

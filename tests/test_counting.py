@@ -15,6 +15,7 @@ from pgcones import (
     hyperoval3_step1_congruences,
     lemma_congruence,
     pencil_feasible,
+    run_verification,
     spectrum,
     step_sign_check,
     t_closed_form,
@@ -243,8 +244,18 @@ def test_step_sign_check_maxarc():
 def test_step_sign_check_baer_degenerate_type_still_evaluates():
     # fractional intersection sizes are fine here: everything is rational
     assert step_sign_check("baer", 5, 16, 2).ok
+    assert step_sign_check("baer", 4, 16, 2).ok  # theorem_instance rejects this one
 
 
 def test_step_sign_check_unknown_id():
     with pytest.raises(HypothesisViolated):
         step_sign_check("hyperoval3", 3, 4)
+
+
+def test_run_verification_report():
+    report = run_verification("hyperoval3", 3, 4)
+    assert report["ok"] and report["failures"] == []
+    assert report["sign_checks"] is None  # no endpoint sign checks for hyperoval3
+    report = run_verification("unital", 4, 4)
+    assert report["ok"] and report["spectrum"] == {21: 9, 37: 320, 53: 12}
+    assert len(report["sign_checks"]) == 3
