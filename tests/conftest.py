@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from pgcones import field_new, geometry_new
+
+# Same examples on every run, and no per-example time limit: the property
+# tests check exact results, not speed.  max_examples keeps its default.
+settings.register_profile("pgcones", derandomize=True, deadline=None)
+settings.load_profile("pgcones")
 
 
 @pytest.fixture(scope="session")

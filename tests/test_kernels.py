@@ -1,11 +1,23 @@
-"""The accelerated and plain-numpy kernel paths must agree exactly."""
+"""Kernels against brute-force oracles.
+
+The d-subspace scan is checked element by element against sums of the
+membership mask over `Geometry.subspaces_iter`, which lists the subspaces
+in the same canonical order; the hyperplane counts against a row-by-row
+count over the incidence matrix and against the scan at d = n-1; and
+`cone_points` against its definition, line by line with `Geometry.span`.
+"""
 
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pgcones import field_new, geometry_new
 
 from pgcones import kernels
 from pgcones.kernels import (
@@ -15,7 +27,8 @@ from pgcones.kernels import (
     pivot_patterns,
     subspace_intersection_scan,
 )
-from pgcones.objects import hyperoval_cone, unital_cone
+from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_indices,
+                             unital_cone)
 
 
 def _field_args(g):
@@ -108,3 +121,163 @@ def test_env_flag_disables_acceleration():
             "sp = spectrum(hyperoval_cone(g), 2); "
             "assert sp.by_size == {1: 6, 6: 64, 9: 15}, sp.by_size")
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+# ---------------------------------------------------------------------------
+
+# (p, h, n) of the geometries the oracle tests draw from: q in {2,3,4,5,8,9}
+ORACLE_GEOMETRIES = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                     (3, 1, 4), (2, 2, 2), (2, 2, 3), (2, 2, 4), (5, 1, 2),
+                     (5, 1, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3)]
+
+
+@lru_cache(maxsize=None)
+def _geometry(p, h, n):
+    return geometry_new(field_new(p, h), n)
+
+
+@lru_cache(maxsize=None)
+def _subspace_points(p, h, n, d):
+    """(number of d-subspaces, theta_d) point indices, canonical order."""
+    return np.array([s.point_indices for s in _geometry(p, h, n).subspaces_iter(d)])
+
+
+def _brute_counts(pts, mask):
+    hits = mask[pts]
+    counts = hits.sum(axis=1)
+    first = pts[np.arange(len(pts)), np.argmax(hits, axis=1)]
+    lone = np.where(counts == 1, first, -1)
+    return counts, lone
+
+
+def _random_mask(g, seed, density):
+    return np.random.default_rng(seed).random(g.num_points) < density
+
+
+def _scan(g, d, mask, workers=1):
+    add, mul, inv, pows, c2i = _field_args(g)
+    return subspace_intersection_scan(g.n + 1, d, g.q, add, mul, inv, pows,
+                                      c2i, mask, workers=workers)
+
+
+SCAN_GRID = [(p, h, n, d) for p, h, n in ORACLE_GEOMETRIES for d in range(n)]
+
+
+@pytest.mark.parametrize("p,h,n,d", SCAN_GRID)
+@settings(max_examples=6)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 0.9, 1.0]),
+       workers=st.sampled_from([1, 2]))
+def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
+    g = _geometry(p, h, n)
+    mask = _random_mask(g, seed, density)
+    counts, lone = _scan(g, d, mask, workers)
+    want_counts, want_lone = _brute_counts(_subspace_points(p, h, n, d), mask)
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(lone, want_lone)
+    assert counts.dtype == lone.dtype == np.int64
+
+
+@settings(max_examples=30)
+@given(geometry=st.sampled_from(ORACLE_GEOMETRIES), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]), workers=st.sampled_from([1, 3]))
+def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density, workers):
+    g = _geometry(*geometry)
+    mask = _random_mask(g, seed, density)
+    counts, lone = hyperplane_intersection_counts(g.incidence, mask, workers=workers)
+    want_counts, want_lone = [], []
+    for row in g.incidence:
+        on = np.flatnonzero(row & mask)
+        want_counts.append(len(on))
+        want_lone.append(on[0] if len(on) == 1 else -1)
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(lone, want_lone)
+    # the scan lists the same hyperplanes in another order
+    scan_counts, scan_lone = _scan(g, g.n - 1, mask)
+    np.testing.assert_array_equal(np.sort(counts), np.sort(scan_counts))
+    np.testing.assert_array_equal(np.sort(lone), np.sort(scan_lone))
+
+
+def _cone_points_by_definition(K):
+    """P in K such that every line joining P to another point of K lies in
+    K; each line through P is spanned once."""
+    g = K.geometry
+    out = []
+    for P in K.indices:
+        seen = np.zeros(g.num_points, dtype=bool)
+        seen[P] = True
+        ok = True
+        for Q in K.indices:
+            if seen[Q]:
+                continue
+            line = g.span([P, Q]).point_indices
+            seen[line] = True
+            if not K.mask[line].all():
+                ok = False
+                break
+        if ok:
+            out.append(P)
+    return np.array(out, dtype=np.int64)
+
+
+def _conic_cone(g, r):
+    """Cone with an r-dim vertex on the last coordinates over the conic
+    y*z = x^2 in the plane of the first three coordinates."""
+    plane = _geometry(g.field.p, g.field.h, 2)
+    mul = plane.field.mul
+    x, y, z = plane.points.T
+    on = np.flatnonzero(mul[y, z] == mul[x, x])
+    pad = np.zeros((len(on), g.n + 1), dtype=np.int16)
+    pad[:, :3] = plane.points[on]
+    base = pointset_from_indices(g, [g.point_index(v) for v in pad])
+    return cone(g, axis_vertex(g, r), base), axis_vertex(g, r)
+
+
+def _cone_point_cases():
+    cases = []
+    for (p, h, n, r) in [(3, 1, 3, 0), (3, 1, 4, 1), (5, 1, 3, 0), (3, 2, 3, 0)]:
+        g = _geometry(p, h, n)
+        K, V = _conic_cone(g, r)
+        cases.append(pytest.param(K, V.point_indices, id=f"conic-cone-q{g.q}-n{n}"))
+    g = _geometry(3, 2, 3)
+    cases.append(pytest.param(unital_cone(g), axis_vertex(g, 0).point_indices,
+                              id="unital-cone-q9-n3"))
+    return cases
+
+
+@pytest.mark.parametrize("K,vertex", _cone_point_cases())
+def test_cone_points_of_cones_are_their_vertex(K, vertex):
+    g = K.geometry
+    args = (K.mask, g.points, g.field.add, g.field.mul, g.field.inv, g.pows, g.code_to_index)
+    got = cone_points(*args)
+    np.testing.assert_array_equal(got, np.sort(vertex))
+    np.testing.assert_array_equal(got, _cone_points_by_definition(K))
+
+
+@settings(max_examples=25)
+@given(case=st.sampled_from(range(5)), seed=st.integers(0, 2 ** 32 - 1),
+       drop=st.integers(0, 3), add=st.integers(0, 2))
+def test_cone_points_of_damaged_cones_match_definition(case, seed, drop, add):
+    K = _cone_point_cases()[case].values[0]
+    g = K.geometry
+    rng = np.random.default_rng(seed)
+    mask = K.mask.copy()
+    mask[rng.choice(K.indices, size=min(drop, K.k), replace=False)] = False
+    mask[rng.choice(np.flatnonzero(~K.mask), size=add, replace=False)] = True
+    D = pointset_from_indices(g, np.flatnonzero(mask))
+    got = cone_points(D.mask, g.points, g.field.add, g.field.mul, g.field.inv,
+                      g.pows, g.code_to_index)
+    np.testing.assert_array_equal(got, _cone_points_by_definition(D))
+
+
+@pytest.mark.parametrize("p,h,n,dim", [(3, 1, 3, 1), (5, 1, 3, 2), (3, 2, 3, 1), (2, 2, 4, 2)])
+def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
+    g = _geometry(p, h, n)
+    S = g.span(range(dim + 1)) if dim == 0 else next(iter(g.subspaces_iter(dim)))
+    mask = S.mask(g.num_points)
+    got = cone_points(mask, g.points, g.field.add, g.field.mul, g.field.inv,
+                      g.pows, g.code_to_index)
+    np.testing.assert_array_equal(got, S.point_indices)
+    np.testing.assert_array_equal(got, _cone_points_by_definition(pointset_from_indices(g, got)))
