@@ -1,37 +1,37 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, one numpy implementation each.
 
-The jitted path is used by default when numba imports cleanly; setting the
-environment variable ``PGCONES_NO_NUMBA=1`` forces the vectorized numpy
-fallback.  Both paths produce bit-identical results; ``benchmarks/``
-compares their throughput.
+The kernels work in code space: a coordinate vector v of GF(q)^(n+1) has
+the code sum_i v[i] q^i, and `Geometry.code_to_index` maps the code of
+every nonzero vector, in any scaling, to the index of its projective
+point.  So no kernel normalizes a vector before looking it up.
 
 All kernels work on the raw arrays of a Geometry: field tables (add/mul/
-inv), the point coordinate matrix, the base-q code -> point-index lookup
-table, and boolean membership masks.
+inv), the point coordinate matrix, the powers q^i, the code table and
+boolean membership masks.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 
 import numpy as np
 
-_flag = os.environ.get("PGCONES_NO_NUMBA", "").lower()
-USE_NUMBA = _flag not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
+# The kernels have no compiled variant; run metadata reads this flag.
+USE_NUMBA = False
 
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+HYPERPLANE_ROWS = 1024   # incidence rows per block of the hyperplane count
+CONE_BLOCK = 64          # points of K tested per step of cone_points
+CONE_CELLS = 1 << 20     # most line points held at once by cone_points
+
+
+def _pool_map(fn, items, workers: int):
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fn, items))
+    else:
+        for item in items:
+            fn(item)
 
 
 # ---------------------------------------------------------------------------
@@ -57,22 +57,19 @@ def pivot_patterns(n_cols: int, rows: int):
     return out
 
 
-def _basis_template(pivots, rows, n_cols):
-    tmpl = np.zeros((rows, n_cols), dtype=np.int16)
-    for i, p in enumerate(pivots):
-        tmpl[i, p] = 1
-    return tmpl
+def pattern_bases(pivots, free, rows, n_cols, q):
+    """All echelon basis matrices for one pivot pattern: (q^nf, rows, n_cols).
 
-
-def pattern_bases_numpy(pivots, free, rows, n_cols, q):
-    """All echelon basis matrices for one pivot pattern: (q^nf, rows, n_cols)."""
+    The free slots take the base-q digits of the subspace's position within
+    the pattern, most significant first."""
     nf = len(free)
     m = q ** nf
-    bases = np.broadcast_to(_basis_template(pivots, rows, n_cols), (m, rows, n_cols)).copy()
+    bases = np.zeros((m, rows, n_cols), dtype=np.int16)
+    for i, p in enumerate(pivots):
+        bases[:, i, p] = 1
     codes = np.arange(m, dtype=np.int64)
     for j, (r, c) in enumerate(free):
-        digit = (codes // q ** (nf - 1 - j)) % q
-        bases[:, r, c] = digit.astype(np.int16)
+        bases[:, r, c] = (codes // q ** (nf - 1 - j)) % q
     return bases
 
 
@@ -96,93 +93,48 @@ def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
     return arr[order]
 
 
-# ---------------------------------------------------------------------------
-# span of a basis -> point indices (numpy only; not perf-critical)
-# ---------------------------------------------------------------------------
-
-def span_point_indices(basis, combos, add, mul, inv, pows, code_to_index):
-    """Point indices of the span of `basis` (rows linearly independent)."""
-    rows = basis.shape[0]
+def span_point_indices(basis, combos, add, mul, pows, code_to_index):
+    """Sorted point indices of the span of `basis` (rows linearly independent)."""
     acc = mul[combos[:, 0][:, None], basis[0][None, :]]
-    for r in range(1, rows):
+    for r in range(1, basis.shape[0]):
         acc = add[acc, mul[combos[:, r][:, None], basis[r][None, :]]]
-    acc = _normalize_rows_numpy(acc, mul, inv)
-    codes = acc.astype(np.int64) @ pows
-    return np.unique(code_to_index[codes])
-
-
-def _normalize_rows_numpy(vecs, mul, inv):
-    lead_col = np.argmax(vecs != 0, axis=1)
-    lead = vecs[np.arange(vecs.shape[0]), lead_col]
-    return mul[inv[lead][:, None], vecs]
+    return np.sort(code_to_index[acc.astype(np.int64) @ pows])
 
 
 # ---------------------------------------------------------------------------
 # intersection counts of a point set against all d-subspaces
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
-def _scan_pattern_jit(template, free_rc, combos, add, mul, inv, pows,
-                      code_to_index, member, q, counts, lone):
-    rows, n_cols = template.shape
-    nf = free_rc.shape[0]
-    n_combos = combos.shape[0]
-    m = counts.shape[0]
-    basis = np.empty((rows, n_cols), dtype=np.int16)
-    for s in range(m):
-        for i in range(rows):
-            for j in range(n_cols):
-                basis[i, j] = template[i, j]
-        code = s
-        for j in range(nf - 1, -1, -1):
-            basis[free_rc[j, 0], free_rc[j, 1]] = code % q
-            code //= q
-        cnt = 0
-        last = -1
-        vec = np.empty(n_cols, dtype=np.int16)
-        for t in range(n_combos):
-            first = np.int16(0)
-            for col in range(n_cols):
-                v = np.int16(0)
-                for r in range(rows):
-                    v = add[v, mul[combos[t, r], basis[r, col]]]
-                vec[col] = v
-                if first == 0 and v != 0:
-                    first = v
-            scale = inv[first]
-            enc = np.int64(0)
-            for col in range(n_cols):
-                enc += np.int64(mul[scale, vec[col]]) * pows[col]
-            idx = code_to_index[enc]
-            if member[idx]:
-                cnt += 1
-                last = idx
-        counts[s] = cnt
-        lone[s] = last if cnt == 1 else -1
+def _scan_pattern(pivots, free, combos, add, mul, pows, member_code, q,
+                  counts, lone_code):
+    """Counts and last member code for the q^nf subspaces of one pattern.
 
-
-def _scan_pattern_numpy(template, free_rc, combos, add, mul, inv, pows,
-                        code_to_index, member, q, counts, lone):
-    rows, n_cols = template.shape
-    nf = free_rc.shape[0]
-    m = counts.shape[0]
-    bases = np.broadcast_to(template, (m, rows, n_cols)).copy()
-    codes = np.arange(m, dtype=np.int64)
-    for j in range(nf):
-        digit = (codes // q ** (nf - 1 - j)) % q
-        bases[:, free_rc[j, 0], free_rc[j, 1]] = digit.astype(np.int16)
-    counts[:] = 0
-    lone_sum = np.zeros(m, dtype=np.int64)
-    for t in range(combos.shape[0]):
-        acc = mul[combos[t, 0], bases[:, 0, :]]
-        for r in range(1, rows):
-            acc = add[acc, mul[combos[t, r], bases[:, r, :]]]
-        acc = _normalize_rows_numpy(acc, mul, inv)
-        idx = code_to_index[acc.astype(np.int64) @ pows]
-        hit = member[idx]
+    For a coefficient vector c the point sum_r c_r B_r of the echelon basis
+    B has c_r in pivot column p_r and, in a free column, the field sum of
+    c_r times the free digits of that column.  Its code is therefore
+    sum_r c_r q^(p_r) plus one small table per free column, broadcast over
+    the nf digit axes; the point is already normalized because B is in
+    reduced echelon form.
+    """
+    nf = len(free)
+    slots = {}  # free column -> [(digits along axis j, basis row)]
+    for j, (r, col) in enumerate(free):
+        axis = np.arange(q, dtype=np.int16).reshape((1,) * j + (q,) + (1,) * (nf - j - 1))
+        slots.setdefault(col, []).append((axis, r))
+    codes = np.empty(counts.shape[0], dtype=np.int64)
+    grid_codes = codes.reshape((q,) * nf)
+    for c in combos:
+        codes.fill(sum(int(c[r]) * int(pows[p]) for r, p in enumerate(pivots)))
+        for col, axes in slots.items():
+            value = np.zeros((1,) * nf, dtype=np.int16)
+            for digits, r in axes:
+                if c[r]:
+                    value = add[value, mul[c[r], digits]]
+            if value.any():
+                grid_codes += value.astype(np.int64) * pows[col]
+        hit = member_code[codes]
         counts += hit
-        lone_sum += np.where(hit, idx, 0)
-    lone[:] = np.where(counts == 1, lone_sum, -1)
+        np.copyto(lone_code, codes, where=hit)
 
 
 def subspace_intersection_scan(n_cols, d, q, add, mul, inv, pows,
@@ -192,35 +144,26 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, inv, pows,
 
     Returns (counts, lone) int64/int64 arrays over the canonical subspace
     order.  The worker count only chunks the pattern loop; results are
-    byte-identical for any value.
+    byte-identical for any value.  `inv` is not needed: the echelon codes
+    are normalized as built.
     """
     rows = d + 1
     patterns = pivot_patterns(n_cols, rows)
     combos = combo_vectors(rows, q)
     sizes = [q ** len(free) for _, free in patterns]
-    total = int(sum(sizes))
-    counts = np.zeros(total, dtype=np.int64)
-    lone = np.full(total, -1, dtype=np.int64)
-    member = np.ascontiguousarray(member)
-
-    scan = _scan_pattern_jit if USE_NUMBA else _scan_pattern_numpy
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    counts = np.zeros(offsets[-1], dtype=np.int64)
+    lone_code = np.zeros(offsets[-1], dtype=np.int64)
+    member_code = (code_to_index >= 0) & np.asarray(member)[code_to_index]
 
     def run(i):
         pivots, free = patterns[i]
-        off = int(sum(sizes[:i]))
-        template = _basis_template(pivots, rows, n_cols)
-        free_rc = np.array(free, dtype=np.int64).reshape(len(free), 2)
-        scan(template, free_rc, combos, add, mul, inv, pows,
-             code_to_index, member, q, counts[off:off + sizes[i]],
-             lone[off:off + sizes[i]])
+        lo, hi = offsets[i], offsets[i + 1]
+        _scan_pattern(pivots, free, combos, add, mul, pows, member_code, q,
+                      counts[lo:hi], lone_code[lo:hi])
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(patterns))))
-    else:
-        for i in range(len(patterns)):
-            run(i)
+    _pool_map(run, range(len(patterns)), workers)
+    lone = np.where(counts == 1, code_to_index[lone_code], -1)
     return counts, lone
 
 
@@ -228,44 +171,25 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, inv, pows,
 # hyperplane intersection counts from the incidence matrix
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
-def _hyperplane_counts_jit(incidence, member, counts, lone):
-    h, p = incidence.shape
-    for i in range(h):
-        cnt = 0
-        last = -1
-        for j in range(p):
-            if incidence[i, j] and member[j]:
-                cnt += 1
-                last = j
-        counts[i] = cnt
-        lone[i] = last if cnt == 1 else -1
-
-
-def _hyperplane_counts_numpy(incidence, member, counts, lone):
-    hits = incidence & member[None, :]
-    counts[:] = hits.sum(axis=1)
-    lone_sum = hits @ np.arange(incidence.shape[1], dtype=np.int64)
-    lone[:] = np.where(counts == 1, lone_sum, -1)
-
-
 def hyperplane_intersection_counts(incidence, member, workers: int = 1):
-    """Per-hyperplane |H ∩ member| and lone member where the count is 1."""
+    """Per-hyperplane |H ∩ member| and lone member where the count is 1.
+
+    Works on blocks of incidence rows restricted to the member columns, so
+    the largest temporary is HYPERPLANE_ROWS x |member| booleans."""
     h = incidence.shape[0]
+    member_idx = np.flatnonzero(member)
     counts = np.zeros(h, dtype=np.int64)
     lone = np.full(h, -1, dtype=np.int64)
-    fn = _hyperplane_counts_jit if USE_NUMBA else _hyperplane_counts_numpy
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = np.linspace(0, h, workers + 1).astype(int)
-        def run(i):
-            lo, hi = bounds[i], bounds[i + 1]
-            fn(incidence[lo:hi], member, counts[lo:hi], lone[lo:hi])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(workers)))
-    else:
-        fn(incidence, member, counts, lone)
+    def run(lo):
+        hits = incidence[lo:lo + HYPERPLANE_ROWS][:, member_idx]
+        block = counts[lo:lo + HYPERPLANE_ROWS]
+        block[:] = np.count_nonzero(hits, axis=1)
+        one = np.flatnonzero(block == 1)
+        if one.size:
+            lone[lo + one] = member_idx[np.argmax(hits[one], axis=1)]
+
+    _pool_map(run, range(0, h, HYPERPLANE_ROWS), workers)
     return counts, lone
 
 
@@ -273,62 +197,34 @@ def hyperplane_intersection_counts(incidence, member, workers: int = 1):
 # cone-point detection: P such that every line P-Q, Q in K, stays in K
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
-def _cone_points_jit(member_idx, points, add, mul, inv, pows,
-                     code_to_index, member, out):
-    n_cols = points.shape[1]
-    q = inv.shape[0]
-    for a in range(member_idx.shape[0]):
-        pi = member_idx[a]
-        ok = True
-        for b in range(member_idx.shape[0]):
-            qi = member_idx[b]
-            if qi == pi:
-                continue
-            for t in range(1, q):
-                enc = np.int64(0)
-                first = np.int16(0)
-                for col in range(n_cols):
-                    v = add[points[pi, col], mul[t, points[qi, col]]]
-                    if first == 0 and v != 0:
-                        first = v
-                scale = inv[first]
-                for col in range(n_cols):
-                    v = add[points[pi, col], mul[t, points[qi, col]]]
-                    enc += np.int64(mul[scale, v]) * pows[col]
-                if not member[code_to_index[enc]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        out[a] = ok
-
-
-def _cone_points_numpy(member_idx, points, add, mul, inv, pows,
-                       code_to_index, member, out):
-    q = inv.shape[0]
-    k = member_idx.shape[0]
-    kpts = points[member_idx]
-    ts = np.arange(1, q, dtype=np.int16)
-    # scaled[b, t, col] = t * Q_b[col]
-    scaled = mul[ts[None, :, None], kpts[:, None, :]]
-    for a in range(k):
-        others = np.concatenate([scaled[:a], scaled[a + 1:]]) if k > 1 else scaled[:0]
-        if others.size == 0:
-            out[a] = True
-            continue
-        line_pts = add[points[member_idx[a]][None, None, :], others]
-        flat = line_pts.reshape(-1, points.shape[1])
-        flat = _normalize_rows_numpy(flat, mul, inv)
-        idx = code_to_index[flat.astype(np.int64) @ pows]
-        out[a] = bool(member[idx].all())
-
-
 def cone_points(member, points, add, mul, inv, pows, code_to_index):
-    """Boolean: which member points see every joining line inside the set."""
-    member_idx = np.nonzero(member)[0].astype(np.int64)
-    out = np.zeros(member_idx.shape[0], dtype=np.bool_)
-    fn = _cone_points_jit if USE_NUMBA else _cone_points_numpy
-    fn(member_idx, points, add, mul, inv, pows,
-       code_to_index, member, out)
-    return member_idx[out]
+    """Indices of the member points that see every joining line inside the set.
+
+    Candidates start as all of K and are tested against CONE_BLOCK points Q
+    of K at a time: the points P + tQ, t != 0, of every line PQ are looked
+    up by code, and a candidate is dropped with the first block that holds
+    a line leaving K.  For Q = P the vectors (1+t)P are P itself or zero,
+    and the zero code counts as inside K.
+    """
+    member_idx = np.flatnonzero(member)
+    q, n_cols = inv.shape[0], points.shape[1]
+    in_k = (code_to_index >= 0) & np.asarray(member)[code_to_index]
+    in_k[0] = True
+    # add_code[col, a, b]: code of a + b placed in column col
+    add_code = add.astype(np.int64)[None] * pows[:, None, None]
+    ts = np.arange(1, q, dtype=np.int16)
+    chunk = max(1, CONE_CELLS // (CONE_BLOCK * (q - 1)))
+    cand = member_idx
+    for start in range(0, member_idx.size, CONE_BLOCK):
+        if cand.size == 0:
+            break
+        tq = mul[ts[:, None, None], points[member_idx[start:start + CONE_BLOCK]][None]]
+        keep = np.empty(cand.size, dtype=bool)
+        for lo in range(0, cand.size, chunk):
+            pc = points[cand[lo:lo + chunk]][:, None, None, :]
+            codes = add_code[0][pc[..., 0], tq[..., 0]]
+            for col in range(1, n_cols):
+                codes += add_code[col][pc[..., col], tq[..., col]]
+            keep[lo:lo + chunk] = in_k[codes].reshape(codes.shape[0], -1).all(axis=1)
+        cand = cand[keep]
+    return cand

@@ -80,11 +80,7 @@ def cone(geometry: Geometry, vertex: Subspace, base: PointSet) -> PointSet:
     ts = np.arange(1, geometry.q, dtype=np.int16)
     # interior[v, b, t] = V_v + t * B_b, covering each joining line
     interior = fld.add[vpts[:, None, None, :], fld.mul[ts[None, None, :, None], bpts[None, :, None, :]]]
-    flat = interior.reshape(-1, geometry.n + 1)
-    lead_col = np.argmax(flat != 0, axis=1)
-    lead = flat[np.arange(flat.shape[0]), lead_col]
-    flat = fld.mul[fld.inv[lead][:, None], flat]
-    idx = geometry.code_to_index[flat.astype(np.int64) @ geometry.pows]
+    idx = geometry.indices_of(interior)
     mask[idx] = True
     return PointSet(geometry, mask)
 
@@ -108,8 +104,7 @@ def embed_in_first_coords(geometry: Geometry, plane_set: PointSet) -> PointSet:
     vecs = small.points[plane_set.indices]
     padded = np.zeros((vecs.shape[0], geometry.n + 1), dtype=np.int16)
     padded[:, : small.n + 1] = vecs
-    idx = geometry.code_to_index[padded.astype(np.int64) @ geometry.pows]
-    return pointset_from_indices(geometry, idx)
+    return pointset_from_indices(geometry, geometry.indices_of(padded))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +216,7 @@ def denniston_arc(geometry: Geometry, d: int) -> PointSet:
                    fld.mul[ys, ys]]
     keep = in_group[form]
     vecs = np.stack([xs[keep], ys[keep], np.ones(int(keep.sum()), dtype=np.int16)], axis=1)
-    idx = [geometry.point_index(v) for v in vecs]
-    return pointset_from_indices(geometry, idx)
+    return pointset_from_indices(geometry, geometry.indices_of(vecs))
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,12 @@ class Geometry:
         self.num_points = npts
 
         self.points = kernels.combo_vectors(n + 1, q)  # normalized, lex order
+        # code sum_i v[i] q^i of every nonzero vector v -> index of its point
         self.pows = q ** np.arange(n + 1, dtype=np.int64)
-        codes = self.points.astype(np.int64) @ self.pows
         self.code_to_index = np.full(q ** (n + 1), -1, dtype=np.int64)
-        self.code_to_index[codes] = np.arange(npts, dtype=np.int64)
+        index = np.arange(npts, dtype=np.int64)
+        for t in range(1, q):
+            self.code_to_index[field.mul[t, self.points].astype(np.int64) @ self.pows] = index
 
         # incidence[i, j]: point j lies on hyperplane i (field dot product 0)
         add, mul = field.add, field.mul
@@ -83,16 +85,16 @@ class Geometry:
 
     # -- coordinate helpers -------------------------------------------------
 
+    def indices_of(self, vectors) -> np.ndarray:
+        """Point indices of coordinate vectors (the last axis), in any
+        scaling; -1 for the zero vector."""
+        return self.code_to_index[np.asarray(vectors, dtype=np.int64) @ self.pows]
+
     def point_index(self, vector) -> int:
         """Index of the projective point with the given coordinates."""
-        vec = np.asarray(vector, dtype=np.int16)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
+        idx = int(self.indices_of(vector))
+        if idx < 0:
             raise ValueError("the zero vector is not a projective point")
-        scale = self.field.inv[vec[nz[0]]]
-        norm = self.field.mul[scale, vec]
-        idx = int(self.code_to_index[int(norm.astype(np.int64) @ self.pows)])
-        assert idx >= 0
         return idx
 
     def rref(self, vectors: np.ndarray) -> np.ndarray:
@@ -127,10 +129,9 @@ class Geometry:
         if basis.shape[0] == 0:
             return Subspace(-1, basis, np.empty(0, dtype=np.int64))
         combos = kernels.combo_vectors(basis.shape[0], self.q)
-        pts = kernels.span_point_indices(
-            basis, combos, self.field.add, self.field.mul, self.field.inv,
-            self.pows, self.code_to_index)
-        return Subspace(basis.shape[0] - 1, basis, np.sort(pts))
+        pts = kernels.span_point_indices(basis, combos, self.field.add, self.field.mul,
+                                         self.pows, self.code_to_index)
+        return Subspace(basis.shape[0] - 1, basis, pts)
 
     # -- subspace streams ---------------------------------------------------
 
@@ -140,7 +141,7 @@ class Geometry:
             raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
         rows = d + 1
         for pivots, free in kernels.pivot_patterns(self.n + 1, rows):
-            bases = kernels.pattern_bases_numpy(pivots, free, rows, self.n + 1, self.q)
+            bases = kernels.pattern_bases(pivots, free, rows, self.n + 1, self.q)
             for b in bases:
                 yield self.subspace_from_basis(b)
 

@@ -7,9 +7,6 @@ count over the incidence matrix and against the scan at d = n-1; and
 `cone_points` against its definition, line by line with `Geometry.span`.
 """
 
-import os
-import subprocess
-import sys
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +16,6 @@ from hypothesis import strategies as st
 
 from pgcones import field_new, geometry_new
 
-from pgcones import kernels
 from pgcones.kernels import (
     combo_vectors,
     cone_points,
@@ -52,50 +48,6 @@ def test_combo_vectors_are_projective_points():
     assert len({tuple(r) for r in combos}) == 21
 
 
-def test_scan_pattern_paths_agree(pg34):
-    K = hyperoval_cone(pg34)
-    patterns = pivot_patterns(pg34.n + 1, 2)
-    combos = combo_vectors(2, 4)
-    add, mul, inv, pows, c2i = _field_args(pg34)
-    for pivots, free in patterns[:6]:
-        template = kernels._basis_template(pivots, 2, pg34.n + 1)
-        m = 4 ** len(free)
-        free_rc = np.array(free, dtype=np.int64).reshape(-1, 2)
-        out = []
-        for fn in (kernels._scan_pattern_jit, kernels._scan_pattern_numpy):
-            counts = np.zeros(m, dtype=np.int64)
-            lone = np.full(m, -1, dtype=np.int64)
-            fn(template, free_rc, combos, add, mul, inv, pows,
-               c2i, K.mask, 4, counts, lone)
-            out.append((counts, lone))
-        np.testing.assert_array_equal(out[0][0], out[1][0])
-        np.testing.assert_array_equal(out[0][1], out[1][1])
-
-
-def test_hyperplane_counts_paths_agree(pg44):
-    K = unital_cone(pg44)
-    outs = []
-    for fn in (kernels._hyperplane_counts_jit, kernels._hyperplane_counts_numpy):
-        counts = np.zeros(pg44.incidence.shape[0], dtype=np.int64)
-        lone = np.full(pg44.incidence.shape[0], -1, dtype=np.int64)
-        fn(pg44.incidence, K.mask, counts, lone)
-        outs.append((counts, lone))
-    np.testing.assert_array_equal(outs[0][0], outs[1][0])
-    np.testing.assert_array_equal(outs[0][1], outs[1][1])
-
-
-def test_cone_points_paths_agree(pg34):
-    K = hyperoval_cone(pg34)
-    add, mul, inv, pows, c2i = _field_args(pg34)
-    member_idx = np.nonzero(K.mask)[0].astype(np.int64)
-    outs = []
-    for fn in (kernels._cone_points_jit, kernels._cone_points_numpy):
-        out = np.zeros(member_idx.shape[0], dtype=np.bool_)
-        fn(member_idx, pg34.points, add, mul, inv, pows, c2i, K.mask, out)
-        outs.append(out.copy())
-    np.testing.assert_array_equal(outs[0], outs[1])
-
-
 def test_worker_chunking_is_deterministic(pg34):
     K = hyperoval_cone(pg34)
     add, mul, inv, pows, c2i = _field_args(pg34)
@@ -109,18 +61,6 @@ def test_worker_chunking_is_deterministic(pg34):
     c1, _ = hyperplane_intersection_counts(pg34.incidence, K.mask, workers=1)
     c4, _ = hyperplane_intersection_counts(pg34.incidence, K.mask, workers=4)
     np.testing.assert_array_equal(c1, c4)
-
-
-def test_env_flag_disables_acceleration():
-    env = dict(os.environ, PGCONES_NO_NUMBA="1")
-    code = ("import pgcones.kernels as k; "
-            "assert not k.USE_NUMBA; "
-            "from pgcones import geometry_new, field_new, spectrum; "
-            "from pgcones.objects import hyperoval_cone; "
-            "g = geometry_new(field_new(2, 2), 3); "
-            "sp = spectrum(hyperoval_cone(g), 2); "
-            "assert sp.by_size == {1: 6, 6: 64, 9: 15}, sp.by_size")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # ---------------------------------------------------------------------------
