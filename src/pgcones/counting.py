@@ -474,11 +474,12 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     if th.pencil_through_vertex:  # join the vertex K ∩ h to the points of h off K
         h = a_planes[0]
         vertex_pts = list(np.nonzero(g.incidence[h] & K.mask)[0])
-        axes = {}
+        covered = K.mask.copy()  # on K or on an axis found earlier
+        axes = []
         for x in np.nonzero(g.incidence[h] & ~K.mask)[0]:
-            axis = g.span(vertex_pts + [x])
-            axes.setdefault(axis.point_indices.tobytes(), axis)
-        axes = list(axes.values())
+            if not covered[x]:
+                axes.append(g.span(vertex_pts + [x]))
+                covered[axes[-1].point_indices] = True
     else:
         axes = [g.span(np.nonzero(g.incidence[h] & K.mask)[0]) for h in a_planes]
     failures = [f"axis profile {u} != {expected}"
