@@ -157,6 +157,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_feasible_k(args) -> int:
+    factor_prime_power(args.q)  # PG(n, q) exists only for prime powers q
     if args.abc:
         if args.n is None:
             raise ValueError("--abc requires --n")

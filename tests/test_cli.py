@@ -126,6 +126,20 @@ def test_feasible_k_missing_parameter(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--abc", "1", "2", "3", "--n", "3", "--q", "1"], "q must be >= 2, got 1"),
+    (["--abc", "1", "6", "9", "--n", "3", "--q", "6", "--format", "csv"],
+     "q = 6 is not a prime power"),
+    (["--theorem", "hyperoval3", "--q", "1"], "q must be >= 2, got 1"),
+    (["--theorem", "hyperoval3", "--q", "6"], "q = 6 is not a prime power"),
+], ids=["abc-q1", "abc-q6", "theorem-q1", "theorem-q6"])
+def test_feasible_k_rejects_non_prime_power_q(argv, named, capsys):
+    assert main(["feasible-k", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
 _POINTS_DOC = {"p": 2, "h": 2, "n": 2, "object": "junk", "size": 2,
                "points": [[1, 0, 0], [0, 1, 0]]}
 
