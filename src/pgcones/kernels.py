@@ -154,7 +154,7 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, inv, pows,
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     counts = np.zeros(offsets[-1], dtype=np.int64)
     lone_code = np.zeros(offsets[-1], dtype=np.int64)
-    member_code = (code_to_index >= 0) & np.asarray(member)[code_to_index]
+    member_code = np.asarray(member)[code_to_index]  # only the zero code, never built, is -1
 
     def run(i):
         pivots, free = patterns[i]
@@ -208,8 +208,8 @@ def cone_points(member, points, add, mul, inv, pows, code_to_index):
     """
     member_idx = np.flatnonzero(member)
     q, n_cols = inv.shape[0], points.shape[1]
-    in_k = (code_to_index >= 0) & np.asarray(member)[code_to_index]
-    in_k[0] = True
+    in_k = np.asarray(member)[code_to_index]
+    in_k[0] = True  # the zero vector (1+t)P, t = -1; the only code mapped to -1
     # add_code[col, a, b]: code of a + b placed in column col
     add_code = add.astype(np.int64)[None] * pows[:, None, None]
     ts = np.arange(1, q, dtype=np.int16)
