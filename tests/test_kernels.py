@@ -3,8 +3,11 @@
 The d-subspace scan is checked element by element against sums of the
 membership mask over `Geometry.subspaces_iter`, which lists the subspaces
 in the same canonical order; the hyperplane counts against a row-by-row
-count over the incidence matrix and against the scan at d = n-1; and
-`cone_points` against its definition, line by line with `Geometry.span`.
+count over the incidence matrix and against the scan at d = n-1; the
+hyperplane counts of `spectra._counts` and the pencils of
+`spectra.pencil_counts` against hyperplane rows computed from field dot
+products; and `cone_points` against its definition, line by line with
+`Geometry.span`.
 """
 
 from functools import lru_cache
@@ -25,6 +28,7 @@ from pgcones.kernels import (
 )
 from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_indices,
                              unital_cone)
+from pgcones.spectra import _counts, pencil_counts
 
 
 def _field_args(g):
@@ -90,6 +94,23 @@ def _brute_counts(pts, mask):
     first = pts[np.arange(len(pts)), np.argmax(hits, axis=1)]
     lone = np.where(counts == 1, first, -1)
     return counts, lone
+
+
+@lru_cache(maxsize=None)
+def _hyperplane_rows(p, h, n):
+    """Boolean (hyperplane, point) matrix from field dot products: row i
+    marks the points x with sum_c P_i[c] x[c] = 0, P_i the coordinates of
+    point i."""
+    g = _geometry(p, h, n)
+    add, mul = g.field.add, g.field.mul
+    dot = np.zeros((g.num_points, g.num_points), dtype=np.int16)
+    for c in range(n + 1):
+        dot = add[dot, mul[g.points[:, c][:, None], g.points[:, c][None, :]]]
+    return dot == 0
+
+
+def _rows_of(g):
+    return _hyperplane_rows(g.field.p, g.field.h, g.n)
 
 
 def _random_mask(g, seed, density):
@@ -222,3 +243,56 @@ def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
                       g.pows, g.code_to_index)
     np.testing.assert_array_equal(got, S.point_indices)
     np.testing.assert_array_equal(got, _cone_points_by_definition(pointset_from_indices(g, got)))
+
+
+@settings(max_examples=30)
+@given(geometry=st.sampled_from(ORACLE_GEOMETRIES), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+def test_spectra_hyperplane_counts_match_dot_product_rows(geometry, seed, density):
+    g = _geometry(*geometry)
+    mask = _random_mask(g, seed, density)
+    counts, lone = _counts(pointset_from_indices(g, np.flatnonzero(mask)), g.n - 1)
+    hits = _rows_of(g) & mask
+    want_counts = hits.sum(axis=1)
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(lone, np.where(want_counts == 1, np.argmax(hits, axis=1), -1))
+
+
+def _pencil_by_definition(K, axis):
+    """{size: multiplicity} over the hyperplanes orthogonal to every basis
+    row of the axis, each counted against its dot-product row."""
+    g = K.geometry
+    add, mul = g.field.add, g.field.mul
+    through = np.ones(g.num_points, dtype=bool)
+    for b in axis.basis:
+        dot = np.zeros(g.num_points, dtype=np.int16)
+        for c in range(g.n + 1):
+            dot = add[dot, mul[g.points[:, c], b[c]]]
+        through &= dot == 0
+    assert through.sum() == g.q + 1
+    sizes, mult = np.unique((_rows_of(g)[through] & K.mask).sum(axis=1), return_counts=True)
+    return {int(s): int(m) for s, m in zip(sizes, mult)}
+
+
+@settings(max_examples=40)
+@given(case=st.integers(0, len(_cone_point_cases()) - 1), seed=st.integers(0, 2 ** 32 - 1),
+       through_vertex=st.booleans(), damaged=st.booleans())
+def test_pencil_counts_match_dot_product_rows(case, seed, through_vertex, damaged):
+    K, vertex = _cone_point_cases()[case].values
+    g = K.geometry
+    rng = np.random.default_rng(seed)
+    if damaged:  # move one point off the vertex out of K and one point into K
+        mask = K.mask.copy()
+        mask[rng.choice(np.setdiff1d(K.indices, vertex))] = False
+        mask[rng.choice(np.flatnonzero(~K.mask))] = True
+        K = pointset_from_indices(g, np.flatnonzero(mask))
+    if through_vertex:  # the vertex has dimension n-3: join it to one point
+        axis = g.span(list(vertex) + [int(rng.choice(np.setdiff1d(np.arange(g.num_points),
+                                                                   vertex)))])
+    else:
+        axis = g.span(rng.choice(g.num_points, size=g.n - 1, replace=False))
+    if axis.dim != g.n - 2:
+        return
+    got = pencil_counts(K, axis).u
+    assert got == _pencil_by_definition(K, axis)
+    assert sum(got.values()) == g.q + 1
