@@ -472,16 +472,16 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     expected = {inst.a: u_a, inst.c: q + 1 - u_a}
     a_planes = np.nonzero(counts == inst.a)[0]
     if th.pencil_through_vertex:  # join the vertex K ∩ h to the points of h off K
-        h = a_planes[0]
-        vertex_pts = list(np.nonzero(g.incidence[h] & K.mask)[0])
+        row = np.sort(g.hyperplane_points[a_planes[0]])
+        vertex_pts = list(row[K.mask[row]])
         covered = K.mask.copy()  # on K or on an axis found earlier
         axes = []
-        for x in np.nonzero(g.incidence[h] & ~K.mask)[0]:
+        for x in row[~K.mask[row]]:
             if not covered[x]:
                 axes.append(g.span(vertex_pts + [x]))
                 covered[axes[-1].point_indices] = True
-    else:
-        axes = [g.span(np.nonzero(g.incidence[h] & K.mask)[0]) for h in a_planes]
+    else:  # the span of K ∩ h does not depend on the order of its points
+        axes = [g.span(row[K.mask[row]]) for row in g.hyperplane_points[a_planes]]
     failures = [f"axis profile {u} != {expected}"
                 for u in (spectra.pencil_counts(K, axis).u for axis in axes) if u != expected]
     if th.pencil_through_vertex and len(axes) != q + 1:

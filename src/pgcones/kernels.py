@@ -6,12 +6,13 @@ every nonzero vector, in any scaling, to the index of its projective
 point.  So no kernel normalizes a vector before looking it up.
 
 All kernels work on the raw arrays of a Geometry: field tables (add/mul/
-inv), the point coordinate matrix, the powers q^i, the code table and
-boolean membership masks.
+inv), the point coordinate matrix, the powers q^i, the code table, the
+hyperplane-point table and boolean membership masks.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -19,19 +20,9 @@ import numpy as np
 # The kernels have no compiled variant; run metadata reads this flag.
 USE_NUMBA = False
 
-HYPERPLANE_ROWS = 1024   # incidence rows per block of the hyperplane count
+HYPERPLANE_CELLS = 1 << 22  # most table cells gathered at once by the hyperplane count
 CONE_BLOCK = 64          # points of K tested per step of cone_points
 CONE_CELLS = 1 << 20     # most line points held at once by cone_points
-
-
-def _pool_map(fn, items, workers: int):
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fn, items))
-    else:
-        for item in items:
-            fn(item)
 
 
 # ---------------------------------------------------------------------------
@@ -76,21 +67,9 @@ def pattern_bases(pivots, free, rows, n_cols, q):
 def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
     """Normalized coefficient vectors (first nonzero = 1), i.e. the points
     of PG(dim, q), in lexicographic order.  Shape (theta_dim, dim_plus_1)."""
-    out = []
-    for lead in range(dim_plus_1):
-        tail = dim_plus_1 - lead - 1
-        for code in range(q ** tail):
-            vec = [0] * lead + [1]
-            c = code
-            digits = []
-            for _ in range(tail):
-                digits.append(c % q)
-                c //= q
-            vec.extend(reversed(digits))
-            out.append(vec)
-    arr = np.array(out, dtype=np.int16)
-    order = np.lexsort(arr.T[::-1])
-    return arr[order]
+    vecs = np.indices((q,) * dim_plus_1, dtype=np.int16).reshape(dim_plus_1, -1).T
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    return vecs[lead == 1]  # the rows of np.indices are already in lexicographic order
 
 
 def span_point_indices(basis, combos, add, mul, pows, code_to_index):
@@ -162,35 +141,34 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, inv, pows,
         _scan_pattern(pivots, free, combos, add, mul, pows, member_code, q,
                       counts[lo:hi], lone_code[lo:hi])
 
-    _pool_map(run, range(len(patterns)), workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(len(patterns))))
     lone = np.where(counts == 1, code_to_index[lone_code], -1)
     return counts, lone
 
 
 # ---------------------------------------------------------------------------
-# hyperplane intersection counts from the incidence matrix
+# hyperplane intersection counts from the hyperplane-point table
 # ---------------------------------------------------------------------------
 
-def hyperplane_intersection_counts(incidence, member, workers: int = 1):
+def hyperplane_intersection_counts(hyperplane_points, member):
     """Per-hyperplane |H ∩ member| and lone member where the count is 1.
 
-    Works on blocks of incidence rows restricted to the member columns, so
-    the largest temporary is HYPERPLANE_ROWS x |member| booleans."""
-    h = incidence.shape[0]
+    Row P of the table lists the hyperplanes through point P, so the
+    counts are a bincount of the member rows, gathered in blocks of at most
+    HYPERPLANE_CELLS cells.  A hyperplane met once takes its lone member
+    from the one cell that names it."""
+    h, width = hyperplane_points.shape
     member_idx = np.flatnonzero(member)
+    step = max(1, HYPERPLANE_CELLS // width)
     counts = np.zeros(h, dtype=np.int64)
-    lone = np.full(h, -1, dtype=np.int64)
-
-    def run(lo):
-        hits = incidence[lo:lo + HYPERPLANE_ROWS][:, member_idx]
-        block = counts[lo:lo + HYPERPLANE_ROWS]
-        block[:] = np.count_nonzero(hits, axis=1)
-        one = np.flatnonzero(block == 1)
-        if one.size:
-            lone[lo + one] = member_idx[np.argmax(hits[one], axis=1)]
-
-    _pool_map(run, range(0, h, HYPERPLANE_ROWS), workers)
-    return counts, lone
+    last = np.empty(h, dtype=np.int64)  # the member of the last row naming h
+    for lo in range(0, member_idx.size, step):
+        block = member_idx[lo:lo + step]
+        rows = hyperplane_points[block]
+        counts += np.bincount(rows.ravel(), minlength=h)
+        last[rows] = block[:, None]
+    return counts, np.where(counts == 1, last, -1)
 
 
 # ---------------------------------------------------------------------------

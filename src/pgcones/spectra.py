@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -41,7 +42,7 @@ def _counts(K: PointSet, d: int, workers: int = 1):
     if not 0 <= d <= g.n - 1:
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
-        return kernels.hyperplane_intersection_counts(g.incidence, K.mask, workers)
+        return kernels.hyperplane_intersection_counts(g.hyperplane_points, K.mask)
     return kernels.subspace_intersection_scan(
         g.n + 1, d, g.q, g.field.add, g.field.mul, g.field.inv,
         g.pows, g.code_to_index, K.mask, workers)
@@ -83,13 +84,12 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
     g = K.geometry
     if axis.dim != g.n - 2:
         raise WrongDimension(f"axis must have dimension n-2 = {g.n - 2}, got {axis.dim}")
-    through = g.incidence[:, axis.point_indices].all(axis=1)
-    assert int(through.sum()) == g.q + 1
-    sizes = (g.incidence[through] & K.mask[None, :]).sum(axis=1)
-    u = {}
-    for s in sizes:
-        u[int(s)] = u.get(int(s), 0) + 1
-    return PencilProfile(axis=axis, u=u)
+    # the hyperplanes through every basis point, from the rows of those points
+    rows = g.hyperplane_points[g.indices_of(axis.basis)]
+    through = np.flatnonzero(np.bincount(rows.ravel(), minlength=g.num_points) == len(rows))
+    assert through.size == g.q + 1
+    sizes = K.mask[g.hyperplane_points[through]].sum(axis=1)
+    return PencilProfile(axis=axis, u=dict(Counter(sizes.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ def test_criterion_2_unital_cone(pg44):
     pencils_ok = True
     counts = sp  # hyperplane profile
     for h in range(pg44.num_points):
-        in_h = K.indices[pg44.incidence[h, K.indices]]
+        row = pg44.hyperplane_points[h]
+        in_h = row[K.mask[row]]
         if len(in_h) != 21:
             continue
         axis = pg44.span(list(in_h))

@@ -174,3 +174,13 @@ def test_rejected_worker_arguments(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_over_the_table_bound_exits_2(capsys):
+    # PG(8,4) passes the point bound, but its hyperplane-point table would
+    # need about 7 GiB: refused before it is allocated
+    assert main(["verify", "--theorem", "unital", "--n", "8", "--q", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "GiB" in captured.err

@@ -2,12 +2,11 @@
 
 The d-subspace scan is checked element by element against sums of the
 membership mask over `Geometry.subspaces_iter`, which lists the subspaces
-in the same canonical order; the hyperplane counts against a row-by-row
-count over the incidence matrix and against the scan at d = n-1; the
-hyperplane counts of `spectra._counts` and the pencils of
-`spectra.pencil_counts` against hyperplane rows computed from field dot
-products; and `cone_points` against its definition, line by line with
-`Geometry.span`.
+in the same canonical order; the rows of `Geometry.hyperplane_points`, the
+hyperplane counts of the kernel and of `spectra._counts` and the pencils
+of `spectra.pencil_counts` against hyperplane rows computed from field dot
+products, and the counts also against the scan at d = n-1; and
+`cone_points` against its definition, line by line with `Geometry.span`.
 """
 
 from functools import lru_cache
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgcones import field_new, geometry_new
+from pgcones import field_new, geometry_new, kernels, pg, theta
 
 from pgcones.kernels import (
     combo_vectors,
@@ -61,10 +60,6 @@ def test_worker_chunking_is_deterministic(pg34):
                                      c2i, K.mask, workers=4)
     np.testing.assert_array_equal(ref[0], alt[0])
     np.testing.assert_array_equal(ref[1], alt[1])
-
-    c1, _ = hyperplane_intersection_counts(pg34.incidence, K.mask, workers=1)
-    c4, _ = hyperplane_intersection_counts(pg34.incidence, K.mask, workers=4)
-    np.testing.assert_array_equal(c1, c4)
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +136,47 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
     assert counts.dtype == lone.dtype == np.int64
 
 
+@pytest.mark.parametrize("geometry", ORACLE_GEOMETRIES)
+def test_hyperplane_points_rows_match_dot_product_rows(geometry):
+    g = _geometry(*geometry)
+    table = g.hyperplane_points
+    assert table.shape == (g.num_points, theta(g.n - 1, g.q))
+    want = [np.flatnonzero(row) for row in _rows_of(g)]
+    np.testing.assert_array_equal(np.sort(table, axis=1), want)
+
+
+@pytest.mark.parametrize("geometry", [(3, 1, 4), (2, 2, 3), (3, 2, 3), (5, 1, 3)])
+def test_small_blocks_build_the_same_rows_and_counts(geometry, monkeypatch):
+    # blocks of 256 cells loop over the leading digits of t in the build and
+    # over several blocks of member rows in the count
+    monkeypatch.setattr(pg, "BUILD_CELLS", 256)
+    monkeypatch.setattr(kernels, "HYPERPLANE_CELLS", 256)
+    g = geometry_new(field_new(*geometry[:2]), geometry[2])
+    rows = _rows_of(g)
+    np.testing.assert_array_equal(np.sort(g.hyperplane_points, axis=1),
+                                  [np.flatnonzero(row) for row in rows])
+    mask = _random_mask(g, 7, 0.3)
+    counts, lone = hyperplane_intersection_counts(g.hyperplane_points, mask)
+    hits = rows & mask
+    np.testing.assert_array_equal(counts, hits.sum(axis=1))
+    np.testing.assert_array_equal(lone, np.where(counts == 1, np.argmax(hits, axis=1), -1))
+
+
 @settings(max_examples=30)
 @given(geometry=st.sampled_from(ORACLE_GEOMETRIES), seed=st.integers(0, 2 ** 32 - 1),
-       density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]), workers=st.sampled_from([1, 3]))
-def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density, workers):
+       density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
-    counts, lone = hyperplane_intersection_counts(g.incidence, mask, workers=workers)
+    counts, lone = hyperplane_intersection_counts(g.hyperplane_points, mask)
     want_counts, want_lone = [], []
-    for row in g.incidence:
+    for row in _rows_of(g):
         on = np.flatnonzero(row & mask)
         want_counts.append(len(on))
         want_lone.append(on[0] if len(on) == 1 else -1)
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(lone, want_lone)
+    assert counts.dtype == lone.dtype == np.int64
     # the scan lists the same hyperplanes in another order
     scan_counts, scan_lone = _scan(g, g.n - 1, mask)
     np.testing.assert_array_equal(np.sort(counts), np.sort(scan_counts))

@@ -1,10 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pgcones import field_new, gaussian_binomial, geometry_new, theta
 from pgcones.errors import GeometryTooLarge
+
+
+def _incidence(g):
+    """Dense (hyperplane, point) boolean matrix from the hyperplane-point
+    table; a point listed twice in a row leaves that row one short."""
+    inc = np.zeros((g.num_points, g.num_points), dtype=bool)
+    inc[np.arange(g.num_points)[:, None], g.hyperplane_points] = True
+    return inc
 
 
 def test_theta_values():
@@ -32,17 +41,17 @@ def test_gaussian_binomial_against_exhaustive_line_count():
 def test_geometry_pg32(pg34):
     g = geometry_new(field_new(2, 1), 3)
     assert g.num_points == 15
-    assert (g.incidence.sum(axis=1) == 7).all()
+    assert (_incidence(g).sum(axis=1) == 7).all()
 
 
 def test_geometry_pg34_counts(pg34):
     assert pg34.num_points == 85
-    assert (pg34.incidence.sum(axis=1) == theta(2, 4)).all()
+    assert (_incidence(pg34).sum(axis=1) == theta(2, 4)).all()
 
 
 def test_geometry_pg54_counts(pg54):
     assert pg54.num_points == 1365
-    assert (pg54.incidence.sum(axis=1) == theta(4, 4)).all()
+    assert (_incidence(pg54).sum(axis=1) == theta(4, 4)).all()
 
 
 def test_points_normalized_unique(pg34):
@@ -52,11 +61,11 @@ def test_points_normalized_unique(pg34):
 
 
 def test_incidence_double_count(pg34):
-    assert int(pg34.incidence.sum()) == theta(3, 4) * theta(2, 4)
+    assert int(_incidence(pg34).sum()) == theta(3, 4) * theta(2, 4)
 
 
 def test_two_hyperplanes_meet_in_theta_n_minus_2(pg34):
-    inc = pg34.incidence.astype(np.int64)
+    inc = _incidence(pg34).astype(np.int64)
     meets = inc @ inc.T
     off_diag = meets[~np.eye(85, dtype=bool)]
     assert (off_diag == theta(1, 4)).all()
@@ -85,7 +94,8 @@ def test_subspaces_iter_lines_pg32():
 
 def test_subspaces_iter_planes_equal_hyperplanes(pg34):
     planes = {tuple(s.point_indices) for s in pg34.subspaces_iter(2)}
-    hyps = {tuple(np.nonzero(pg34.incidence[i])[0]) for i in range(85)}
+    inc = _incidence(pg34)
+    hyps = {tuple(np.nonzero(inc[i])[0]) for i in range(85)}
     assert planes == hyps
 
 
@@ -97,3 +107,23 @@ def test_subspaces_iter_line_count_pg44(pg44):
 def test_geometry_too_large():
     with pytest.raises(GeometryTooLarge):
         geometry_new(field_new(2, 2), 3, max_points=10)
+
+
+@pytest.mark.parametrize("p,h,n", [(2, 2, 8), (2, 1, 15), (3, 1, 10)],
+                         ids=["PG(8,4)", "PG(15,2)", "PG(10,3)"])
+def test_table_bound_raises_before_allocating(p, h, n):
+    # each passes max_points, but its hyperplane-point table needs 7-10 GiB
+    f = field_new(p, h)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryTooLarge, match="GiB"):
+            geometry_new(f, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_hyperplane_points_use_the_smallest_index_dtype(pg34, pg54):
+    assert pg34.hyperplane_points.dtype == np.uint8
+    assert pg54.hyperplane_points.dtype == np.uint16
