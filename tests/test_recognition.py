@@ -1,0 +1,209 @@
+"""Row reduction and cone recognition against in-test references.
+
+`Geometry.rref` is checked against a textbook Gauss-Jordan elimination on
+Python integers over the field tables.  `recognize_cone` is checked end to
+end on cones over a conic with a vertex spanned by random points, at q = 3,
+5 and 9, whole and damaged: the vertex against the cone points found from
+the definition, the complement against a copy of the greedy loop that adds
+the first point keeping the rows independent, and the base and the rebuild
+against both.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from pgcones import field_new, geometry_new
+from pgcones.objects import PointSet, cone, pointset_from_indices
+from pgcones.spectra import _complementary_subspace, recognize_cone
+
+
+@lru_cache(maxsize=None)
+def _geometry(p, h, n):
+    return geometry_new(field_new(p, h), n)
+
+
+def _reference_rref(g, vectors):
+    """Gauss-Jordan elimination, one Python integer at a time."""
+    add, mul, inv, neg = (g.field.add, g.field.mul, g.field.inv, g.field.neg)
+    rows = [[int(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(g.n + 1):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        s = int(inv[rows[rank][col]])
+        rows[rank] = [int(mul[s, c]) for c in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = int(neg[rows[i][col]])
+                rows[i] = [int(add[a, mul[f, b]]) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return np.array(rows[:rank], dtype=np.int16).reshape(rank, g.n + 1)
+
+
+def _assert_reduced_echelon(m):
+    lead = [int(np.flatnonzero(row)[0]) for row in m]
+    assert lead == sorted(set(lead))
+    for r, col in enumerate(lead):
+        assert m[r, col] == 1
+        assert np.count_nonzero(m[:, col]) == 1
+
+
+def _random_matrix(g, rng):
+    """Random rows, with zero rows and combinations of earlier rows mixed in."""
+    add, mul = g.field.add, g.field.mul
+    rows = []
+    for _ in range(int(rng.integers(0, g.n + 4))):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            rows.append(np.zeros(g.n + 1, dtype=np.int16))
+        elif kind == 1 and rows:
+            a, b = rng.integers(0, len(rows), size=2)
+            s, t = rng.integers(0, g.q, size=2)
+            rows.append(add[mul[s, rows[a]], mul[t, rows[b]]].astype(np.int16))
+        else:
+            rows.append(rng.integers(0, g.q, size=g.n + 1).astype(np.int16))
+    return np.array(rows, dtype=np.int16).reshape(len(rows), g.n + 1)
+
+
+@pytest.mark.parametrize("p,h,n", [(2, 1, 4), (3, 1, 3), (2, 2, 4), (5, 1, 3), (2, 3, 3),
+                                   (3, 2, 3)])
+def test_rref_matches_the_reference(p, h, n):
+    g = _geometry(p, h, n)
+    rng = np.random.default_rng(1000 * g.q + n)
+    for _ in range(40):
+        m = _random_matrix(g, rng)
+        got = g.rref(m)
+        ref = _reference_rref(g, m)
+        assert got.dtype == np.int16 and got.shape == (ref.shape[0], g.n + 1)
+        _assert_reduced_echelon(got)
+        np.testing.assert_array_equal(got, ref)  # the reduced form is unique
+        # the same row space: the input rows add nothing to the output rows
+        assert _reference_rref(g, np.vstack([got, m])).shape[0] == got.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# recognize_cone end to end
+# ---------------------------------------------------------------------------
+
+def _reference_complement(g, vertex):
+    """The greedy complement: extend the vertex basis by the first points,
+    in index order, that keep the rows independent."""
+    target = g.n - vertex.dim
+    chosen = []
+    for i in range(g.num_points):
+        if len(chosen) == target:
+            break
+        cand = np.vstack([vertex.basis, g.points[chosen + [i]]])
+        if _reference_rref(g, cand).shape[0] == cand.shape[0]:
+            chosen.append(i)
+    return g.span(chosen)
+
+
+def _cone_points_by_definition(K):
+    """P in K with P + tQ in K for every Q in K and t != 0 (the zero vector,
+    at Q = P, counts as inside)."""
+    g = K.geometry
+    idx = K.indices
+    ts = np.arange(1, g.q)
+    tq = g.field.mul[ts[:, None, None], g.points[idx][None]]  # (t, Q, coordinate)
+    out = []
+    for P in idx:
+        for lo in range(0, len(idx), 64):
+            found = g.indices_of(g.field.add[g.points[P], tq[:, lo:lo + 64]])
+            if not ((found < 0) | K.mask[found]).all():
+                break
+        else:
+            out.append(P)
+    return np.array(out, dtype=np.int64)
+
+
+def _conic_cone(g, r, rng):
+    """A cone whose vertex is spanned by r+1 random points, over the conic
+    y*z = x^2 of a plane met by the vertex in no point."""
+    mul, add = g.field.mul, g.field.add
+    while True:
+        vertex = g.span(rng.choice(g.num_points, size=r + 1, replace=False))
+        if vertex.dim == r:
+            break
+    comp = _reference_complement(g, vertex)
+    plane_basis = comp.basis[:3]
+    plane = _geometry(g.field.p, g.field.h, 2)
+    x, y, z = plane.points.T
+    conic = plane.points[mul[y, z] == mul[x, x]]
+    vecs = np.zeros((len(conic), g.n + 1), dtype=np.int16)
+    for c in range(3):
+        vecs = add[vecs, mul[conic[:, c][:, None], plane_basis[c][None, :]]]
+    base = pointset_from_indices(g, g.indices_of(vecs))
+    return cone(g, vertex, base), vertex
+
+
+# (p, h, n, vertex dimension): q = 3, 5 and 9; the complement of the vertex
+# is a plane except in PG(4,5), where the conic spans a plane of a solid
+RECOGNITION_CASES = [(3, 1, 3, 0), (3, 1, 4, 1), (5, 1, 3, 0), (5, 1, 4, 0), (3, 2, 3, 0)]
+
+
+def _check_recognition(K, expected_vertex):
+    g = K.geometry
+    rec = recognize_cone(K)
+    np.testing.assert_array_equal(rec.vertex.point_indices, expected_vertex)
+    comp = _complementary_subspace(g, rec.vertex)
+    ref = _reference_complement(g, rec.vertex)
+    assert comp.dim == ref.dim == g.n - rec.vertex.dim - 1
+    np.testing.assert_array_equal(comp.basis, ref.basis)
+    np.testing.assert_array_equal(comp.point_indices, ref.point_indices)
+    np.testing.assert_array_equal(rec.base.mask, K.mask & ref.mask(g.num_points))
+    rebuilt = rec.vertex.dim >= 0 and cone(g, rec.vertex, rec.base) == K
+    assert rec.is_cone_over_vertex == rebuilt
+    return rec
+
+
+@pytest.mark.parametrize("p,h,n,r", RECOGNITION_CASES)
+def test_recognize_cones_with_a_known_vertex(p, h, n, r):
+    g = _geometry(p, h, n)
+    rng = np.random.default_rng(10 * g.q + n)
+    for _ in range(2):
+        K, vertex = _conic_cone(g, r, rng)
+        np.testing.assert_array_equal(_cone_points_by_definition(K), vertex.point_indices)
+        rec = _check_recognition(K, vertex.point_indices)
+        assert rec.is_cone_over_vertex
+        assert rec.base.k == g.q + 1  # a conic of the complement
+        assert cone(g, rec.vertex, rec.base) == K
+
+
+@pytest.mark.parametrize("p,h,n,r", RECOGNITION_CASES)
+def test_recognize_damaged_cones(p, h, n, r):
+    g = _geometry(p, h, n)
+    rng = np.random.default_rng(10 * g.q + n + 1)
+    K, vertex = _conic_cone(g, r, rng)
+    off_vertex = np.setdiff1d(K.indices, vertex.point_indices)
+    outside = np.flatnonzero(~K.mask)
+    for drop, add in ((1, 0), (0, 1), (2, 1)):
+        mask = K.mask.copy()
+        mask[rng.choice(off_vertex, size=drop, replace=False)] = False
+        mask[rng.choice(outside, size=add, replace=False)] = True
+        D = PointSet(g, mask)
+        rec = _check_recognition(D, _cone_points_by_definition(D))
+        if drop:
+            # a point gone from a line through the vertex leaves no cone point
+            assert rec.vertex.dim == -1 and not rec.is_cone_over_vertex
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 3), (5, 1, 3), (3, 2, 3)])
+def test_recognize_random_sets(p, h, n):
+    g = _geometry(p, h, n)
+    rng = np.random.default_rng(g.q)
+    vertex = g.span(rng.choice(g.num_points, size=1))
+    comp = _reference_complement(g, vertex)
+    for density in (0.05, 0.5, 0.9):
+        mask = rng.random(g.num_points) < density
+        mask[0] = True
+        D = PointSet(g, mask)
+        _check_recognition(D, _cone_points_by_definition(D))
+        # a cone over a random base, whose vertex may be larger than a point
+        base = PointSet(g, mask & comp.mask(g.num_points))
+        C = cone(g, vertex, base)
+        _check_recognition(C, _cone_points_by_definition(C))
