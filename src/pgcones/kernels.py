@@ -21,7 +21,7 @@ import numpy as np
 USE_NUMBA = False
 
 HYPERPLANE_CELLS = 1 << 22  # most table cells gathered at once by the hyperplane count
-CONE_BLOCK = 64          # points of K tested per step of cone_points
+CONE_BLOCK = 64          # most points that prune all cone_points candidates at once
 CONE_CELLS = 1 << 20     # most line points held at once by cone_points
 
 
@@ -176,33 +176,80 @@ def hyperplane_intersection_counts(hyperplane_points, member):
 # ---------------------------------------------------------------------------
 
 def cone_points(member, points, add, mul, inv, pows, code_to_index):
-    """Indices of the member points that see every joining line inside the set.
+    """Sorted indices of the member points that see every joining line
+    inside the set.
 
-    Candidates start as all of K and are tested against CONE_BLOCK points Q
-    of K at a time: the points P + tQ, t != 0, of every line PQ are looked
-    up by code, and a candidate is dropped with the first block that holds
-    a line leaving K.  For Q = P the vectors (1+t)P are P itself or zero,
-    and the zero code counts as inside K.
+    These cone points form a subspace: if P1 and P2 are cone points, the
+    lines from P2 to the points of P1Q, Q in K, cover the plane P1P2Q, so
+    every point of P1P2 is one too.  A point P of K is not a cone point
+    exactly when some line PR is mixed: its points other than P, that is R
+    and the P + tR, t != 0, looked up by code, lie partly in K and partly
+    outside it.  R may be in K (a witness Q) or off it (a hole).  For
+    R = P the points are P or the zero vector, which counts as inside K.
+
+    The lowest remaining candidate is tested against the unused points of
+    K, in growing slices, up to the first slice that holds a witness.  A
+    candidate without one is a cone point; the span of the cone points
+    found so far is then taken as found, without a test, and leaves the
+    candidates and the unused points, since a cone point never makes a
+    line mixed.  Then all candidates are pruned at once: after a failure,
+    against the holes on the witness lines and the witnesses, since a hole
+    such as a point missing from a cone lies on the mixed lines of many
+    candidates; after a pass, against the next unused points.  Each prune
+    takes 1, 2, 4, ... up to CONE_BLOCK points, and the witnesses among
+    them are used.  Only dim V + 1 candidates take a full pass over K.
     """
-    member_idx = np.flatnonzero(member)
     q, n_cols = inv.shape[0], points.shape[1]
-    in_k = np.asarray(member)[code_to_index]
+    member = np.asarray(member)
+    in_k = member[code_to_index]
     in_k[0] = True  # the zero vector (1+t)P, t = -1; the only code mapped to -1
     # add_code[col, a, b]: code of a + b placed in column col
     add_code = add.astype(np.int64)[None] * pows[:, None, None]
     ts = np.arange(1, q, dtype=np.int16)
-    chunk = max(1, CONE_CELLS // (CONE_BLOCK * (q - 1)))
-    cand = member_idx
-    for start in range(0, member_idx.size, CONE_BLOCK):
-        if cand.size == 0:
-            break
-        tq = mul[ts[:, None, None], points[member_idx[start:start + CONE_BLOCK]][None]]
-        keep = np.empty(cand.size, dtype=bool)
+    full = max(1, CONE_CELLS // (q - 1))  # largest slice of a candidate's test
+
+    def mixed(cand, rs):
+        """mixed[i, j]: the points of the line cand[i] rs[j] other than
+        cand[i] lie partly in K and partly outside it."""
+        tq = mul[ts[:, None, None], points[rs][None]]
+        chunk = max(1, CONE_CELLS // max(1, tq[..., 0].size))
+        out = np.empty((cand.size, rs.size), dtype=bool)
         for lo in range(0, cand.size, chunk):
             pc = points[cand[lo:lo + chunk]][:, None, None, :]
             codes = add_code[0][pc[..., 0], tq[..., 0]]
             for col in range(1, n_cols):
                 codes += add_code[col][pc[..., col], tq[..., col]]
-            keep[lo:lo + chunk] = in_k[codes].reshape(codes.shape[0], -1).all(axis=1)
-        cand = cand[keep]
-    return cand
+            out[lo:lo + chunk] = (in_k[codes] != member[rs]).any(axis=1)
+        return out
+
+    def witnesses(p, qs):
+        """The witnesses against p in the first slice of qs holding any,
+        after the points off K on their lines through p."""
+        lo, step = 0, CONE_BLOCK
+        while lo < qs.size:
+            part = qs[lo:lo + step]
+            bad = part[mixed(p, part)[0]]
+            if bad.size:
+                line = code_to_index[add[points[p], mul[ts[:, None, None], points[bad][None]]]
+                                     .astype(np.int64) @ pows]
+                return np.concatenate([np.unique(line[~member[line]]), bad])
+            lo, step = lo + step, min(2 * step, full)
+        return qs[:0]
+
+    cand = unused = np.flatnonzero(member)
+    found, vertex = [], cand[:0]
+    block = 1
+    while cand.size:
+        head, cand = cand[:1], cand[1:]
+        tested = witnesses(head, unused)
+        if tested.size == 0:
+            found.append(head[0])
+            vertex = span_point_indices(points[found], combo_vectors(len(found), q),
+                                        add, mul, pows, code_to_index)
+            cand = cand[~np.isin(cand, vertex)]
+            unused = tested = unused[~np.isin(unused, vertex)]
+        tested = tested[:block]
+        cand = cand[~mixed(cand, tested).any(axis=1)]
+        unused = unused[~np.isin(unused, tested)]
+        block = min(2 * block, CONE_BLOCK)
+    return vertex

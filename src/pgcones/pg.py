@@ -135,23 +135,29 @@ class Geometry:
         return idx
 
     def rref(self, vectors: np.ndarray) -> np.ndarray:
-        """Reduced row echelon form over the field; returns the nonzero rows."""
+        """Reduced row echelon form over the field; returns the nonzero rows.
+
+        The rows are one int16 matrix.  Each pivot row is scaled by the
+        inverse of its pivot, then one add/mul gather over the whole matrix
+        clears the pivot column in every other row."""
         add, mul, inv, neg = (self.field.add, self.field.mul,
                               self.field.inv, self.field.neg)
-        rows = [np.array(v, dtype=np.int16) for v in vectors]
-        out = []
-        col = 0
-        while rows and col <= self.n:
-            pivot = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-            if pivot is None:
-                col += 1
+        m = np.array(vectors, dtype=np.int16).reshape(-1, self.n + 1)
+        rank = 0
+        for col in range(self.n + 1):
+            if rank == len(m):
+                break
+            nonzero = np.flatnonzero(m[rank:, col])
+            if nonzero.size == 0:
                 continue
-            piv = mul[inv[rows[pivot][col]], rows.pop(pivot)]
-            rows = [add[r, mul[neg[r[col]], piv]] if r[col] != 0 else r for r in rows]
-            out = [add[r, mul[neg[r[col]], piv]] if r[col] != 0 else r for r in out]
-            out.append(piv)
-            col += 1
-        return np.array(out, dtype=np.int16) if out else np.empty((0, self.n + 1), dtype=np.int16)
+            pivot = rank + nonzero[0]
+            m[[rank, pivot]] = m[[pivot, rank]]
+            m[rank] = mul[inv[m[rank, col]], m[rank]]
+            factor = neg[m[:, col]]
+            factor[rank] = 0
+            m = add[m, mul[factor[:, None], m[rank]]]
+            rank += 1
+        return m[:rank]
 
     def span(self, point_indices) -> Subspace:
         """Smallest subspace containing the given points (possibly empty)."""

@@ -97,20 +97,21 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
 # ---------------------------------------------------------------------------
 
 def _complementary_subspace(g: Geometry, vertex: Subspace) -> Subspace:
-    """Deterministic complement: greedily extend by the lexicographically
-    smallest points that stay independent of the vertex."""
-    target_rows = g.n + 1 - (vertex.dim + 1)
-    chosen = []
+    """Deterministic complement: greedily extend the vertex by the
+    lexicographically smallest points that stay independent of it.
+
+    A point is independent of the vertex and the points chosen so far
+    exactly when it lies outside their span, so each step takes the first
+    point outside a `covered` mask and then adds the span of the enlarged
+    basis to the mask: n - dim V steps, with no row reduction."""
+    covered = vertex.mask(g.num_points)
     basis = vertex.basis
-    for i in range(g.num_points):
-        if len(chosen) == target_rows:
-            break
-        cand = np.vstack([basis] + [g.points[j][None, :] for j in chosen]
-                         + [g.points[i][None, :]])
-        if g.rref(cand).shape[0] == cand.shape[0]:
-            chosen.append(i)
-    if target_rows == 0:
-        return g.span([])
+    chosen = []
+    for step in range(g.n - vertex.dim):
+        if step:
+            covered[g.subspace_from_basis(basis).point_indices] = True
+        chosen.append(int(np.argmin(covered)))
+        basis = np.vstack([basis, g.points[chosen[-1]]])
     return g.span(chosen)
 
 
