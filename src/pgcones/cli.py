@@ -161,7 +161,14 @@ def cmd_feasible_k(args) -> int:
     if args.abc:
         if args.n is None:
             raise ValueError("--abc requires --n")
+        if args.n < 2:
+            raise ValueError(f"n must be >= 2, got {args.n}")
         a, b, c = args.abc
+        if a < 0:
+            raise ValueError(f"a must be >= 0, got {a}")
+        hyperplane = theta(args.n - 1, args.q)  # points of a hyperplane of PG(n, q)
+        if c > hyperplane:
+            raise ValueError(f"c must be <= theta_{args.n - 1}({args.q}) = {hyperplane}, got {c}")
         params = counting.TypeParameters(a, b, c, args.n, args.q)
         krange, congs, axis_x = range(c, theta(args.n, args.q) + 1), (), a
     elif args.theorem:

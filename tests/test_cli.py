@@ -140,6 +140,26 @@ def test_feasible_k_rejects_non_prime_power_q(argv, named, capsys):
     assert captured.err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--abc", "-1", "2", "3", "--n", "3", "--q", "4", "--format", "csv"],
+     "a must be >= 0, got -1"),
+    (["--abc", "1", "2", "22", "--n", "3", "--q", "4"], "c must be <= theta_2(4) = 21, got 22"),
+    (["--abc", "1", "2", "3", "--n", "1", "--q", "4"], "n must be >= 2, got 1"),
+], ids=["abc-negative-a", "abc-c-over-a-hyperplane", "abc-n1"])
+def test_feasible_k_rejects_impossible_types(argv, named, capsys):
+    assert main(["feasible-k", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+def test_feasible_k_accepts_the_bounds_of_a_type(capsys):
+    # a = 0, c = theta_1(4) = 5 (a whole line of PG(2,4)) and n = 2 are possible
+    assert main(["feasible-k", "--abc", "0", "1", "5", "--n", "2", "--q", "4",
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("k,t_a,t_b,t_c,kept\n")
+
+
 _POINTS_DOC = {"p": 2, "h": 2, "n": 2, "object": "junk", "size": 2,
                "points": [[1, 0, 0], [0, 1, 0]]}
 
