@@ -141,6 +141,9 @@ def field_new(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
     lexicographically smallest irreducible is used; either way the element
     enumeration is deterministic across runs.
     """
+    # p^h > max_order for these; refused before trial division or p ** h
+    if p > max_order or (p >= 2 and h > max_order.bit_length()):
+        raise OrderTooLarge(f"p^h = {p}^{h} exceeds the bound {max_order}")
     if not _is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if h < 1:

@@ -173,8 +173,11 @@ _POINTS_DOC = {"p": 2, "h": 2, "n": 2, "object": "junk", "size": 2,
     ({"points": [[1, 1, 0], [2, 2, 0]]}, "duplicate point [2, 2, 0]"),  # same projective point
     ({"size": 3}, "'size'"),
     ({"size": True}, "'size'"),
+    # refused before a trial division up to p or a power p ** h is computed
+    ({"p": 2 ** 61 - 1}, "exceeds the bound 128"),
+    ({"h": 10 ** 12}, "exceeds the bound 128"),
 ], ids=["p-string", "h-bool", "n-float", "bool-coordinate", "duplicate", "duplicate-scaled",
-        "size-mismatch", "size-bool"])
+        "size-mismatch", "size-bool", "p-huge-prime", "h-huge"])
 def test_point_file_contract(tmp_path, capsys, change, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_POINTS_DOC, **change}))
