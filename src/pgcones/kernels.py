@@ -182,10 +182,10 @@ def cone_points(member, points, add, mul, inv, pows, code_to_index):
     These cone points form a subspace: if P1 and P2 are cone points, the
     lines from P2 to the points of P1Q, Q in K, cover the plane P1P2Q, so
     every point of P1P2 is one too.  A point P of K is not a cone point
-    exactly when some line PR is mixed: its points other than P, that is R
-    and the P + tR, t != 0, looked up by code, lie partly in K and partly
-    outside it.  R may be in K (a witness Q) or off it (a hole).  For
-    R = P the points are P or the zero vector, which counts as inside K.
+    exactly when some line PX is mixed: its points other than P, that is X
+    and the P + tX, t != 0, looked up by code, lie partly in K and partly
+    outside it.  X may be in K (a witness Q) or off it (a hole).  For
+    X = P the points are P or the zero vector, which counts as inside K.
 
     The lowest remaining candidate is tested against the unused points of
     K, in growing slices, up to the first slice that holds a witness.  A
