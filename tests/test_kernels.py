@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgcones import field_new, geometry_new, kernels, pg, theta
@@ -70,6 +70,15 @@ def test_worker_chunking_is_deterministic(pg34):
 ORACLE_GEOMETRIES = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3),
                      (3, 1, 4), (2, 2, 2), (2, 2, 3), (2, 2, 4), (5, 1, 2),
                      (5, 1, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3)]
+# the hyperplane oracles also take q = 16 and the prime q = 31
+DOT_PRODUCT_GEOMETRIES = ORACLE_GEOMETRIES + [(2, 4, 2), (2, 4, 3), (31, 1, 2)]
+
+
+def _each_large_q(test):
+    """Run a hypothesis test once on each geometry past the scan grid."""
+    for geometry in DOT_PRODUCT_GEOMETRIES[len(ORACLE_GEOMETRIES):]:
+        test = example(geometry=geometry, seed=1, density=0.1)(test)
+    return test
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +145,7 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
     assert counts.dtype == lone.dtype == np.int64
 
 
-@pytest.mark.parametrize("geometry", ORACLE_GEOMETRIES)
+@pytest.mark.parametrize("geometry", DOT_PRODUCT_GEOMETRIES)
 def test_hyperplane_points_rows_match_dot_product_rows(geometry):
     g = _geometry(*geometry)
     table = g.hyperplane_points
@@ -163,8 +172,9 @@ def test_small_blocks_build_the_same_rows_and_counts(geometry, monkeypatch):
 
 
 @settings(max_examples=30)
-@given(geometry=st.sampled_from(ORACLE_GEOMETRIES), seed=st.integers(0, 2 ** 32 - 1),
+@given(geometry=st.sampled_from(DOT_PRODUCT_GEOMETRIES), seed=st.integers(0, 2 ** 32 - 1),
        density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+@_each_large_q
 def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
@@ -268,8 +278,9 @@ def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
 
 
 @settings(max_examples=30)
-@given(geometry=st.sampled_from(ORACLE_GEOMETRIES), seed=st.integers(0, 2 ** 32 - 1),
+@given(geometry=st.sampled_from(DOT_PRODUCT_GEOMETRIES), seed=st.integers(0, 2 ** 32 - 1),
        density=st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]))
+@_each_large_q
 def test_spectra_hyperplane_counts_match_dot_product_rows(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
