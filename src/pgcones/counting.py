@@ -161,13 +161,13 @@ def feasible_k(params: TypeParameters, k_range, congruences=(),
                require_all_realized: bool = True) -> list:
     """Scan a k-range, keeping values that satisfy every congruence and
     whose closed-form hyperplane counts are non-negative integers (all
-    >= 1 when require_all_realized).  Returns (k, (t_a, t_b, t_c)) pairs."""
-    ks = list(k_range)
-    if not ks:
+    >= 1 when require_all_realized).  Returns (k, (t_a, t_b, t_c)) pairs.
+    k_range has a length and is iterated once, without a copy."""
+    if len(k_range) == 0:
         raise EmptyRange("empty k range")
     floor = 1 if require_all_realized else 0
     out = []
-    for k in ks:
+    for k in k_range:
         if not all(c.holds(k) if isinstance(c, Congruence) else c(k)
                    for c in congruences):
             continue
@@ -472,7 +472,7 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     expected = {inst.a: u_a, inst.c: q + 1 - u_a}
     a_planes = np.nonzero(counts == inst.a)[0]
     if th.pencil_through_vertex:  # join the vertex K ∩ h to the points of h off K
-        row = np.sort(g.hyperplane_points[a_planes[0]])
+        row = g.hyperplane_point_indices(a_planes[0])
         vertex_pts = list(row[K.mask[row]])
         covered = K.mask.copy()  # on K or on an axis found earlier
         axes = []
@@ -480,8 +480,8 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
             if not covered[x]:
                 axes.append(g.span(vertex_pts + [x]))
                 covered[axes[-1].point_indices] = True
-    else:  # the span of K ∩ h does not depend on the order of its points
-        axes = [g.span(row[K.mask[row]]) for row in g.hyperplane_points[a_planes]]
+    else:
+        axes = [g.span(row[K.mask[row]]) for row in map(g.hyperplane_point_indices, a_planes)]
     failures = [f"axis profile {u} != {expected}"
                 for u in (spectra.pencil_counts(K, axis).u for axis in axes) if u != expected]
     if th.pencil_through_vertex and len(axes) != q + 1:

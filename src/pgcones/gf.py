@@ -4,19 +4,19 @@ Elements are encoded as integers 0..q-1: the base-p digits of the code are
 the coefficients of the representing polynomial (digit i = coefficient of
 x^i).  0 encodes zero and 1 encodes one.  Addition, multiplication, negation
 and inversion are all precomputed at construction time, so a Field is a
-bundle of numpy arrays that can be indexed from vectorized code or jitted
-kernels alike.
+bundle of numpy arrays that vectorized code indexes directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import isqrt
 
 import numpy as np
 
 from .errors import NonPrimeCharacteristic, OddDegree, OrderTooLarge
 
-DEFAULT_MAX_ORDER = 128
+MAX_ORDER = 128  # largest field order q = p^h
 
 # Irreducible moduli for the extension fields the test suites exercise,
 # coefficient lists in increasing degree (constant term first, monic).
@@ -133,7 +133,7 @@ def _encode(digits, p: int) -> int:
     return out
 
 
-def field_new(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
+def field_new(p: int, h: int) -> Field:
     """Construct GF(p^h) with full operation tables.
 
     Raises NonPrimeCharacteristic / OrderTooLarge on bad input.  For h >= 2
@@ -141,16 +141,16 @@ def field_new(p: int, h: int, max_order: int = DEFAULT_MAX_ORDER) -> Field:
     lexicographically smallest irreducible is used; either way the element
     enumeration is deterministic across runs.
     """
-    # p^h > max_order for these; refused before trial division or p ** h
-    if p > max_order or (p >= 2 and h > max_order.bit_length()):
-        raise OrderTooLarge(f"p^h = {p}^{h} exceeds the bound {max_order}")
+    # p^h > MAX_ORDER for these; refused before trial division or p ** h
+    if p > MAX_ORDER or (p >= 2 and h > MAX_ORDER.bit_length()):
+        raise OrderTooLarge(f"p^h = {p}^{h} exceeds the bound {MAX_ORDER}")
     if not _is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if h < 1:
         raise OrderTooLarge(f"extension degree must be >= 1, got {h}")
     q = p ** h
-    if q > max_order:
-        raise OrderTooLarge(f"p^h = {q} exceeds the bound {max_order}")
+    if q > MAX_ORDER:
+        raise OrderTooLarge(f"p^h = {q} exceeds the bound {MAX_ORDER}")
 
     if h == 1:
         modulus = (0, 1)  # x; unused for prime fields
@@ -187,7 +187,7 @@ def factor_prime_power(q: int) -> tuple:
     """q -> (p, h) with q = p^h, p prime; raises ValueError otherwise."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     h, rem = 0, q
     while rem % p == 0:
         rem //= p

@@ -6,8 +6,8 @@ every nonzero vector, in any scaling, to the index of its projective
 point.  So no kernel normalizes a vector before looking it up.
 
 All kernels work on the raw arrays of a Geometry: field tables (add/mul/
-inv), the point coordinate matrix, the powers q^i, the code table, the
-hyperplane-point table and boolean membership masks.
+inv), the point coordinate matrix, the powers q^i, the code table and
+boolean membership masks.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import GeometryTooLarge
+from .gf import _is_prime
+
 # The kernels have no compiled variant; run metadata reads this flag.
 USE_NUMBA = False
 
-HYPERPLANE_CELLS = 1 << 22  # most table cells gathered at once by the hyperplane count
 CONE_BLOCK = 64          # most points that prune all cone_points candidates at once
 CONE_CELLS = 1 << 20     # most line points held at once by cone_points
 
@@ -116,15 +118,14 @@ def _scan_pattern(pivots, free, combos, add, mul, pows, member_code, q,
         np.copyto(lone_code, codes, where=hit)
 
 
-def subspace_intersection_scan(n_cols, d, q, add, mul, inv, pows,
+def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
                                code_to_index, member, workers: int = 1):
     """Intersection size of `member` with every d-subspace, plus the lone
     member point where that size is 1.
 
     Returns (counts, lone) int64/int64 arrays over the canonical subspace
     order.  The worker count only chunks the pattern loop; results are
-    byte-identical for any value.  `inv` is not needed: the echelon codes
-    are normalized as built.
+    byte-identical for any value.
     """
     rows = d + 1
     patterns = pivot_patterns(n_cols, rows)
@@ -148,27 +149,47 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, inv, pows,
 
 
 # ---------------------------------------------------------------------------
-# hyperplane intersection counts from the hyperplane-point table
+# hyperplane intersection counts from one transform over GF(q)^(n+1)
 # ---------------------------------------------------------------------------
 
-def hyperplane_intersection_counts(hyperplane_points, member):
-    """Per-hyperplane |H ∩ member| and lone member where the count is 1.
+def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_index,
+                                   lone=False):
+    """Per-hyperplane |H ∩ member|, and with `lone` the lone member where
+    the count is 1 (-1 elsewhere; None without `lone`).
 
-    Row P of the table lists the hyperplanes through point P, so the
-    counts are a bincount of the member rows, gathered in blocks of at most
-    HYPERPLANE_CELLS cells.  A hyperplane met once takes its lone member
-    from the one cell that names it."""
-    h, width = hyperplane_points.shape
-    member_idx = np.flatnonzero(member)
-    step = max(1, HYPERPLANE_CELLS // width)
-    counts = np.zeros(h, dtype=np.int64)
-    last = np.empty(h, dtype=np.int64)  # the member of the last row naming h
-    for lo in range(0, member_idx.size, step):
-        block = member_idx[lo:lo + step]
-        rows = hyperplane_points[block]
-        counts += np.bincount(rows.ravel(), minlength=h)
-        last[rows] = block[:, None]
-    return counts, np.where(counts == 1, last, -1)
+    Row h of `hyperplanes` holds the coordinates a of hyperplane h.  Let
+    c(y) be the constant coefficient of y, an F_p-linear map onto F_p.
+    Over the q-1 multiples v of a point, omega^c(a.v) sums to q-1 if the
+    point is on h and to -1 otherwise.  So for f, 1 on the nonzero vectors
+    of the k members, the transform f^(a) = sum_v f(v) omega^c(a.v) is
+    q N(h) - k; it takes one q-point transform per coordinate.  The member
+    indices sum over h the same way, which names a lone member.  Modulo a
+    prime ell = 1 (mod p) above the number of points, every result is exact.
+    """
+    q, member = len(mul), np.asarray(member)
+    ell = member.size + 1 + (-member.size) % p  # = 1 (mod p), above every result
+    while not (_is_prime(ell) and pow(2, (ell - 1) // p, ell) != 1):  # omega of order p
+        ell += p
+    if q * ell * ell >= 1 << 63:  # a stage sums q products below ell^2 in int64
+        raise GeometryTooLarge(f"{member.size} points overflow the transform modulus {ell}")
+    omega, inv_q = pow(2, (ell - 1) // p, ell), pow(q, -1, ell)
+    w = np.array([pow(omega, s, ell) for s in range(p)], dtype=np.int64)[mul % p]
+    at = hyperplanes.astype(np.int64) @ pows
+    in_k = member[code_to_index]
+    in_k[0] = False  # the zero code, mapped to -1
+
+    def per_hyperplane(values, total):
+        """Sum over each hyperplane of a point function, `values` on every
+        vector; each stage transforms the lowest coordinate, rotated to the top."""
+        for _ in pows:
+            values = (values.reshape(-1, q) @ w % ell).T.ravel()
+        return (total % ell + values[at]) * inv_q % ell
+
+    counts = per_hyperplane(in_k.astype(np.int64), int(member.sum()))
+    if not lone:
+        return counts, None
+    indices = per_hyperplane(np.where(in_k, code_to_index, 0), int(np.flatnonzero(member).sum()))
+    return counts, np.where(counts == 1, indices, -1)
 
 
 # ---------------------------------------------------------------------------

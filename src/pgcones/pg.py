@@ -1,17 +1,16 @@
-"""PG(n,q): normalized point/hyperplane enumeration, incidence, subspaces.
+"""PG(n,q): normalized point enumeration, the code table, subspaces.
 
-Points and hyperplanes are homogeneous coordinate vectors of length n+1
-with the first nonzero coordinate scaled to 1, listed in lexicographic
-order; hyperplane h has the coordinates of point h.  Incidence is a table:
-row h lists the points of hyperplane h and, the dot product being
-symmetric, the hyperplanes through point h.  Its size is bounded by
-MAX_TABLE_BYTES before anything is allocated.
+Points are homogeneous coordinate vectors of length n+1 with the first
+nonzero coordinate scaled to 1, listed in lexicographic order; hyperplane
+h is {x : sum_c P_h[c] x[c] = 0}, P_h the coordinates of point h.  The
+code table maps each of the q^(n+1) vectors to its point; max_points
+bounds it, and the transforms of the hyperplane count, which have its
+size, before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -21,8 +20,6 @@ from .errors import GeometryTooLarge, WrongDimension
 from .gf import Field
 
 DEFAULT_MAX_POINTS = 100_000
-MAX_TABLE_BYTES = 2 * 2 ** 30  # largest hyperplane-point table a geometry builds
-BUILD_CELLS = 1 << 22          # most table cells built at once
 
 
 def theta(m: int, q: int) -> int:
@@ -68,12 +65,6 @@ class Geometry:
         npts = theta(n, q)
         if npts > max_points:
             raise GeometryTooLarge(f"theta_{n}({q}) = {npts} exceeds the bound {max_points}")
-        dtype = np.min_scalar_type(npts - 1)
-        table_bytes = dtype.itemsize * npts * theta(n - 1, q)
-        if table_bytes > MAX_TABLE_BYTES:
-            raise GeometryTooLarge(f"the hyperplane-point table of PG({n},{q}) needs"
-                                   f" {table_bytes / 2 ** 30:.1f} GiB, over the"
-                                   f" {MAX_TABLE_BYTES / 2 ** 30:g} GiB bound")
         self.field = field
         self.n = n
         self.q = q
@@ -86,39 +77,6 @@ class Geometry:
         index = np.arange(npts, dtype=np.int64)
         for t in range(1, q):
             self.code_to_index[field.mul[t, self.points].astype(np.int64) @ self.pows] = index
-        self.hyperplane_points = self._hyperplane_table(dtype)
-
-    def _hyperplane_table(self, dtype) -> np.ndarray:
-        """Row h: the points x with sum_c P_h[c] x[c] = 0, P_h point h.
-
-        The hyperplanes e_f + t, t on the columns after f, fill contiguous
-        rows in the order of t.  Hyperplane e_f + t holds w - (t.w) e_f for
-        the points w of PG(n-1) on the other columns.  The products t.w are
-        broadcast one column of t at a time, one add gather each, over
-        blocks of at most BUILD_CELLS cells."""
-        n, q, mul = self.n, self.q, self.field.mul
-        add = self.field.add.ravel()  # a + b at a * q + b
-        flat = kernels.combo_vectors(n, q)  # the points of PG(n-1)
-        width = flat.shape[0]
-        inner = 0  # columns of t broadcast per block
-        while q ** (inner + 1) * width <= BUILD_CELLS:
-            inner += 1
-        table = np.empty((self.num_points, width), dtype=dtype)
-        row, cell = 0, np.arange(width) * q
-        for f in range(n, -1, -1):  # point order: leading column n first
-            w = np.insert(flat, f, 0, axis=1)
-            # lookup[i * q + s]: index of the point w_i - s e_f
-            x_f = self.field.neg[None, :].astype(np.int64) * self.pows[f]
-            lookup = self.code_to_index[(w.astype(np.int64) @ self.pows)[:, None] + x_f].ravel()
-            split = max(0, n - f - inner)
-            for outer in product(range(q), repeat=split):  # the looped digits of t
-                dot = np.zeros(width, dtype=np.int16)
-                for c, v in zip(range(f + 1, n + 1), outer + (slice(None),) * inner):
-                    dot = np.take(add, dot[..., None, :] * q + mul[v, w[:, c]])
-                block = np.take(lookup, cell + dot).reshape(-1, width)
-                table[row:row + len(block)] = block
-                row += len(block)
-        return table
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -133,6 +91,17 @@ class Geometry:
         if idx < 0:
             raise ValueError("the zero vector is not a projective point")
         return idx
+
+    def dot(self, a, vectors) -> np.ndarray:
+        """Field dot products sum_c a[c] x[c] with the rows x of vectors."""
+        acc = 0
+        for c in range(self.n + 1):
+            acc = self.field.add[acc, self.field.mul[a[c], vectors[:, c]]]
+        return acc
+
+    def hyperplane_point_indices(self, h: int) -> np.ndarray:
+        """Sorted indices of the points of hyperplane h."""
+        return np.flatnonzero(self.dot(self.points[h], self.points) == 0)
 
     def rref(self, vectors: np.ndarray) -> np.ndarray:
         """Reduced row echelon form over the field; returns the nonzero rows.

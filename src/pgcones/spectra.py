@@ -37,14 +37,17 @@ class ConeRecognition:
     is_cone_over_vertex: bool = False
 
 
-def _counts(K: PointSet, d: int, workers: int = 1):
+def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
+    """Intersection counts of K with every d-subspace and the lone point of
+    K on each one met once (-1 elsewhere; for hyperplanes None unless asked)."""
     g = K.geometry
     if not 0 <= d <= g.n - 1:
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
-        return kernels.hyperplane_intersection_counts(g.hyperplane_points, K.mask)
+        return kernels.hyperplane_intersection_counts(
+            g.points, K.mask, g.field.mul, g.field.p, g.pows, g.code_to_index, lone)
     return kernels.subspace_intersection_scan(
-        g.n + 1, d, g.q, g.field.add, g.field.mul, g.field.inv,
+        g.n + 1, d, g.q, g.field.add, g.field.mul,
         g.pows, g.code_to_index, K.mask, workers)
 
 
@@ -72,7 +75,7 @@ def essential_points(K: PointSet, d: int, workers: int = 1) -> PointSet:
     A point is essential exactly when some d-subspace meets K in that
     point alone.  Raises NotBlocking if K is not a d-blocking set.
     """
-    counts, lone = _counts(K, d, workers)
+    counts, lone = _counts(K, d, workers, lone=True)
     if counts.min() == 0:
         raise NotBlocking(f"K does not block every {d}-subspace")
     ess = np.unique(lone[lone >= 0])
@@ -84,11 +87,19 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
     g = K.geometry
     if axis.dim != g.n - 2:
         raise WrongDimension(f"axis must have dimension n-2 = {g.n - 2}, got {axis.dim}")
-    # the hyperplanes through every basis point, from the rows of those points
-    rows = g.hyperplane_points[g.indices_of(axis.basis)]
-    through = np.flatnonzero(np.bincount(rows.ravel(), minlength=g.num_points) == len(rows))
-    assert through.size == g.q + 1
-    sizes = K.mask[g.hyperplane_points[through]].sum(axis=1)
+    # the hyperplanes through the axis form the dual line, spanned by the
+    # solutions a, b of axis . x = 0 that are 1 at one free column each
+    f, basis = g.field, g.rref(axis.basis)
+    pivots = np.argmax(basis != 0, axis=1)
+    free = np.setdiff1d(np.arange(g.n + 1), pivots)
+    a, b = np.zeros((2, g.n + 1), dtype=np.int16)
+    a[free[0]] = b[free[1]] = 1
+    a[pivots], b[pivots] = f.neg[basis[:, free]].T
+    # each point of K off the axis lies on one of them: a + t b, or b
+    off = g.points[np.setdiff1d(K.indices, axis.point_indices)]
+    x, y = g.dot(a, off), g.dot(b, off)
+    sizes = np.bincount(np.where(y == 0, g.q, f.mul[f.neg[x], f.inv[y]]), minlength=g.q + 1)
+    sizes += K.k - len(off)
     return PencilProfile(axis=axis, u=dict(Counter(sizes.tolist())))
 
 

@@ -67,7 +67,7 @@ def test_criterion_2_unital_cone(pg44):
     pencils_ok = True
     counts = sp  # hyperplane profile
     for h in range(pg44.num_points):
-        row = pg44.hyperplane_points[h]
+        row = pg44.hyperplane_point_indices(h)
         in_h = row[K.mask[row]]
         if len(in_h) != 21:
             continue

@@ -75,6 +75,14 @@ def test_feasible_k_screen_csv(capsys):
     assert lines == ["k,t_a,t_b,t_c,kept", "25,6,64,15,true", "30,3,37,45,false"]
 
 
+def test_feasible_k_large_prime_q(capsys):
+    # q = 10^9 + 7 is prime: factoring it stops at isqrt(q), and no k survives
+    rc = main(["feasible-k", "--abc", "1", "2", "3", "--n", "3", "--q", "1000000007",
+               "--k-max", "10"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
 def test_feasible_k_manual_type(capsys):
     rc = main(["feasible-k", "--abc", "21", "37", "53", "--n", "4", "--q", "4",
                "--k-min", "149", "--k-max", "149"])
@@ -200,10 +208,10 @@ def test_rejected_worker_arguments(argv, capsys):
 
 
 def test_verify_over_the_table_bound_exits_2(capsys):
-    # PG(8,4) passes the point bound, but its hyperplane-point table would
-    # need about 7 GiB: refused before it is allocated
-    assert main(["verify", "--theorem", "unital", "--n", "8", "--q", "4"]) == 2
+    # PG(9,4) has 349 525 points, over the point bound that sizes the code
+    # table of a geometry: refused before it is allocated
+    assert main(["verify", "--theorem", "unital", "--n", "9", "--q", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert "GiB" in captured.err
+    assert "exceeds the bound 100000" in captured.err

@@ -168,6 +168,19 @@ def test_feasible_k_empty_range():
         feasible_k(HYP3_Q4, [])
 
 
+def test_feasible_k_iterates_its_range_lazily():
+    class Screened(Exception):
+        pass
+
+    def first(k):
+        raise Screened(k)
+
+    # a list of the range would exhaust memory before the first k
+    with pytest.raises(Screened) as exc:
+        feasible_k(HYP3_Q4, range(0, 10 ** 18), congruences=(first,))
+    assert exc.value.args == (0,)
+
+
 def test_feasible_k_floor_zero():
     rows = feasible_k(HYP3_Q4, range(0, 10), require_all_realized=False)
     assert all(all(t >= 0 for t in ts) for _, ts in rows)

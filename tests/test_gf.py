@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from pgcones import field_new, subfield
+from pgcones.gf import factor_prime_power
 from pgcones.errors import NonPrimeCharacteristic, OddDegree, OrderTooLarge
 
 
@@ -79,6 +80,19 @@ def test_errors():
         field_new(2, 8)
     with pytest.raises(OddDegree):
         subfield(field_new(2, 3))
+
+
+@pytest.mark.parametrize("q,want", [(1_000_000_007, (1_000_000_007, 1)), (3 ** 19, (3, 19)),
+                                    (2, (2, 1)), (49, (7, 2))])
+def test_factor_prime_power(q, want):
+    # trial division stops at isqrt(q): a large prime is its own factor
+    assert factor_prime_power(q) == want
+
+
+@pytest.mark.parametrize("q", [1_000_003 * 1_000_033, 1, 12])
+def test_factor_prime_power_rejects_other_numbers(q):
+    with pytest.raises(ValueError):
+        factor_prime_power(q)
 
 
 def test_enumeration_deterministic():

@@ -2,11 +2,13 @@
 
 The d-subspace scan is checked element by element against sums of the
 membership mask over `Geometry.subspaces_iter`, which lists the subspaces
-in the same canonical order; the rows of `Geometry.hyperplane_points`, the
-hyperplane counts of the kernel and of `spectra._counts` and the pencils
-of `spectra.pencil_counts` against hyperplane rows computed from field dot
-products, and the counts also against the scan at d = n-1; and
-`cone_points` against its definition, line by line with `Geometry.span`.
+in the same canonical order; the points of each hyperplane from
+`Geometry.hyperplane_point_indices`, the hyperplane counts and lone points
+of the transform and of `spectra._counts` and the pencils of
+`spectra.pencil_counts` against hyperplane rows computed from a dense
+matrix of field dot products, and the counts also against the scan at
+d = n-1; and `cone_points` against its definition, line by line with
+`Geometry.span`.
 """
 
 from functools import lru_cache
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgcones import field_new, geometry_new, kernels, pg, theta
+from pgcones import field_new, geometry_new
 
 from pgcones.kernels import (
     combo_vectors,
@@ -32,7 +34,7 @@ from pgcones.spectra import _counts, pencil_counts
 
 def _field_args(g):
     f = g.field
-    return f.add, f.mul, f.inv, g.pows, g.code_to_index
+    return f.add, f.mul, g.pows, g.code_to_index
 
 
 def test_pivot_patterns_cover_all_subspaces():
@@ -53,10 +55,10 @@ def test_combo_vectors_are_projective_points():
 
 def test_worker_chunking_is_deterministic(pg34):
     K = hyperoval_cone(pg34)
-    add, mul, inv, pows, c2i = _field_args(pg34)
-    ref = subspace_intersection_scan(4, 1, 4, add, mul, inv, pows,
+    add, mul, pows, c2i = _field_args(pg34)
+    ref = subspace_intersection_scan(4, 1, 4, add, mul, pows,
                                      c2i, K.mask, workers=1)
-    alt = subspace_intersection_scan(4, 1, 4, add, mul, inv, pows,
+    alt = subspace_intersection_scan(4, 1, 4, add, mul, pows,
                                      c2i, K.mask, workers=4)
     np.testing.assert_array_equal(ref[0], alt[0])
     np.testing.assert_array_equal(ref[1], alt[1])
@@ -122,9 +124,8 @@ def _random_mask(g, seed, density):
 
 
 def _scan(g, d, mask, workers=1):
-    add, mul, inv, pows, c2i = _field_args(g)
-    return subspace_intersection_scan(g.n + 1, d, g.q, add, mul, inv, pows,
-                                      c2i, mask, workers=workers)
+    return subspace_intersection_scan(g.n + 1, d, g.q, *_field_args(g), mask,
+                                      workers=workers)
 
 
 SCAN_GRID = [(p, h, n, d) for p, h, n in ORACLE_GEOMETRIES for d in range(n)]
@@ -148,27 +149,8 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
 @pytest.mark.parametrize("geometry", DOT_PRODUCT_GEOMETRIES)
 def test_hyperplane_points_rows_match_dot_product_rows(geometry):
     g = _geometry(*geometry)
-    table = g.hyperplane_points
-    assert table.shape == (g.num_points, theta(g.n - 1, g.q))
-    want = [np.flatnonzero(row) for row in _rows_of(g)]
-    np.testing.assert_array_equal(np.sort(table, axis=1), want)
-
-
-@pytest.mark.parametrize("geometry", [(3, 1, 4), (2, 2, 3), (3, 2, 3), (5, 1, 3)])
-def test_small_blocks_build_the_same_rows_and_counts(geometry, monkeypatch):
-    # blocks of 256 cells loop over the leading digits of t in the build and
-    # over several blocks of member rows in the count
-    monkeypatch.setattr(pg, "BUILD_CELLS", 256)
-    monkeypatch.setattr(kernels, "HYPERPLANE_CELLS", 256)
-    g = geometry_new(field_new(*geometry[:2]), geometry[2])
-    rows = _rows_of(g)
-    np.testing.assert_array_equal(np.sort(g.hyperplane_points, axis=1),
-                                  [np.flatnonzero(row) for row in rows])
-    mask = _random_mask(g, 7, 0.3)
-    counts, lone = hyperplane_intersection_counts(g.hyperplane_points, mask)
-    hits = rows & mask
-    np.testing.assert_array_equal(counts, hits.sum(axis=1))
-    np.testing.assert_array_equal(lone, np.where(counts == 1, np.argmax(hits, axis=1), -1))
+    for h, row in enumerate(_rows_of(g)):
+        np.testing.assert_array_equal(g.hyperplane_point_indices(h), np.flatnonzero(row))
 
 
 @settings(max_examples=30)
@@ -178,7 +160,8 @@ def test_small_blocks_build_the_same_rows_and_counts(geometry, monkeypatch):
 def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
-    counts, lone = hyperplane_intersection_counts(g.hyperplane_points, mask)
+    args = (g.points, mask, g.field.mul, g.field.p, g.pows, g.code_to_index)
+    counts, lone = hyperplane_intersection_counts(*args, lone=True)
     want_counts, want_lone = [], []
     for row in _rows_of(g):
         on = np.flatnonzero(row & mask)
@@ -187,6 +170,10 @@ def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(lone, want_lone)
     assert counts.dtype == lone.dtype == np.int64
+    # without lone points the count takes one transform and gives the same counts
+    alone, none = hyperplane_intersection_counts(*args)
+    np.testing.assert_array_equal(alone, counts)
+    assert none is None
     # the scan lists the same hyperplanes in another order
     scan_counts, scan_lone = _scan(g, g.n - 1, mask)
     np.testing.assert_array_equal(np.sort(counts), np.sort(scan_counts))
@@ -284,7 +271,7 @@ def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
 def test_spectra_hyperplane_counts_match_dot_product_rows(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
-    counts, lone = _counts(pointset_from_indices(g, np.flatnonzero(mask)), g.n - 1)
+    counts, lone = _counts(pointset_from_indices(g, np.flatnonzero(mask)), g.n - 1, lone=True)
     hits = _rows_of(g) & mask
     want_counts = hits.sum(axis=1)
     np.testing.assert_array_equal(counts, want_counts)

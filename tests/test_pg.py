@@ -9,10 +9,11 @@ from pgcones.errors import GeometryTooLarge
 
 
 def _incidence(g):
-    """Dense (hyperplane, point) boolean matrix from the hyperplane-point
-    table; a point listed twice in a row leaves that row one short."""
+    """Dense (hyperplane, point) boolean matrix, row h from the points of
+    hyperplane h."""
     inc = np.zeros((g.num_points, g.num_points), dtype=bool)
-    inc[np.arange(g.num_points)[:, None], g.hyperplane_points] = True
+    for h in range(g.num_points):
+        inc[h, g.hyperplane_point_indices(h)] = True
     return inc
 
 
@@ -109,21 +110,18 @@ def test_geometry_too_large():
         geometry_new(field_new(2, 2), 3, max_points=10)
 
 
-@pytest.mark.parametrize("p,h,n", [(2, 2, 8), (2, 1, 15), (3, 1, 10)],
-                         ids=["PG(8,4)", "PG(15,2)", "PG(10,3)"])
+@pytest.mark.parametrize("p,h,n", [(2, 2, 9), (2, 1, 16), (3, 1, 11)],
+                         ids=["PG(9,4)", "PG(16,2)", "PG(11,3)"])
 def test_table_bound_raises_before_allocating(p, h, n):
-    # each passes max_points, but its hyperplane-point table needs 7-10 GiB
+    # each is over max_points, the bound that sizes the code table of
+    # q^(n+1) entries (1-8 MB here), and is refused before it is allocated
     f = field_new(p, h)
     tracemalloc.start()
     try:
-        with pytest.raises(GeometryTooLarge, match="GiB"):
+        with pytest.raises(GeometryTooLarge, match="exceeds the bound 100000"):
             geometry_new(f, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
-
-def test_hyperplane_points_use_the_smallest_index_dtype(pg34, pg54):
-    assert pg34.hyperplane_points.dtype == np.uint8
-    assert pg54.hyperplane_points.dtype == np.uint16

@@ -35,7 +35,7 @@ def test_spectrum_lower_dimension(pg34):
 
 
 def test_is_blocking(pg34):
-    hyp = pointset_from_indices(pg34, pg34.hyperplane_points[0])
+    hyp = pointset_from_indices(pg34, pg34.hyperplane_point_indices(0))
     assert is_blocking(hyp, 1)
     assert is_blocking(hyperoval_cone(pg34), 2)
     plane_oval = embed_in_first_coords(
@@ -84,7 +84,7 @@ def test_pencil_unital_a_hyperplane_law(pg44):
     a_hyps = np.nonzero(counts == 21)[0]
     assert len(a_hyps) == 9
     for h in a_hyps:
-        row = pg44.hyperplane_points[h]
+        row = pg44.hyperplane_point_indices(h)
         axis = pg44.span(row[K.mask[row]])
         assert axis.dim == 2
         assert pencil_counts(K, axis).u == {21: 1, 53: 4}
@@ -103,7 +103,7 @@ def test_pencil_hyperoval_cone_tangent_line_law(pg34):
 
 
 def test_recognize_subspace_is_its_own_vertex(pg34):
-    plane_pts = np.sort(pg34.hyperplane_points[3])
+    plane_pts = pg34.hyperplane_point_indices(3)
     ps = pointset_from_indices(pg34, plane_pts)
     rec = recognize_cone(ps)
     assert rec.vertex.dim == 2
