@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgcones import field_new, geometry_new
+from pgcones.errors import GeometryTooLarge
 
 from pgcones.kernels import (
     combo_vectors,
@@ -178,6 +179,16 @@ def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     scan_counts, scan_lone = _scan(g, g.n - 1, mask)
     np.testing.assert_array_equal(np.sort(counts), np.sort(scan_counts))
     np.testing.assert_array_equal(np.sort(lone), np.sort(scan_lone))
+
+
+def test_hyperplane_count_refuses_a_modulus_that_overflows():
+    # 2^31 points, as a zero-stride view: the least prime = 1 (mod 2) above
+    # them squared, times q, overflows the int64 of a transform stage
+    g = _geometry(2, 1, 2)
+    member = np.broadcast_to(False, (2 ** 31,))
+    with pytest.raises(GeometryTooLarge, match="overflow"):
+        hyperplane_intersection_counts(g.points, member, g.field.mul, g.field.p, g.pows,
+                                       g.code_to_index)
 
 
 def _cone_points_by_definition(K):
