@@ -1,9 +1,11 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from pgcones import field_new, subfield
-from pgcones.gf import factor_prime_power
+from pgcones.gf import _MODULI, MAX_ORDER, factor_prime_power
 from pgcones.errors import NonPrimeCharacteristic, OddDegree, OrderTooLarge
 
 
@@ -106,3 +108,68 @@ def test_untabled_order_finds_irreducible():
     f = field_new(7, 2)
     assert f.q == 49
     assert all(f.mul[x, f.inv[x]] == 1 for x in range(1, 49))
+
+
+def _prime_powers(limit):
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        h = round(math.log(q, p))
+        if p ** h == q:
+            yield p, h
+
+
+def _schoolbook_mul(dx, dy, modulus, p):
+    """Digit rows (constant term first) of the products x*y, by convolution
+    and long division by the monic modulus."""
+    h = dx.shape[1]
+    prod = np.zeros((len(dx), 2 * h - 1), dtype=np.int64)
+    for i in range(h):
+        for j in range(h):
+            prod[:, i + j] += dx[:, i] * dy[:, j]
+    prod %= p
+    m = np.array(modulus, dtype=np.int64)
+    for top in range(2 * h - 2, h - 1, -1):
+        factor = prod[:, top].copy()
+        prod[:, top - h:top + 1] = (prod[:, top - h:top + 1] - factor[:, None] * m) % p
+    return prod[:, :h]
+
+
+def _smallest_irreducible(p, h):
+    """First monic degree-h polynomial in code order (constant coefficient
+    least significant) without a root in GF(p): irreducible for h <= 3."""
+    assert h <= 3
+    for code in range(p ** h):
+        coeffs = [(code // p ** i) % p for i in range(h)] + [1]
+        if all(sum(c * x ** i for i, c in enumerate(coeffs)) % p for x in range(p)):
+            return tuple(coeffs)
+
+
+def test_field_tables_match_schoolbook_arithmetic():
+    # pins the element encoding of every field up to the order bound:
+    # all pairs for q <= 32, a seeded sample of pairs above that
+    fields = list(_prime_powers(MAX_ORDER))
+    assert len(fields) == 44
+    rng = np.random.default_rng(20221)
+    for p, h in fields:
+        f = field_new(p, h)
+        q = p ** h
+        if h == 1:
+            assert f.modulus == (0, 1)
+        elif (p, h) in _MODULI:
+            assert f.modulus == _MODULI[(p, h)]
+        else:
+            assert q in (49, 121, 125)
+            assert f.modulus == _smallest_irreducible(p, h)
+        digits = (np.arange(q)[:, None] // p ** np.arange(h)) % p
+        if q <= 32:
+            x, y = (a.ravel() for a in np.meshgrid(np.arange(q), np.arange(q)))
+        else:
+            x, y = rng.integers(0, q, size=(2, 1500))
+        encode = p ** np.arange(h)
+        want_mul = _schoolbook_mul(digits[x], digits[y], f.modulus, p) @ encode
+        want_add = ((digits[x] + digits[y]) % p) @ encode
+        assert (f.mul[x, y] == want_mul).all(), (p, h)
+        assert (f.add[x, y] == want_add).all(), (p, h)
+        assert (f.neg == ((-digits) % p) @ encode).all(), (p, h)
+        nonzero = np.arange(1, q)
+        assert (f.mul[nonzero, f.inv[nonzero]] == 1).all(), (p, h)
