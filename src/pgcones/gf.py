@@ -4,7 +4,12 @@ Elements are encoded as integers 0..q-1: the base-p digits of the code are
 the coefficients of the representing polynomial (digit i = coefficient of
 x^i).  0 encodes zero and 1 encodes one.  Addition, multiplication, negation
 and inversion are all precomputed at construction time, so a Field is a
-bundle of numpy arrays that vectorized code indexes directly.
+bundle of numpy arrays that vectorized code indexes directly.  The tables
+are linear algebra over GF(p) on the digit vectors: addition and negation
+digit by digit, multiplication by the matrix of each element, a polynomial
+in the companion matrix of the modulus.  The inverse rows are the only
+irreducibility test: a modulus is irreducible exactly when every nonzero
+element has one inverse.
 """
 
 from __future__ import annotations
@@ -46,51 +51,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _poly_mul_mod(a: tuple, b: tuple, p: int) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_mod(a: list, m: tuple, p: int) -> tuple:
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        factor = a[-1]  # m is monic
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mi) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def _find_irreducible(p: int, h: int) -> tuple:
-    """Smallest monic irreducible of degree h over GF(p), by brute division."""
-    def polys(deg, monic):
-        for code in range(p ** deg):
-            digits = []
-            c = code
-            for _ in range(deg):
-                digits.append(c % p)
-                c //= p
-            yield tuple(digits) + ((1,) if monic else ())
-
-    low = [f for d in range(1, h // 2 + 1) for f in polys(d, True)]
-    for cand in polys(h, True):
-        if all(_poly_mod(list(cand), f, p) != (0,) for f in low):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
 @dataclass(frozen=True)
 class Field:
     """GF(p^h) with dense add/mul/neg/inv tables."""
@@ -118,28 +78,31 @@ class Field:
         return f"Field(GF({self.q}))"
 
 
-def _digits(x: int, p: int, h: int) -> tuple:
-    out = []
-    for _ in range(h):
-        out.append(x % p)
-        x //= p
-    return tuple(out)
+def _mul_table(digits: np.ndarray, p: int, modulus: tuple) -> np.ndarray:
+    """Products of all element pairs modulo the monic modulus.
 
-
-def _encode(digits, p: int) -> int:
-    out = 0
-    for d in reversed(digits):
-        out = out * p + d
-    return out
+    Multiplication by x acts on digit vectors by the companion matrix C of
+    the modulus, so element x acts by M_x = sum_i digits[x, i] C^i and the
+    digits of x*y are M_x digits[y] (mod p)."""
+    h = digits.shape[1]
+    companion = np.eye(h, k=-1, dtype=np.int64)  # x * x^i = x^(i+1), and
+    companion[:, -1] = np.negative(modulus[:h]) % p  # x^h = -sum_i m_i x^i
+    acting, power = 0, np.eye(h, dtype=np.int64)
+    for i in range(h):
+        acting = acting + digits[:, i, None, None] * power
+        power = companion @ power % p
+    return p ** np.arange(h) @ (acting @ digits.T % p)
 
 
 def field_new(p: int, h: int) -> Field:
     """Construct GF(p^h) with full operation tables.
 
-    Raises NonPrimeCharacteristic / OrderTooLarge on bad input.  For h >= 2
-    the modulus comes from a fixed table when available, otherwise the
-    lexicographically smallest irreducible is used; either way the element
-    enumeration is deterministic across runs.
+    Raises NonPrimeCharacteristic / OrderTooLarge on bad input.  The
+    modulus comes from a fixed table when available, otherwise it is the
+    first monic polynomial in code order (constant coefficient least
+    significant) whose multiplication table gives every nonzero element
+    one inverse, that is, the first irreducible one; either way the
+    element enumeration is deterministic across runs.
     """
     # p^h > MAX_ORDER for these; refused before trial division or p ** h
     if p > MAX_ORDER or (p >= 2 and h > MAX_ORDER.bit_length()):
@@ -152,35 +115,21 @@ def field_new(p: int, h: int) -> Field:
     if q > MAX_ORDER:
         raise OrderTooLarge(f"p^h = {q} exceeds the bound {MAX_ORDER}")
 
-    if h == 1:
-        modulus = (0, 1)  # x; unused for prime fields
-    else:
-        modulus = _MODULI.get((p, h)) or _find_irreducible(p, h)
-
-    add = np.zeros((q, q), dtype=np.int16)
-    mul = np.zeros((q, q), dtype=np.int16)
-    neg = np.zeros(q, dtype=np.int16)
-    inv = np.zeros(q, dtype=np.int16)
-
-    digs = [_digits(x, p, h) for x in range(q)]
-    for x in range(q):
-        neg[x] = _encode(tuple((-d) % p for d in digs[x]), p)
-        for y in range(x, q):
-            s = _encode(tuple((a + b) % p for a, b in zip(digs[x], digs[y])), p)
-            add[x, y] = add[y, x] = s
-            if h == 1:
-                m = (x * y) % p
-            else:
-                m = _encode(_poly_mod(list(_poly_mul_mod(digs[x], digs[y], p)), modulus, p), p)
-            mul[x, y] = mul[y, x] = m
-
-    for x in range(1, q):
-        row = np.nonzero(mul[x] == 1)[0]
-        if row.size != 1:
-            raise AssertionError(f"modulus {modulus} is not irreducible over GF({p})")
-        inv[x] = row[0]
-
-    return Field(p=p, h=h, q=q, modulus=modulus, add=add, mul=mul, neg=neg, inv=inv)
+    digits = np.arange(q)[:, None] // p ** np.arange(h) % p  # digit i: coefficient of x^i
+    encode = p ** np.arange(h)
+    add = ((digits[:, None] + digits[None]) % p @ encode).astype(np.int16)
+    neg = (-digits % p @ encode).astype(np.int16)
+    if (p, h) in _MODULI:
+        candidates = [_MODULI[p, h]]
+    else:  # for h = 1 the first candidate, x, is the modulus
+        candidates = (tuple(d) + (1,) for d in digits.tolist())
+    for modulus in candidates:
+        mul = _mul_table(digits, p, modulus).astype(np.int16)
+        ones = mul[1:] == 1
+        if (ones.sum(axis=1) == 1).all():
+            inv = np.concatenate(([0], ones.argmax(axis=1))).astype(np.int16)
+            return Field(p=p, h=h, q=q, modulus=modulus, add=add, mul=mul, neg=neg, inv=inv)
+    raise AssertionError(f"modulus {modulus} is not irreducible over GF({p})")
 
 
 def factor_prime_power(q: int) -> tuple:

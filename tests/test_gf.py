@@ -173,3 +173,10 @@ def test_field_tables_match_schoolbook_arithmetic():
         assert (f.neg == ((-digits) % p) @ encode).all(), (p, h)
         nonzero = np.arange(1, q)
         assert (f.mul[nonzero, f.inv[nonzero]] == 1).all(), (p, h)
+
+
+def test_reducible_tabled_modulus_is_refused(monkeypatch):
+    # x^2 + 1 = (x + 1)^2 over GF(2): the element x + 1 has no inverse
+    monkeypatch.setitem(_MODULI, (2, 2), (1, 0, 1))
+    with pytest.raises(AssertionError, match="not irreducible"):
+        field_new(2, 2)
