@@ -145,6 +145,19 @@ class Geometry:
                                          self.pows, self.code_to_index)
         return Subspace(basis.shape[0] - 1, basis, pts)
 
+    def annihilator(self, sub: Subspace) -> Subspace:
+        """The points a with a . x = 0 for every x of sub, i.e. the
+        hyperplanes through sub: dimension n - 1 - dim sub.  The basis has
+        one row per free column of the reduced basis of sub, 1 there and 0
+        in the other free columns."""
+        basis = self.rref(sub.basis)
+        pivots = np.argmax(basis != 0, axis=1)
+        free = np.setdiff1d(np.arange(self.n + 1), pivots)
+        dual = np.zeros((len(free), self.n + 1), dtype=np.int16)
+        dual[np.arange(len(free)), free] = 1
+        dual[:, pivots] = self.field.neg[basis[:, free]].T
+        return self.subspace_from_basis(dual)
+
     # -- subspace streams ---------------------------------------------------
 
     def subspaces_iter(self, d: int) -> Iterator[Subspace]:

@@ -87,14 +87,8 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
     g = K.geometry
     if axis.dim != g.n - 2:
         raise WrongDimension(f"axis must have dimension n-2 = {g.n - 2}, got {axis.dim}")
-    # the hyperplanes through the axis form the dual line, spanned by the
-    # solutions a, b of axis . x = 0 that are 1 at one free column each
-    f, basis = g.field, g.rref(axis.basis)
-    pivots = np.argmax(basis != 0, axis=1)
-    free = np.setdiff1d(np.arange(g.n + 1), pivots)
-    a, b = np.zeros((2, g.n + 1), dtype=np.int16)
-    a[free[0]] = b[free[1]] = 1
-    a[pivots], b[pivots] = f.neg[basis[:, free]].T
+    # the hyperplanes through the axis are the points of the dual line a b
+    f, (a, b) = g.field, g.annihilator(axis).basis
     # each point of K off the axis lies on one of them: a + t b, or b
     off = g.points[np.setdiff1d(K.indices, axis.point_indices)]
     x, y = g.dot(a, off), g.dot(b, off)

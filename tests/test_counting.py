@@ -3,6 +3,7 @@ filters, pencil systems, and the per-theorem parameter tables."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,14 @@ from pgcones import (
     TypeParameters,
     c_rs,
     feasible_k,
+    field_new,
+    geometry_new,
     hyperoval3_step1_congruences,
     lemma_congruence,
+    pencil_counts,
     pencil_feasible,
+    pointset_from_indices,
+    recognize_cone,
     run_verification,
     spectrum,
     step_sign_check,
@@ -29,7 +35,11 @@ from pgcones.errors import (
     HypothesisViolated,
     NonSquareOrder,
 )
+from pgcones.counting import THEOREMS, _pencil_failures
+from pgcones.gf import factor_prime_power
 from pgcones.objects import hyperoval_cone
+from pgcones.pg import Geometry
+from pgcones.spectra import _counts
 
 
 HYP3_Q4 = TypeParameters(1, 6, 9, 3, 4)
@@ -272,3 +282,38 @@ def test_run_verification_report():
     report = run_verification("unital", 4, 4)
     assert report["ok"] and report["spectrum"] == {21: 9, 37: 320, 53: 12}
     assert len(report["sign_checks"]) == 3
+
+
+@pytest.mark.parametrize("damage", [None, "remove", "add"])
+@pytest.mark.parametrize("theorem_id,n,q,x", [("unital", 4, 4, None), ("hyperoval3", 3, 4, None),
+                                             ("hyperovalN", 4, 4, None), ("maxarc", 5, 4, 2)])
+def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, damage):
+    # the pencil law read off the hyperplane counts equals a recount with
+    # pencil_counts over the same axes, on the cone and with one point
+    # off the vertex removed from it or one point added to it
+    th, inst = THEOREMS[theorem_id], theorem_instance(theorem_id, n, q, x)
+    K = th.cone(geometry_new(field_new(*factor_prime_power(q)), n), inst)
+    g = K.geometry
+    rng = np.random.default_rng(7)
+    if damage:
+        mask = K.mask.copy()
+        off_vertex = np.setdiff1d(K.indices, recognize_cone(K).vertex.point_indices)
+        mask[rng.choice(off_vertex if damage == "remove" else np.flatnonzero(~mask))] ^= True
+        K = pointset_from_indices(g, np.flatnonzero(mask))
+    axes, annihilator = [], Geometry.annihilator
+
+    def recording(self, sub):
+        axes.append(sub)
+        return annihilator(self, sub)
+
+    monkeypatch.setattr(Geometry, "annihilator", recording)
+    got = _pencil_failures(th, inst, K, _counts(K, n - 1)[0])
+    monkeypatch.undo()
+    u_a = th.pencil_u_a(q, x)
+    law = {inst.a: u_a, inst.c: q + 1 - u_a}
+    want = [f"axis profile {dict(sorted(u.items()))} != {law}"
+            for u in (pencil_counts(K, axis).u for axis in axes) if u != law]
+    if th.pencil_through_vertex and len(axes) != q + 1:
+        want.append(f"expected q+1 axes through the vertex, found {len(axes)}")
+    assert axes and got == want
+    assert bool(got) == bool(damage)

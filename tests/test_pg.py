@@ -125,3 +125,26 @@ def test_table_bound_raises_before_allocating(p, h, n):
         tracemalloc.stop()
     assert peak < 1 << 20
 
+
+
+@pytest.mark.parametrize("p,h,n", [(2, 1, 4), (3, 1, 3), (2, 2, 4), (5, 1, 3), (2, 3, 3),
+                                   (3, 2, 3)])
+def test_annihilator_matches_dot_products(p, h, n):
+    # the hyperplanes through a subspace, by a dot-product filter over its points
+    g = geometry_new(field_new(p, h), n)
+    add, mul = g.field.add, g.field.mul
+    rng = np.random.default_rng(1000 * p + 10 * h + n)
+    for dim in range(-1, n + 1):
+        for _ in range(3):
+            sub = g.span(rng.choice(g.num_points, size=dim + 1, replace=False))
+            while sub.dim < dim:
+                sub = g.span(list(sub.point_indices) + [int(rng.integers(g.num_points))])
+            through = np.ones(g.num_points, dtype=bool)
+            for x in g.points[sub.point_indices]:
+                dot = np.zeros(g.num_points, dtype=np.int16)
+                for c in range(n + 1):
+                    dot = add[dot, mul[g.points[:, c], x[c]]]
+                through &= dot == 0
+            ann = g.annihilator(sub)
+            assert ann.dim == n - 1 - dim
+            np.testing.assert_array_equal(ann.point_indices, np.flatnonzero(through))
