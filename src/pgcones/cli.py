@@ -21,6 +21,8 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 
+MAX_SCREEN = 10 ** 6  # values of k one feasible-k run screens, one at a time
+
 
 # ---------------------------------------------------------------------------
 # point-set files
@@ -178,6 +180,9 @@ def cmd_feasible_k(args) -> int:
         raise ValueError("feasible-k requires --theorem or --abc")
     lo = krange.start if args.k_min is None else args.k_min
     hi = krange.stop - 1 if args.k_max is None else args.k_max
+    if hi - lo + 1 > MAX_SCREEN:
+        raise ValueError(f"the k range [{lo}, {hi}] holds {hi - lo + 1} values, over the bound"
+                         f" {MAX_SCREEN}; narrow it with --k-min/--k-max")
 
     survivors = counting.feasible_k(params, range(lo, hi + 1), congs)
     rows = []

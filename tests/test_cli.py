@@ -1,9 +1,11 @@
 """Command-line round trips, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
+from pgcones import cli
 from pgcones.cli import main
 
 
@@ -81,6 +83,30 @@ def test_feasible_k_large_prime_q(capsys):
                "--k-max", "10"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["rows"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--abc", "1", "2", "3", "--n", "9", "--q", "9", "--format", "csv"],
+    ["--theorem", "unital", "--n", "9", "--q", "9"],
+    ["--abc", "1", "2", "3", "--n", "3", "--q", "4", "--k-min", "0", "--k-max", "1000000"],
+], ids=["abc", "theorem", "explicit-bounds"])
+def test_feasible_k_refuses_a_screen_over_the_bound(capsys, argv):
+    # about 4.4 * 10^8 values of k for the first; refused before any is screened
+    start = time.perf_counter()
+    assert main(["feasible-k", *argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "--k-min/--k-max" in captured.err and "1000000" in captured.err
+
+
+def test_feasible_k_screens_a_range_at_the_bound(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SCREEN", 10)
+    argv = ["feasible-k", "--abc", "1", "6", "9", "--n", "3", "--q", "4", "--k-min", "21"]
+    assert main(argv + ["--k-max", "30"]) == 0
+    assert [r["k"] for r in json.loads(capsys.readouterr().out)["rows"]] == [25, 30]
+    assert main(argv + ["--k-max", "31"]) == 2
 
 
 def test_feasible_k_manual_type(capsys):
