@@ -72,7 +72,6 @@ class TheoremInstance:
     expected_k: int
     expected_t: tuple
     vertex_dim: int
-    base_descriptor: str
 
     @property
     def params(self) -> TypeParameters:
@@ -205,7 +204,6 @@ class Theorem:
     abc: Callable              # the type; rational where degenerate
     k: Callable
     vertex_dim: Callable
-    base: Callable             # description of the cone's base
     cone: Callable             # (geometry, TheoremInstance) -> the canonical cone
     k_max: Callable            # top of the feasible-k screen, which starts at c
     modulus: Callable | None = None  # (n, q) -> beta of lemma_congruence
@@ -264,7 +262,6 @@ THEOREMS = {th.id: th for th in (
                              c_rs(n - 2 * t - 1, 2 * t - 1, q)),
         k=lambda n, q, t: c_rs(n - 2 * t - 1, 2 * t, q),
         vertex_dim=lambda n, q, t: n - 2 * t - 1,
-        base=lambda n, q, t: f"Baer subgeometry of dimension {2 * t}",
         cone=lambda g, inst: objects.baer_cone(g, inst.vertex_dim, 2 * inst.t_or_d),
         modulus=lambda n, q: q, k_max=_baer_top,
         endpoints=(("t_a at lower interval endpoint", 0, "<0", lambda n, q, t, abc, k: k + q),
@@ -279,7 +276,6 @@ THEOREMS = {th.id: th for th in (
                              theta(n - 2, q) + _sqrt_q(q) ** (2 * n - 3)),
         k=lambda n, q, x: theta(n - 2, q) + _sqrt_q(q) ** (2 * n - 1),
         vertex_dim=lambda n, q, x: n - 3,
-        base=lambda n, q, x: "Hermitian unital",
         cone=lambda g, inst: objects.unital_cone(g),
         modulus=lambda n, q: q ** (n - 2), k_max=lambda n, q, x, abc, k: k,
         endpoints=(("t_c at lower interval endpoint", 2, "<0",
@@ -295,7 +291,6 @@ THEOREMS = {th.id: th for th in (
         abc=lambda n, q, x: (1, q + 2, 2 * q + 1),
         k=lambda n, q, x: q * q + 2 * q + 1,
         vertex_dim=lambda n, q, x: 0,
-        base=lambda n, q, x: "hyperoval",
         cone=lambda g, inst: objects.hyperoval_cone(g),
         divisibilities=hyperoval3_step1_congruences,
         k_max=lambda n, q, x, abc, k: 2 * q * q + 1, axis_points=0,
@@ -308,7 +303,6 @@ THEOREMS = {th.id: th for th in (
                              theta(n - 2, q) + q ** (n - 2)),
         k=lambda n, q, x: theta(n - 1, q) + q ** (n - 2),
         vertex_dim=lambda n, q, x: n - 3,
-        base=lambda n, q, x: "hyperoval",
         cone=lambda g, inst: objects.hyperoval_cone(g),
         modulus=lambda n, q: q ** (n - 3), k_max=_hyperovalN_top,
         endpoints=(("t_c at k = c", 2, "<0", lambda n, q, x, abc, k: abc[2]),
@@ -330,7 +324,6 @@ THEOREMS = {th.id: th for th in (
                              q ** (n - 2) * d + theta(n - 3, q)),
         k=lambda n, q, d: q ** (n - 2) * (q * d + d - q) + theta(n - 3, q),
         vertex_dim=lambda n, q, d: n - 3,
-        base=lambda n, q, d: f"maximal arc of degree {d}",
         cone=lambda g, inst: objects.maxarc_cone(g, inst.t_or_d),
         modulus=lambda n, q: q ** (n - 3), k_max=_maxarc_top,
         endpoints=(("t_c at k = c", 2, "<0", lambda n, q, d, abc, k: abc[2]),
@@ -365,8 +358,7 @@ def theorem_instance(theorem_id: str, n: int, q: int, t_or_d=None) -> TheoremIns
     return TheoremInstance(theorem_id=theorem_id, n=n, q=q, t_or_d=t_or_d,
                            a=a, b=b, c=c, expected_k=k,
                            expected_t=tuple(int(t) for t in ts),
-                           vertex_dim=th.vertex_dim(n, q, t_or_d),
-                           base_descriptor=th.base(n, q, t_or_d))
+                           vertex_dim=th.vertex_dim(n, q, t_or_d))
 
 
 def screen_defaults(theorem_id: str, n: int, q: int, t_or_d=None) -> tuple:
