@@ -22,6 +22,7 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 
 MAX_SCREEN = 10 ** 6  # values of k one feasible-k run screens, one at a time
+MAX_BITS = 8192  # bits of q^(n+1) in a feasible-k screen, above every number it prints
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def _theorem_args(args) -> tuple:
 
 def cmd_verify(args) -> int:
     n, t_or_d = _theorem_args(args)
-    report = counting.run_verification(args.theorem, n, args.q, t_or_d, workers=args.workers)
+    report = counting.run_verification(args.theorem, n, args.q, t_or_d)
     verdict = "PASS" if report["ok"] else "FAIL"
     print(f"{verdict} {args.theorem} n={n} q={args.q}"
           + (f" t_or_d={t_or_d}" if t_or_d is not None else ""))
@@ -160,6 +161,10 @@ def cmd_verify(args) -> int:
 
 def cmd_feasible_k(args) -> int:
     factor_prime_power(args.q)  # PG(n, q) exists only for prime powers q
+    bits = args.q.bit_length()
+    if args.n is not None and (args.n + 1) * bits > MAX_BITS:
+        raise ValueError(f"n = {args.n} is over the bound {MAX_BITS // bits - 1}"
+                         f" of a screen at q = {args.q}")
     if args.abc:
         if args.n is None:
             raise ValueError("--abc requires --n")
@@ -258,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("feasible-k", help="screen candidate set sizes")

@@ -22,7 +22,7 @@ from . import objects, spectra
 from .errors import (DegenerateType, EmptyRange, HypothesisViolated,
                      NonSquareOrder)
 from .gf import factor_prime_power, field_new
-from .pg import Geometry, theta
+from .pg import Geometry, check_dimension, theta
 from .spectra import Spectrum
 
 
@@ -457,13 +457,15 @@ def _congruence_failures(th: Theorem, inst: TheoremInstance, k: int) -> list:
 
 def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     """The pencil law: each axis lies on u_a a-hyperplanes and q+1-u_a
-    c-hyperplanes."""
+    c-hyperplanes.  Without an a-hyperplane there is no axis, which fails."""
     if th.pencil_u_a is None:
         return []
     g, q = K.geometry, inst.q
     u_a = th.pencil_u_a(q, inst.t_or_d)
     expected = {inst.a: u_a, inst.c: q + 1 - u_a}
     a_planes = np.nonzero(counts == inst.a)[0]
+    if a_planes.size == 0:
+        return [f"no hyperplane meets K in a={inst.a} points to give the axes"]
     if th.pencil_through_vertex:  # join the vertex K ∩ h to the points of h off K
         row = g.hyperplane_point_indices(a_planes[0])
         vertex_pts = list(row[K.mask[row]])
@@ -483,21 +485,23 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     return failures
 
 
-def run_verification(theorem_id: str, n: int, q: int, t_or_d=None,
-                     workers: int = 1) -> dict:
+def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:
     """Build the canonical cone and check every instance-level claim.
+    The hyperplane counts of cone recognition give the spectrum and the
+    pencils, so the run takes one transform.
 
     Returns a report dict; report["ok"] is the overall verdict.
     """
+    check_dimension(n, q)  # before any closed form grows with n
     inst = theorem_instance(theorem_id, n, q, t_or_d)
     th = THEOREMS[theorem_id]
     K = th.cone(Geometry(field_new(*factor_prime_power(q)), n), inst)
+    rec = spectra.recognize_cone(K)
     failures = []
 
     if K.k != inst.expected_k:
         failures.append(f"size {K.k} != expected {inst.expected_k}")
-    counts, _ = spectra._counts(K, n - 1, workers)
-    spec = spectra.spectrum_of_counts(K.geometry, counts, n - 1)
+    spec = spectra.spectrum_of_counts(K.geometry, rec.counts, n - 1)
     expected_spec = dict(zip((inst.a, inst.b, inst.c), inst.expected_t))
     if spec.by_size != expected_spec:
         failures.append(f"spectrum {spec.by_size} != expected {expected_spec}")
@@ -505,9 +509,8 @@ def run_verification(theorem_id: str, n: int, q: int, t_or_d=None,
         failures.append("double-counting identities fail")
 
     failures += _congruence_failures(th, inst, K.k)
-    failures += _pencil_failures(th, inst, K, counts)
+    failures += _pencil_failures(th, inst, K, rec.counts)
 
-    rec = spectra.recognize_cone(K)
     if rec.vertex.dim != inst.vertex_dim:
         failures.append(f"recognized vertex dim {rec.vertex.dim} != {inst.vertex_dim}")
     if not rec.is_cone_over_vertex:

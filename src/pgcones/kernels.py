@@ -7,7 +7,9 @@ point.  So no kernel normalizes a vector before looking it up.
 
 All kernels work on the raw arrays of a Geometry: field tables (add/mul/
 inv), the point coordinate matrix, the powers q^i, the code table and
-boolean membership masks.
+boolean membership masks; `cone_points` also takes the hyperplane counts
+of `hyperplane_intersection_counts` and reads the cone points off them
+by row reduction.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .gf import _is_prime
 
 # The kernels have no compiled variant; run metadata reads this flag.
 USE_NUMBA = False
-
-CONE_BLOCK = 64          # most points that prune all cone_points candidates at once
-CONE_CELLS = 1 << 20     # most line points held at once by cone_points
 
 
 # ---------------------------------------------------------------------------
@@ -193,84 +192,53 @@ def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_in
 
 
 # ---------------------------------------------------------------------------
-# cone-point detection: P such that every line P-Q, Q in K, stays in K
+# row reduction and the cone points read off the hyperplane counts
 # ---------------------------------------------------------------------------
 
-def cone_points(member, points, add, mul, inv, pows, code_to_index):
-    """Sorted indices of the member points that see every joining line
-    inside the set.
+def rref(rows, add, mul, inv, neg):
+    """Reduced row echelon form of a matrix over the field tables, nonzero
+    rows only: each pivot row is scaled by the inverse of its pivot, then
+    one add/mul gather clears the pivot column in every other row."""
+    m = np.array(rows, dtype=np.int16)
+    rank = 0
+    for col in range(m.shape[1]):
+        if rank == len(m):
+            break
+        nonzero = np.flatnonzero(m[rank:, col])
+        if nonzero.size == 0:
+            continue
+        pivot = rank + nonzero[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = mul[inv[m[rank, col]], m[rank]]
+        factor = neg[m[:, col]]
+        factor[rank] = 0
+        m = add[m, mul[factor[:, None], m[rank]]]
+        rank += 1
+    return m[:rank]
 
-    These cone points form a subspace: if P1 and P2 are cone points, the
-    lines from P2 to the points of P1Q, Q in K, cover the plane P1P2Q, so
-    every point of P1P2 is one too.  A point P of K is not a cone point
-    exactly when some line PX is mixed: its points other than P, that is X
-    and the P + tX, t != 0, looked up by code, lie partly in K and partly
-    outside it.  X may be in K (a witness Q) or off it (a hole).  For
-    X = P the points are P or the zero vector, which counts as inside K.
 
-    The lowest remaining candidate is tested against the unused points of
-    K, in growing slices, up to the first slice that holds a witness.  A
-    candidate without one is a cone point; the span of the cone points
-    found so far is then taken as found, without a test, and leaves the
-    candidates and the unused points, since a cone point never makes a
-    line mixed.  Then all candidates are pruned at once: after a failure,
-    against the holes on the witness lines and the witnesses, since a hole
-    such as a point missing from a cone lies on the mixed lines of many
-    candidates; after a pass, against the next unused points.  Each prune
-    takes 1, 2, 4, ... up to CONE_BLOCK points, and the witnesses among
-    them are used.  Only dim V + 1 candidates take a full pass over K.
+def cone_points(member, counts, points, add, mul, inv):
+    """Sorted indices of the member points whose every joining line stays
+    in the set, read off its hyperplane counts N(h).
+
+    Let S be the nonzero vectors of the k members and 0.  A member P is a
+    cone point exactly when S + tP = S for every t, as the line PQ is P
+    and the Q + tP; that holds exactly when the transform of S (as in
+    `hyperplane_intersection_counts`) vanishes at every a with a.P != 0.
+    At the coordinates of hyperplane h it is q N(h) - k + 1.  So the cone
+    points are the members on every hyperplane with q N(h) != k - 1: those
+    orthogonal to the row-reduced coordinates of these hyperplanes, none
+    once their rank is n+1.
     """
-    q, n_cols = inv.shape[0], points.shape[1]
-    member = np.asarray(member)
-    in_k = member[code_to_index]
-    in_k[0] = True  # the zero vector (1+t)P, t = -1; the only code mapped to -1
-    # add_code[col, a, b]: code of a + b placed in column col
-    add_code = add.astype(np.int64)[None] * pows[:, None, None]
-    ts = np.arange(1, q, dtype=np.int16)
-    full = max(1, CONE_CELLS // (q - 1))  # largest slice of a candidate's test
-
-    def mixed(cand, rs):
-        """mixed[i, j]: the points of the line cand[i] rs[j] other than
-        cand[i] lie partly in K and partly outside it."""
-        tq = mul[ts[:, None, None], points[rs][None]]
-        chunk = max(1, CONE_CELLS // max(1, tq[..., 0].size))
-        out = np.empty((cand.size, rs.size), dtype=bool)
-        for lo in range(0, cand.size, chunk):
-            pc = points[cand[lo:lo + chunk]][:, None, None, :]
-            codes = add_code[0][pc[..., 0], tq[..., 0]]
-            for col in range(1, n_cols):
-                codes += add_code[col][pc[..., col], tq[..., col]]
-            out[lo:lo + chunk] = (in_k[codes] != member[rs]).any(axis=1)
-        return out
-
-    def witnesses(p, qs):
-        """The witnesses against p in the first slice of qs holding any,
-        after the points off K on their lines through p."""
-        lo, step = 0, CONE_BLOCK
-        while lo < qs.size:
-            part = qs[lo:lo + step]
-            bad = part[mixed(p, part)[0]]
-            if bad.size:
-                line = code_to_index[add[points[p], mul[ts[:, None, None], points[bad][None]]]
-                                     .astype(np.int64) @ pows]
-                return np.concatenate([np.unique(line[~member[line]]), bad])
-            lo, step = lo + step, min(2 * step, full)
-        return qs[:0]
-
-    cand = unused = np.flatnonzero(member)
-    found, vertex = [], cand[:0]
-    block = 1
-    while cand.size:
-        head, cand = cand[:1], cand[1:]
-        tested = witnesses(head, unused)
-        if tested.size == 0:
-            found.append(head[0])
-            vertex = span_point_indices(points[found], combo_vectors(len(found), q),
-                                        add, mul, pows, code_to_index)
-            cand = cand[~np.isin(cand, vertex)]
-            unused = tested = unused[~np.isin(unused, vertex)]
-        tested = tested[:block]
-        cand = cand[~mixed(cand, tested).any(axis=1)]
-        unused = unused[~np.isin(unused, tested)]
-        block = min(2 * block, CONE_BLOCK)
-    return vertex
+    q, member, n_cols = len(mul), np.asarray(member), points.shape[1]
+    neg = np.argmax(add == 0, axis=1)
+    off = points[q * counts != member.sum() - 1]
+    basis, lo, step = off[:0], 0, n_cols  # reduce growing slices until the rank is n+1
+    while lo < len(off) and len(basis) < n_cols:
+        basis = rref(np.vstack([basis, off[lo:lo + step]]), add, mul, inv, neg)
+        lo, step = lo + step, 2 * step
+    idx = np.flatnonzero(member)
+    dots = 0
+    for col in range(n_cols):
+        dots = add[dots, mul[basis[:, col][:, None], points[idx, col][None]]]
+    return idx[~np.any(dots, axis=0)]

@@ -5,7 +5,8 @@ nonzero coordinate scaled to 1, listed in lexicographic order; hyperplane
 h is {x : sum_c P_h[c] x[c] = 0}, P_h the coordinates of point h.  The
 code table maps each of the q^(n+1) vectors to its point; max_points
 bounds it, and the transforms of the hyperplane count, which have its
-size, before anything is allocated.
+size, before anything is allocated; an n too large for it is refused
+before theta_n(q) is computed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return num // den
 
 
+def check_dimension(n: int, q: int, max_points: int = DEFAULT_MAX_POINTS):
+    """Refuse an n for which PG(n,q) has over max_points points at any
+    q >= 2, without computing theta_n(q): theta_n(q) > 2^n."""
+    if n >= max_points.bit_length():
+        raise GeometryTooLarge(f"theta_{n}({q}) > 2^{n} exceeds the bound {max_points}")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A projective subspace given by an echelonized basis and its points."""
@@ -62,6 +70,7 @@ class Geometry:
         if n < 2:
             raise WrongDimension(f"projective dimension must be >= 2, got {n}")
         q = field.q
+        check_dimension(n, q, max_points)
         npts = theta(n, q)
         if npts > max_points:
             raise GeometryTooLarge(f"theta_{n}({q}) = {npts} exceeds the bound {max_points}")
@@ -104,29 +113,9 @@ class Geometry:
         return np.flatnonzero(self.dot(self.points[h], self.points) == 0)
 
     def rref(self, vectors: np.ndarray) -> np.ndarray:
-        """Reduced row echelon form over the field; returns the nonzero rows.
-
-        The rows are one int16 matrix.  Each pivot row is scaled by the
-        inverse of its pivot, then one add/mul gather over the whole matrix
-        clears the pivot column in every other row."""
-        add, mul, inv, neg = (self.field.add, self.field.mul,
-                              self.field.inv, self.field.neg)
-        m = np.array(vectors, dtype=np.int16).reshape(-1, self.n + 1)
-        rank = 0
-        for col in range(self.n + 1):
-            if rank == len(m):
-                break
-            nonzero = np.flatnonzero(m[rank:, col])
-            if nonzero.size == 0:
-                continue
-            pivot = rank + nonzero[0]
-            m[[rank, pivot]] = m[[pivot, rank]]
-            m[rank] = mul[inv[m[rank, col]], m[rank]]
-            factor = neg[m[:, col]]
-            factor[rank] = 0
-            m = add[m, mul[factor[:, None], m[rank]]]
-            rank += 1
-        return m[:rank]
+        """Reduced row echelon form over the field; returns the nonzero rows."""
+        f = self.field
+        return kernels.rref(np.reshape(vectors, (-1, self.n + 1)), f.add, f.mul, f.inv, f.neg)
 
     def span(self, point_indices) -> Subspace:
         """Smallest subspace containing the given points (possibly empty)."""

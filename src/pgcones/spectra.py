@@ -34,7 +34,8 @@ class PencilProfile:
 class ConeRecognition:
     vertex: Subspace = dc_field(repr=False)
     base: PointSet = dc_field(repr=False)
-    is_cone_over_vertex: bool = False
+    is_cone_over_vertex: bool
+    counts: np.ndarray = dc_field(repr=False)  # |K ∩ h| for every hyperplane h
 
 
 def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
@@ -123,22 +124,18 @@ def _complementary_subspace(g: Geometry, vertex: Subspace) -> Subspace:
 def recognize_cone(K: PointSet) -> ConeRecognition:
     """Detect the maximal vertex of K and test whether K is a cone over it.
 
-    The vertex is the span of all points P of K such that every line
-    joining P to another point of K lies entirely in K.  The base is the
+    The vertex is the subspace of the points P of K such that every line
+    joining P to another point of K lies entirely in K, read off the
+    hyperplane counts of K, which the result keeps.  The base is the
     intersection of K with a deterministic complementary subspace.
     """
     g = K.geometry
     if K.k == 0:
         raise ValueError("K must be nonempty")
-    vertex_pts = kernels.cone_points(
-        K.mask, g.points, g.field.add, g.field.mul, g.field.inv,
-        g.pows, g.code_to_index)
-    vertex = g.span(vertex_pts)
+    counts, _ = _counts(K, g.n - 1)
+    vertex = g.span(kernels.cone_points(K.mask, counts, g.points, g.field.add,
+                                        g.field.mul, g.field.inv))
     comp = _complementary_subspace(g, vertex)
-    base_mask = K.mask & comp.mask(g.num_points)
-    base = PointSet(g, base_mask)
-    if vertex.dim == -1:
-        return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=False)
-    rebuilt = cone(g, vertex, base)
-    return ConeRecognition(vertex=vertex, base=base,
-                           is_cone_over_vertex=(rebuilt == K))
+    base = PointSet(g, K.mask & comp.mask(g.num_points))
+    is_cone = vertex.dim >= 0 and cone(g, vertex, base) == K
+    return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=is_cone, counts=counts)

@@ -233,6 +233,22 @@ def test_rejected_worker_arguments(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "hyperovalN", "--n", "3000000", "--q", "4"],
+    ["verify", "--theorem", "unital", "--n", "100000", "--q", "4"],
+    ["construct", "--object", "hyperoval-cone", "--n", "3000000", "--q", "4"],
+    ["feasible-k", "--theorem", "unital", "--n", "100000", "--q", "4"],
+], ids=["verify-hyperovalN", "verify-unital", "construct", "feasible-k"])
+def test_huge_n_exits_2_before_big_integer_work(argv, capsys):
+    # n is bounded before theta_n(q) or a closed form of the theorem is computed
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "exceeds the bound" in err or "over the bound" in err
+
+
 def test_verify_over_the_table_bound_exits_2(capsys):
     # PG(9,4) has 349 525 points, over the point bound that sizes the code
     # table of a geometry: refused before it is allocated

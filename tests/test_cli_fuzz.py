@@ -1,7 +1,8 @@
 """The exit-code contract of `pgcones.cli.main` on generated input.
 
 Point files and argument vectors are drawn by hypothesis (derandomized in
-conftest.py), within n <= 4 and q <= 9.  Whatever the input, `main` returns
+conftest.py), within q <= 9 and n <= 4, or n up to 10^7 on the command
+line.  Whatever the input, `main` returns
 or exits with 0, 1 or 2 and never lets an exception or a traceback out; an
 exit 2 names the problem on an `error:` line, and one that `main` reports
 itself prints that line alone.
@@ -13,7 +14,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pgcones.cli import main
@@ -94,7 +95,9 @@ def test_point_files_keep_the_exit_code_contract(doc, command, text):
 
 # flag -> values drawn for it, the valid ones more often than the others
 FLAG_VALUES = {
-    "--n": st.sampled_from([2, 3, 4] * 3 + [-1, 0, 1]).map(str),
+    # now and then an n from 17, over the point bound at every q, up to 10^7
+    "--n": st.sampled_from([2, 3, 4] * 3 + [-1, 0, 1] + [None] * 3).flatmap(
+        lambda n: st.integers(17, 10 ** 7) if n is None else st.just(n)).map(str),
     "--q": st.sampled_from([2, 3, 4, 5, 7, 8, 9] * 3 + [-1, 0, 1, 6]).map(str),
     "--t": st.sampled_from([1, 2] * 3 + [-1, 0, 3]).map(str),
     "--d": st.sampled_from([2, 4] * 3 + [-1, 0, 1, 3, 5]).map(str),
@@ -117,7 +120,7 @@ FLAG_VALUES = {
 COMMANDS = [
     ("construct", ["--object", "--n", "--q", "--out"], ["--r", "--s", "--d"]),
     ("spectrum", ["--file"], ["--d", "--workers", "--format"]),
-    ("verify", ["--theorem", "--q"], ["--n", "--t", "--d", "--workers"]),
+    ("verify", ["--theorem", "--q"], ["--n", "--t", "--d"]),
     ("feasible-k", ["--theorem", "--q"], ["--n", "--t", "--d", "--k-min", "--k-max", "--format"]),
     ("feasible-k", ["--abc", "--n", "--q"], ["--k-min", "--k-max", "--format"]),
     ("recognize", ["--file"], []),
@@ -143,6 +146,10 @@ def argument_vectors(draw):
 
 
 @given(argv=argument_vectors())
+@example(argv=["verify", "--theorem", "hyperovalN", "--q", "4", "--n", str(10 ** 7)])
+@example(argv=["construct", "--object", "unital-cone", "--n", str(10 ** 7), "--q", "9",
+               "--out", "-"])
+@example(argv=["feasible-k", "--abc", "1", "2", "3", "--n", str(10 ** 7), "--q", "2"])
 def test_argument_vectors_keep_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         cone = os.path.join(tmp, "cone.json")

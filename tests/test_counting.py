@@ -317,3 +317,20 @@ def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, d
         want.append(f"expected q+1 axes through the vertex, found {len(axes)}")
     assert axes and got == want
     assert bool(got) == bool(damage)
+
+
+@pytest.mark.parametrize("theorem_id,n,x", [("unital", 4, None), ("hyperoval3", 3, None),
+                                            ("hyperovalN", 4, None), ("maxarc", 5, 2)])
+def test_pencil_law_without_an_a_hyperplane_fails_once(theorem_id, n, x):
+    # the a-hyperplanes meet the q = 4 cone in its vertex (or, for the
+    # unital, in the vertex joined to a point of the unital), so without
+    # one vertex point no hyperplane meets the set in a points
+    th, inst = THEOREMS[theorem_id], theorem_instance(theorem_id, n, 4, x)
+    K = th.cone(geometry_new(field_new(2, 2), n), inst)
+    mask = K.mask.copy()
+    mask[recognize_cone(K).vertex.point_indices[0]] = False
+    D = pointset_from_indices(K.geometry, np.flatnonzero(mask))
+    counts = _counts(D, n - 1)[0]
+    assert not (counts == inst.a).any()
+    assert _pencil_failures(th, inst, D, counts) == [
+        f"no hyperplane meets K in a={inst.a} points to give the axes"]

@@ -7,8 +7,8 @@ in the same canonical order; the points of each hyperplane from
 of the transform and of `spectra._counts` and the pencils of
 `spectra.pencil_counts` against hyperplane rows computed from a dense
 matrix of field dot products, and the counts also against the scan at
-d = n-1; and `cone_points` against its definition, line by line with
-`Geometry.span`.
+d = n-1; and `cone_points`, read off the transform's hyperplane counts,
+against its definition, line by line with `Geometry.span`.
 """
 
 from functools import lru_cache
@@ -226,51 +226,72 @@ def _conic_cone(g, r):
     return cone(g, axis_vertex(g, r), base), axis_vertex(g, r)
 
 
-@lru_cache(maxsize=None)
-def _cone_point_cases():
+def _cone_points(g, mask):
+    """`cone_points` of a membership mask, from its hyperplane counts."""
+    f = g.field
+    counts, _ = hyperplane_intersection_counts(g.points, mask, f.mul, f.p, g.pows,
+                                               g.code_to_index)
+    return cone_points(mask, counts, g.points, f.add, f.mul, f.inv)
+
+
+def _conic_cone_cases(specs):
     cases = []
-    for (p, h, n, r) in [(3, 1, 3, 0), (3, 1, 4, 1), (5, 1, 3, 0), (3, 2, 3, 0)]:
+    for (p, h, n, r) in specs:
         g = _geometry(p, h, n)
         K, V = _conic_cone(g, r)
         cases.append(pytest.param(K, V.point_indices, id=f"conic-cone-q{g.q}-n{n}"))
+    return cases
+
+
+@lru_cache(maxsize=None)
+def _cone_point_cases():
+    cases = _conic_cone_cases([(3, 1, 3, 0), (3, 1, 4, 1), (5, 1, 3, 0), (3, 2, 3, 0)])
     g = _geometry(3, 2, 3)
     cases.append(pytest.param(unital_cone(g), axis_vertex(g, 0).point_indices,
                               id="unital-cone-q9-n3"))
     return cases
 
 
-@pytest.mark.parametrize("K,vertex", _cone_point_cases())
+@lru_cache(maxsize=None)
+def _all_cone_point_cases():
+    """The cases above, then q = 7 and the character c(y) of the transform
+    at h = 4 and 3: q = 16 and 27, too large for the pencil oracle's rows."""
+    return _cone_point_cases() + _conic_cone_cases([(7, 1, 3, 0), (2, 4, 3, 0), (3, 3, 3, 0)])
+
+
+@pytest.mark.parametrize("K,vertex", _all_cone_point_cases())
 def test_cone_points_of_cones_are_their_vertex(K, vertex):
     g = K.geometry
-    args = (K.mask, g.points, g.field.add, g.field.mul, g.field.inv, g.pows, g.code_to_index)
-    got = cone_points(*args)
+    got = _cone_points(g, K.mask)
     np.testing.assert_array_equal(got, np.sort(vertex))
     np.testing.assert_array_equal(got, _cone_points_by_definition(K))
 
 
 @settings(max_examples=25)
-@given(case=st.integers(0, len(_cone_point_cases()) - 1), seed=st.integers(0, 2 ** 32 - 1),
+@given(case=st.integers(0, len(_all_cone_point_cases()) - 1), seed=st.integers(0, 2 ** 32 - 1),
        drop=st.integers(0, 3), add=st.integers(0, 2))
+@example(case=len(_all_cone_point_cases()) - 1, seed=1, drop=1, add=1)  # q = 27
 def test_cone_points_of_damaged_cones_match_definition(case, seed, drop, add):
-    K = _cone_point_cases()[case].values[0]
+    K = _all_cone_point_cases()[case].values[0]
     g = K.geometry
     rng = np.random.default_rng(seed)
     mask = K.mask.copy()
     mask[rng.choice(K.indices, size=min(drop, K.k), replace=False)] = False
     mask[rng.choice(np.flatnonzero(~K.mask), size=add, replace=False)] = True
     D = pointset_from_indices(g, np.flatnonzero(mask))
-    got = cone_points(D.mask, g.points, g.field.add, g.field.mul, g.field.inv,
-                      g.pows, g.code_to_index)
+    got = _cone_points(g, D.mask)
     np.testing.assert_array_equal(got, _cone_points_by_definition(D))
 
 
-@pytest.mark.parametrize("p,h,n,dim", [(3, 1, 3, 1), (5, 1, 3, 2), (3, 2, 3, 1), (2, 2, 4, 2)])
+# dim = n is the whole space, dim = 0 a single point
+@pytest.mark.parametrize("p,h,n,dim", [(3, 1, 3, 1), (5, 1, 3, 2), (3, 2, 3, 1), (2, 2, 4, 2),
+                                       (7, 1, 3, 2), (2, 4, 2, 1), (3, 3, 2, 1),
+                                       (3, 1, 3, 3), (2, 4, 2, 2), (5, 1, 3, 0), (2, 3, 3, 0)])
 def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
     g = _geometry(p, h, n)
-    S = next(g.subspaces_iter(dim))
+    S = g.span(range(g.num_points)) if dim == n else next(g.subspaces_iter(dim))
     mask = S.mask(g.num_points)
-    got = cone_points(mask, g.points, g.field.add, g.field.mul, g.field.inv,
-                      g.pows, g.code_to_index)
+    got = _cone_points(g, mask)
     np.testing.assert_array_equal(got, S.point_indices)
     np.testing.assert_array_equal(got, _cone_points_by_definition(pointset_from_indices(g, got)))
 

@@ -3,7 +3,7 @@
 `Geometry.rref` is checked against a textbook Gauss-Jordan elimination on
 Python integers over the field tables.  `recognize_cone` is checked end to
 end on cones over a conic with a vertex spanned by random points, at q = 3,
-5 and 9, whole and damaged: the vertex against the cone points found from
+5 and 9, whole and damaged, and on the unital cone of PG(8,4): the vertex against the cone points found from
 the definition, the complement against a copy of the greedy loop that adds
 the first point keeping the rows independent, and the base and the rebuild
 against both.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pgcones import field_new, geometry_new
-from pgcones.objects import PointSet, cone, pointset_from_indices
+from pgcones.objects import PointSet, cone, pointset_from_indices, unital_cone
 from pgcones.spectra import _complementary_subspace, recognize_cone
 
 
@@ -207,3 +207,13 @@ def test_recognize_random_sets(p, h, n):
         base = PointSet(g, mask & comp.mask(g.num_points))
         C = cone(g, vertex, base)
         _check_recognition(C, _cone_points_by_definition(C))
+
+
+def test_recognize_the_unital_cone_of_pg84():
+    # PG(8,4), 87 381 points: a 5-dimensional vertex over a unital of a plane
+    g = _geometry(2, 2, 8)
+    K = unital_cone(g)
+    rec = recognize_cone(K)
+    assert rec.vertex.dim == 5 and rec.is_cone_over_vertex
+    assert rec.base.k == 9  # the q sqrt(q) + 1 points of a unital
+    assert cone(g, rec.vertex, rec.base) == K
