@@ -9,6 +9,7 @@ each point listed once, and an optional size equal to the number of points.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -233,6 +234,7 @@ def _workers(text: str) -> int:
     return value
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pgcones",

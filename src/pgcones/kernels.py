@@ -8,8 +8,7 @@ point.  So no kernel normalizes a vector before looking it up.
 All kernels work on the raw arrays of a Geometry: field tables (add/mul/
 inv), the point coordinate matrix, the powers q^i, the code table and
 boolean membership masks; `cone_points` also takes the hyperplane counts
-of `hyperplane_intersection_counts` and reads the cone points off them
-by row reduction.
+of `hyperplane_intersection_counts` and returns their annihilator.
 """
 
 from __future__ import annotations
@@ -192,13 +191,14 @@ def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_in
 
 
 # ---------------------------------------------------------------------------
-# row reduction and the cone points read off the hyperplane counts
+# row reduction, annihilators and the cone points off the hyperplane counts
 # ---------------------------------------------------------------------------
 
 def rref(rows, add, mul, inv, neg):
     """Reduced row echelon form of a matrix over the field tables, nonzero
     rows only: each pivot row is scaled by the inverse of its pivot, then
-    one add/mul gather clears the pivot column in every other row."""
+    one add/mul gather clears the pivot column in every other row, over the
+    columns from the pivot on, as the pivot row is 0 before it."""
     m = np.array(rows, dtype=np.int16)
     rank = 0
     for col in range(m.shape[1]):
@@ -212,33 +212,34 @@ def rref(rows, add, mul, inv, neg):
         m[rank] = mul[inv[m[rank, col]], m[rank]]
         factor = neg[m[:, col]]
         factor[rank] = 0
-        m = add[m, mul[factor[:, None], m[rank]]]
+        m[:, col:] = add[m[:, col:], mul[factor[:, None], m[rank, col:]]]
         rank += 1
     return m[:rank]
 
 
-def cone_points(member, counts, points, add, mul, inv):
-    """Sorted indices of the member points whose every joining line stays
-    in the set, read off its hyperplane counts N(h).
+def annihilator(rows, add, mul, inv, neg):
+    """A basis, not echelonized, of the a with a . x = 0 for every row x: per
+    free column of the reduced rows, 1 there and minus that column at the pivots."""
+    basis = rref(rows, add, mul, inv, neg)
+    pivots = np.argmax(basis != 0, axis=1)
+    free = np.setdiff1d(np.arange(basis.shape[1]), pivots)
+    dual = np.zeros((len(free), basis.shape[1]), dtype=np.int16)
+    dual[np.arange(len(free)), free] = 1
+    dual[:, pivots] = neg[basis[:, free]].T
+    return dual
 
-    Let S be the nonzero vectors of the k members and 0.  A member P is a
-    cone point exactly when S + tP = S for every t, as the line PQ is P
-    and the Q + tP; that holds exactly when the transform of S (as in
-    `hyperplane_intersection_counts`) vanishes at every a with a.P != 0.
-    At the coordinates of hyperplane h it is q N(h) - k + 1.  So the cone
-    points are the members on every hyperplane with q N(h) != k - 1: those
-    orthogonal to the row-reduced coordinates of these hyperplanes, none
-    once their rank is n+1.
+
+def cone_points(member, counts, points, add, mul, inv):
+    """A basis of the cone points, the members whose every joining line
+    stays in the set, read off its hyperplane counts N(h).
+
+    Let S be the nonzero vectors of the k members and 0.  For any point P,
+    S + tP = S for every t exactly when the transform of S (as in
+    `hyperplane_intersection_counts`) vanishes at every a with a.P != 0; at
+    hyperplane h it is q N(h) - k + 1.  Then 0 + tP is in S, so P is a
+    member, and the line PQ, P and the Q + tP, stays in the set.  So the
+    cone points are the annihilator of the hyperplanes with q N(h) != k - 1.
     """
-    q, member, n_cols = len(mul), np.asarray(member), points.shape[1]
     neg = np.argmax(add == 0, axis=1)
-    off = points[q * counts != member.sum() - 1]
-    basis, lo, step = off[:0], 0, n_cols  # reduce growing slices until the rank is n+1
-    while lo < len(off) and len(basis) < n_cols:
-        basis = rref(np.vstack([basis, off[lo:lo + step]]), add, mul, inv, neg)
-        lo, step = lo + step, 2 * step
-    idx = np.flatnonzero(member)
-    dots = 0
-    for col in range(n_cols):
-        dots = add[dots, mul[basis[:, col][:, None], points[idx, col][None]]]
-    return idx[~np.any(dots, axis=0)]
+    off = points[len(mul) * counts != np.asarray(member).sum() - 1]
+    return annihilator(off, add, mul, inv, neg)

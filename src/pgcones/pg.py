@@ -3,10 +3,11 @@
 Points are homogeneous coordinate vectors of length n+1 with the first
 nonzero coordinate scaled to 1, listed in lexicographic order; hyperplane
 h is {x : sum_c P_h[c] x[c] = 0}, P_h the coordinates of point h.  The
-code table maps each of the q^(n+1) vectors to its point; max_points
+code table maps each of the q^(n+1) vectors to its point; MAX_POINTS
 bounds it, and the transforms of the hyperplane count, which have its
 size, before anything is allocated; an n too large for it is refused
-before theta_n(q) is computed.
+before theta_n(q) is computed.  A subspace is given by a basis and its
+points; a basis from `span` is reduced, one from `annihilator` is not.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import kernels
 from .errors import GeometryTooLarge, WrongDimension
 from .gf import Field
 
-DEFAULT_MAX_POINTS = 100_000
+MAX_POINTS = 100_000
 
 
 def theta(m: int, q: int) -> int:
@@ -42,16 +43,17 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return num // den
 
 
-def check_dimension(n: int, q: int, max_points: int = DEFAULT_MAX_POINTS):
-    """Refuse an n for which PG(n,q) has over max_points points at any
+def check_dimension(n: int, q: int):
+    """Refuse an n for which PG(n,q) has over MAX_POINTS points at any
     q >= 2, without computing theta_n(q): theta_n(q) > 2^n."""
-    if n >= max_points.bit_length():
-        raise GeometryTooLarge(f"theta_{n}({q}) > 2^{n} exceeds the bound {max_points}")
+    if n >= MAX_POINTS.bit_length():
+        raise GeometryTooLarge(f"theta_{n}({q}) > 2^{n} exceeds the bound {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A projective subspace given by an echelonized basis and its points."""
+    """A projective subspace given by a basis and its points.  The basis is
+    echelonized except where it comes from an annihilator."""
 
     dim: int
     basis: np.ndarray = dc_field(repr=False)  # (dim+1, n+1), empty for dim -1
@@ -66,14 +68,14 @@ class Subspace:
 class Geometry:
     """Fully enumerated PG(n,q) over a table-backed field."""
 
-    def __init__(self, field: Field, n: int, max_points: int = DEFAULT_MAX_POINTS):
+    def __init__(self, field: Field, n: int):
         if n < 2:
             raise WrongDimension(f"projective dimension must be >= 2, got {n}")
         q = field.q
-        check_dimension(n, q, max_points)
+        check_dimension(n, q)
         npts = theta(n, q)
-        if npts > max_points:
-            raise GeometryTooLarge(f"theta_{n}({q}) = {npts} exceeds the bound {max_points}")
+        if npts > MAX_POINTS:
+            raise GeometryTooLarge(f"theta_{n}({q}) = {npts} exceeds the bound {MAX_POINTS}")
         self.field = field
         self.n = n
         self.q = q
@@ -120,11 +122,7 @@ class Geometry:
     def span(self, point_indices) -> Subspace:
         """Smallest subspace containing the given points (possibly empty)."""
         idx = np.asarray(list(point_indices), dtype=np.int64)
-        if idx.size == 0:
-            return Subspace(-1, np.empty((0, self.n + 1), dtype=np.int16),
-                            np.empty(0, dtype=np.int64))
-        basis = self.rref(self.points[idx])
-        return self.subspace_from_basis(basis)
+        return self.subspace_from_basis(self.rref(self.points[idx]))
 
     def subspace_from_basis(self, basis: np.ndarray) -> Subspace:
         if basis.shape[0] == 0:
@@ -136,16 +134,10 @@ class Geometry:
 
     def annihilator(self, sub: Subspace) -> Subspace:
         """The points a with a . x = 0 for every x of sub, i.e. the
-        hyperplanes through sub: dimension n - 1 - dim sub.  The basis has
-        one row per free column of the reduced basis of sub, 1 there and 0
-        in the other free columns."""
-        basis = self.rref(sub.basis)
-        pivots = np.argmax(basis != 0, axis=1)
-        free = np.setdiff1d(np.arange(self.n + 1), pivots)
-        dual = np.zeros((len(free), self.n + 1), dtype=np.int16)
-        dual[np.arange(len(free)), free] = 1
-        dual[:, pivots] = self.field.neg[basis[:, free]].T
-        return self.subspace_from_basis(dual)
+        hyperplanes through sub: dimension n - 1 - dim sub, with the basis
+        of `kernels.annihilator`."""
+        f = self.field
+        return self.subspace_from_basis(kernels.annihilator(sub.basis, f.add, f.mul, f.inv, f.neg))
 
     # -- subspace streams ---------------------------------------------------
 
@@ -160,5 +152,5 @@ class Geometry:
                 yield self.subspace_from_basis(b)
 
 
-def geometry_new(field: Field, n: int, max_points: int = DEFAULT_MAX_POINTS) -> Geometry:
-    return Geometry(field, n, max_points)
+def geometry_new(field: Field, n: int) -> Geometry:
+    return Geometry(field, n)

@@ -64,19 +64,19 @@ def spectrum(K: PointSet, d: int, workers: int = 1) -> Spectrum:
     return spectrum_of_counts(K.geometry, _counts(K, d, workers)[0], d)
 
 
-def is_blocking(K: PointSet, d: int, workers: int = 1) -> bool:
+def is_blocking(K: PointSet, d: int) -> bool:
     """True iff every d-subspace meets K."""
-    counts, _ = _counts(K, d, workers)
+    counts, _ = _counts(K, d)
     return bool(counts.min() > 0)
 
 
-def essential_points(K: PointSet, d: int, workers: int = 1) -> PointSet:
+def essential_points(K: PointSet, d: int) -> PointSet:
     """Points whose removal unblocks some d-subspace.
 
     A point is essential exactly when some d-subspace meets K in that
     point alone.  Raises NotBlocking if K is not a d-blocking set.
     """
-    counts, lone = _counts(K, d, workers, lone=True)
+    counts, lone = _counts(K, d, lone=True)
     if counts.min() == 0:
         raise NotBlocking(f"K does not block every {d}-subspace")
     ess = np.unique(lone[lone >= 0])
@@ -89,7 +89,8 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
     if axis.dim != g.n - 2:
         raise WrongDimension(f"axis must have dimension n-2 = {g.n - 2}, got {axis.dim}")
     # the hyperplanes through the axis are the points of the dual line a b
-    f, (a, b) = g.field, g.annihilator(axis).basis
+    f = g.field
+    a, b = kernels.annihilator(axis.basis, f.add, f.mul, f.inv, f.neg)
     # each point of K off the axis lies on one of them: a + t b, or b
     off = g.points[np.setdiff1d(K.indices, axis.point_indices)]
     x, y = g.dot(a, off), g.dot(b, off)
@@ -103,38 +104,35 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
 # ---------------------------------------------------------------------------
 
 def _complementary_subspace(g: Geometry, vertex: Subspace) -> Subspace:
-    """Deterministic complement: greedily extend the vertex by the
-    lexicographically smallest points that stay independent of it.
+    """The greedy complement, which extends the vertex one at a time by the
+    least point independent of it: the span of the unit vectors at the
+    free columns of the vertex's reduced basis.
 
-    A point is independent of the vertex and the points chosen so far
-    exactly when it lies outside their span, so each step takes the first
-    point outside a `covered` mask and then adds the span of the enlarged
-    basis to the mask: n - dim V steps, with no row reduction."""
-    covered = vertex.mask(g.num_points)
-    basis = vertex.basis
-    chosen = []
-    for step in range(g.n - vertex.dim):
-        if step:
-            covered[g.subspace_from_basis(basis).point_indices] = True
-        chosen.append(int(np.argmin(covered)))
-        basis = np.vstack([basis, g.points[chosen[-1]]])
-    return g.span(chosen)
+    Points are listed with coordinate 0 most significant.  Let W be the
+    span so far, E_c the span of e_c, ..., e_n, and c the largest column
+    with E_c not in W.  Every point before e_c lies in E_(c+1), inside W,
+    so e_c is the least point off W, and c is W's largest free column: each
+    step adds the unit vector at the largest free column left."""
+    basis = g.rref(vertex.basis)
+    free = np.setdiff1d(np.arange(g.n + 1), np.argmax(basis != 0, axis=1))
+    return g.subspace_from_basis(np.eye(g.n + 1, dtype=np.int16)[free])
 
 
 def recognize_cone(K: PointSet) -> ConeRecognition:
     """Detect the maximal vertex of K and test whether K is a cone over it.
 
     The vertex is the subspace of the points P of K such that every line
-    joining P to another point of K lies entirely in K, read off the
-    hyperplane counts of K, which the result keeps.  The base is the
-    intersection of K with a deterministic complementary subspace.
+    joining P to another point of K lies entirely in K, the annihilator of
+    the hyperplanes off the cone law in the counts of K, which the result
+    keeps.  The base is K on a deterministic complementary subspace.
     """
     g = K.geometry
     if K.k == 0:
         raise ValueError("K must be nonempty")
     counts, _ = _counts(K, g.n - 1)
-    vertex = g.span(kernels.cone_points(K.mask, counts, g.points, g.field.add,
-                                        g.field.mul, g.field.inv))
+    f = g.field
+    vertex = g.subspace_from_basis(
+        kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv))
     comp = _complementary_subspace(g, vertex)
     base = PointSet(g, K.mask & comp.mask(g.num_points))
     is_cone = vertex.dim >= 0 and cone(g, vertex, base) == K

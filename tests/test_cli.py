@@ -63,6 +63,23 @@ def test_verify_pass(capsys):
     assert "k=25" in out
 
 
+def test_calls_in_one_process_share_the_parser(tmp_path, capsys):
+    # the parser is built once; a parse error in between leaves it as it was
+    argv = ["verify", "--theorem", "hyperoval3", "--q", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--theorem", "hyperoval3", "--q", "4", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    path = _construct(tmp_path, "hyperoval-cone", "--n", "3", "--q", "4")
+    capsys.readouterr()
+    assert main(["spectrum", "--file", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "size,count\n1,6\n6,64\n9,15\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_verify_rejects_bad_arc_degree(capsys):
     rc = main(["verify", "--theorem", "maxarc", "--n", "5", "--q", "4", "--d", "3"])
     assert rc == 2

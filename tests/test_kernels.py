@@ -231,7 +231,7 @@ def _cone_points(g, mask):
     f = g.field
     counts, _ = hyperplane_intersection_counts(g.points, mask, f.mul, f.p, g.pows,
                                                g.code_to_index)
-    return cone_points(mask, counts, g.points, f.add, f.mul, f.inv)
+    return g.subspace_from_basis(cone_points(mask, counts, g.points, f.add, f.mul, f.inv)).point_indices
 
 
 def _conic_cone_cases(specs):

@@ -106,14 +106,16 @@ def test_subspaces_iter_line_count_pg44(pg44):
 
 
 def test_geometry_too_large():
-    with pytest.raises(GeometryTooLarge):
-        geometry_new(field_new(2, 2), 3, max_points=10)
+    # MAX_POINTS is 100 000: PG(8,4) has 87 381 points, PG(16,2) 131 071
+    assert geometry_new(field_new(2, 2), 8).num_points == 87381
+    with pytest.raises(GeometryTooLarge, match="131071 exceeds the bound 100000"):
+        geometry_new(field_new(2, 1), 16)
 
 
 @pytest.mark.parametrize("p,h,n", [(2, 2, 9), (2, 1, 16), (3, 1, 11)],
                          ids=["PG(9,4)", "PG(16,2)", "PG(11,3)"])
 def test_table_bound_raises_before_allocating(p, h, n):
-    # each is over max_points, the bound that sizes the code table of
+    # each is over MAX_POINTS, the bound that sizes the code table of
     # q^(n+1) entries (1-8 MB here), and is refused before it is allocated
     f = field_new(p, h)
     tracemalloc.start()
