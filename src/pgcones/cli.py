@@ -181,6 +181,10 @@ def cmd_feasible_k(args) -> int:
         krange, congs, axis_x = range(c, theta(args.n, args.q) + 1), (), a
     elif args.theorem:
         n, t_or_d = _theorem_args(args)
+        # t is an exponent of sqrt(q) in the closed forms, d a factor
+        if t_or_d is not None and abs(t_or_d) * bits > MAX_BITS:
+            raise ValueError(f"{counting.THEOREMS[args.theorem].param} = {t_or_d} is over the"
+                             f" bound {MAX_BITS // bits} of a screen at q = {args.q}")
         params, krange, congs, axis_x = counting.screen_defaults(args.theorem, n, args.q, t_or_d)
     else:
         raise ValueError("feasible-k requires --theorem or --abc")

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import objects, spectra
+from . import kernels, objects, spectra
 from .errors import (DegenerateType, EmptyRange, HypothesisViolated,
                      NonSquareOrder)
 from .gf import factor_prime_power, field_new
@@ -320,6 +320,9 @@ THEOREMS = {th.id: th for th in (
                     (lambda n, q, d: n >= 5, "need n >= 5, got n={n}"),
                     (lambda n, q, d: 2 <= d <= q - 1, "need 2 <= d <= q-1, got d={d}"),
                     (lambda n, q, d: gcd(d - 1, q) == 1, "need gcd(d-1, q) = 1, got d={d}, q={q}")),
+        instance_hypotheses=((lambda n, q, d: q % 2 == 0 and q % d == 0,
+                              "maximal arcs of degree 1 < d < q exist only for even q and d | q"
+                              " (Denniston; Ball, Blokhuis and Mazzocca), got d={d}, q={q}"),),
         abc=lambda n, q, d: (theta(n - 3, q), q ** (n - 3) * (q * d + d - q) + theta(n - 4, q),
                              q ** (n - 2) * d + theta(n - 3, q)),
         k=lambda n, q, d: q ** (n - 2) * (q * d + d - q) + theta(n - 3, q),
@@ -455,34 +458,56 @@ def _congruence_failures(th: Theorem, inst: TheoremInstance, k: int) -> list:
     return failures
 
 
+DOT_CELLS = 1 << 20  # field dot products in one gather of the pencil law
+
+
 def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     """The pencil law: each axis lies on u_a a-hyperplanes and q+1-u_a
-    c-hyperplanes.  Without an a-hyperplane there is no axis, which fails."""
+    c-hyperplanes, the points of its dual line <x, y>, so its profile is
+    `counts` at x + s y, s in GF(q), and at y; no point of a hyperplane or
+    an axis is listed.  Without an a-hyperplane there is no axis, which
+    fails.  For traces, each a-hyperplane h meets K in a = theta_(n-2)
+    points, an axis exactly when their annihilator, the dual line, has two
+    rows.  Through the vertex, K ∩ h, of a = theta_(n-3) points, is the
+    vertex V exactly when it has rank n-2.  The hyperplanes through V are a
+    dual plane holding h; with u, w completing h to a basis of it, the q+1
+    axes through V in h have the dual lines <u + t w, h>, t in GF(q), and <w, h>."""
     if th.pencil_u_a is None:
         return []
     g, q = K.geometry, inst.q
+    add, mul, inv, neg = g.field.add, g.field.mul, g.field.inv, g.field.neg
     u_a = th.pencil_u_a(q, inst.t_or_d)
     expected = {inst.a: u_a, inst.c: q + 1 - u_a}
     a_planes = np.nonzero(counts == inst.a)[0]
     if a_planes.size == 0:
         return [f"no hyperplane meets K in a={inst.a} points to give the axes"]
-    if th.pencil_through_vertex:  # join the vertex K ∩ h to the points of h off K
-        row = g.hyperplane_point_indices(a_planes[0])
-        vertex_pts = list(row[K.mask[row]])
-        covered = K.mask.copy()  # on K or on an axis found earlier
-        axes = []
-        for x in row[~K.mask[row]]:
-            if not covered[x]:
-                axes.append(g.span(vertex_pts + [x]))
-                covered[axes[-1].point_indices] = True
+    members, failures, s = g.points[K.indices], [], np.arange(q)[:, None]
+    if th.pencil_through_vertex:
+        h = g.points[a_planes[0]]
+        vertex = kernels.rref(members[kernels.field_dots([h], members, add, mul)[0] == 0],
+                              add, mul, inv, neg)
+        if len(vertex) != g.n - 2:
+            return [f"K ∩ h spans dimension {len(vertex) - 1} at an a-hyperplane h,"
+                    f" not the vertex dimension {g.n - 3}"]
+        # over the free columns c of the vertex, h is the sum of h[c] times the row 1 at c
+        free = np.setdiff1d(np.arange(g.n + 1), np.argmax(vertex != 0, axis=1))
+        plane = kernels.annihilator(vertex, add, mul, inv, neg)
+        u, w = np.delete(plane, np.argmax(h[free] != 0), axis=0)
+        x, y = np.vstack([add[u, mul[s, w]], w]), np.tile(h, (q + 1, 1))
     else:
-        axes = [g.span(row[K.mask[row]]) for row in map(g.hyperplane_point_indices, a_planes)]
-    profiles = (dict(sorted(Counter(counts[g.annihilator(axis).point_indices].tolist()).items()))
-                for axis in axes)
-    failures = [f"axis profile {u} != {expected}" for u in profiles if u != expected]
-    if th.pencil_through_vertex and len(axes) != q + 1:
-        failures.append(f"expected q+1 axes through the vertex, found {len(axes)}")
-    return failures
+        lines, step = [], max(1, DOT_CELLS // K.k)
+        for lo in range(0, a_planes.size, step):
+            for trace in kernels.field_dots(g.points[a_planes[lo:lo + step]], members, add, mul) == 0:
+                line = kernels.annihilator(members[trace], add, mul, inv, neg)
+                if len(line) == 2:
+                    lines.append(line)
+                else:
+                    failures.append(f"K ∩ h spans dimension {g.n - len(line)} at an"
+                                    f" a-hyperplane h, not an axis of dimension {g.n - 2}")
+        x, y = np.array(lines, dtype=np.int16).reshape(-1, 2, g.n + 1).transpose(1, 0, 2)
+    on = np.hstack([g.indices_of(add[x[:, None], mul[s, y[:, None]]]), g.indices_of(y)[:, None]])
+    profiles = (dict(sorted(Counter(counts[line].tolist()).items())) for line in on)
+    return failures + [f"axis profile {u} != {expected}" for u in profiles if u != expected]
 
 
 def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:

@@ -48,22 +48,6 @@ def pivot_patterns(n_cols: int, rows: int):
     return out
 
 
-def pattern_bases(pivots, free, rows, n_cols, q):
-    """All echelon basis matrices for one pivot pattern: (q^nf, rows, n_cols).
-
-    The free slots take the base-q digits of the subspace's position within
-    the pattern, most significant first."""
-    nf = len(free)
-    m = q ** nf
-    bases = np.zeros((m, rows, n_cols), dtype=np.int16)
-    for i, p in enumerate(pivots):
-        bases[:, i, p] = 1
-    codes = np.arange(m, dtype=np.int64)
-    for j, (r, c) in enumerate(free):
-        bases[:, r, c] = (codes // q ** (nf - 1 - j)) % q
-    return bases
-
-
 def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
     """Normalized coefficient vectors (first nonzero = 1), i.e. the points
     of PG(dim, q), in lexicographic order.  Shape (theta_dim, dim_plus_1)."""
@@ -191,13 +175,28 @@ def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_in
 
 
 # ---------------------------------------------------------------------------
-# row reduction, annihilators and the cone points off the hyperplane counts
+# dot products, row reduction, annihilators and the cone points
 # ---------------------------------------------------------------------------
+
+def _add_outer(acc, a, b, add, mul):
+    """acc + a_i b_j over the field, acc of shape (len(a), len(b)); the sum
+    s + t is the flat addition table at s q + t < q^2 <= 2^14, in int16."""
+    return add.ravel().take(acc * len(add) + mul[a][:, b])
+
+
+def field_dots(rows, vectors, add, mul):
+    """The field dot products of every row with every vector, shape
+    (len(rows), len(vectors)), one outer product per coordinate."""
+    acc = np.zeros((len(rows), len(vectors)), dtype=add.dtype)
+    for r_c, x_c in zip(np.asarray(rows).T, np.asarray(vectors).T):
+        acc = _add_outer(acc, r_c, x_c, add, mul)
+    return acc
+
 
 def rref(rows, add, mul, inv, neg):
     """Reduced row echelon form of a matrix over the field tables, nonzero
     rows only: each pivot row is scaled by the inverse of its pivot, then
-    one add/mul gather clears the pivot column in every other row, over the
+    one outer product clears the pivot column in every other row, over the
     columns from the pivot on, as the pivot row is 0 before it."""
     m = np.array(rows, dtype=np.int16)
     rank = 0
@@ -212,7 +211,7 @@ def rref(rows, add, mul, inv, neg):
         m[rank] = mul[inv[m[rank, col]], m[rank]]
         factor = neg[m[:, col]]
         factor[rank] = 0
-        m[:, col:] = add[m[:, col:], mul[factor[:, None], m[rank, col:]]]
+        m[:, col:] = _add_outer(m[:, col:], factor, m[rank, col:], add, mul)
         rank += 1
     return m[:rank]
 

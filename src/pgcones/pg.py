@@ -7,13 +7,13 @@ code table maps each of the q^(n+1) vectors to its point; MAX_POINTS
 bounds it, and the transforms of the hyperplane count, which have its
 size, before anything is allocated; an n too large for it is refused
 before theta_n(q) is computed.  A subspace is given by a basis and its
-points; a basis from `span` is reduced, one from `annihilator` is not.
+points; a basis from `span` is reduced, one from `kernels.annihilator`
+is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator
 
 import numpy as np
 
@@ -103,17 +103,6 @@ class Geometry:
             raise ValueError("the zero vector is not a projective point")
         return idx
 
-    def dot(self, a, vectors) -> np.ndarray:
-        """Field dot products sum_c a[c] x[c] with the rows x of vectors."""
-        acc = 0
-        for c in range(self.n + 1):
-            acc = self.field.add[acc, self.field.mul[a[c], vectors[:, c]]]
-        return acc
-
-    def hyperplane_point_indices(self, h: int) -> np.ndarray:
-        """Sorted indices of the points of hyperplane h."""
-        return np.flatnonzero(self.dot(self.points[h], self.points) == 0)
-
     def rref(self, vectors: np.ndarray) -> np.ndarray:
         """Reduced row echelon form over the field; returns the nonzero rows."""
         f = self.field
@@ -131,25 +120,6 @@ class Geometry:
         pts = kernels.span_point_indices(basis, combos, self.field.add, self.field.mul,
                                          self.pows, self.code_to_index)
         return Subspace(basis.shape[0] - 1, basis, pts)
-
-    def annihilator(self, sub: Subspace) -> Subspace:
-        """The points a with a . x = 0 for every x of sub, i.e. the
-        hyperplanes through sub: dimension n - 1 - dim sub, with the basis
-        of `kernels.annihilator`."""
-        f = self.field
-        return self.subspace_from_basis(kernels.annihilator(sub.basis, f.add, f.mul, f.inv, f.neg))
-
-    # -- subspace streams ---------------------------------------------------
-
-    def subspaces_iter(self, d: int) -> Iterator[Subspace]:
-        """Every d-subspace exactly once, canonical echelon-basis order."""
-        if not 0 <= d <= self.n - 1:
-            raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
-        rows = d + 1
-        for pivots, free in kernels.pivot_patterns(self.n + 1, rows):
-            bases = kernels.pattern_bases(pivots, free, rows, self.n + 1, self.q)
-            for b in bases:
-                yield self.subspace_from_basis(b)
 
 
 def geometry_new(field: Field, n: int) -> Geometry:

@@ -84,16 +84,16 @@ def essential_points(K: PointSet, d: int) -> PointSet:
 
 
 def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
-    """Intersection sizes of the q+1 hyperplanes through an (n-2)-axis."""
+    """Intersection sizes of the q+1 hyperplanes through an (n-2)-axis, the
+    points of its dual line a b, from the dot products of K with a and b."""
     g = K.geometry
     if axis.dim != g.n - 2:
         raise WrongDimension(f"axis must have dimension n-2 = {g.n - 2}, got {axis.dim}")
-    # the hyperplanes through the axis are the points of the dual line a b
     f = g.field
-    a, b = kernels.annihilator(axis.basis, f.add, f.mul, f.inv, f.neg)
+    line = kernels.annihilator(axis.basis, f.add, f.mul, f.inv, f.neg)
     # each point of K off the axis lies on one of them: a + t b, or b
     off = g.points[np.setdiff1d(K.indices, axis.point_indices)]
-    x, y = g.dot(a, off), g.dot(b, off)
+    x, y = kernels.field_dots(line, off, f.add, f.mul)
     sizes = np.bincount(np.where(y == 0, g.q, f.mul[f.neg[x], f.inv[y]]), minlength=g.q + 1)
     sizes += K.k - len(off)
     return PencilProfile(axis=axis, u=dict(Counter(sizes.tolist())))

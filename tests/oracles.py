@@ -1,0 +1,47 @@
+"""Brute-force listings that only the tests use as oracles: the points of a
+hyperplane from a dot product with every point, and every d-subspace
+from the echelon bases of its pivot pattern, in the canonical order of
+the subspace scan.
+"""
+
+import numpy as np
+
+from pgcones.kernels import pivot_patterns
+
+
+def dot(g, a, vectors):
+    """Field dot products sum_c a[c] x[c] with the rows x of vectors, one
+    coordinate at a time."""
+    acc = 0
+    for c in range(g.n + 1):
+        acc = g.field.add[acc, g.field.mul[a[c], vectors[:, c]]]
+    return acc
+
+
+def hyperplane_point_indices(g, h):
+    """Sorted indices of the points of hyperplane h."""
+    return np.flatnonzero(dot(g, g.points[h], g.points) == 0)
+
+
+def pattern_bases(pivots, free, rows, n_cols, q):
+    """All echelon basis matrices for one pivot pattern: (q^nf, rows, n_cols).
+
+    The free slots take the base-q digits of the subspace's position within
+    the pattern, most significant first."""
+    nf = len(free)
+    m = q ** nf
+    bases = np.zeros((m, rows, n_cols), dtype=np.int16)
+    for i, p in enumerate(pivots):
+        bases[:, i, p] = 1
+    codes = np.arange(m, dtype=np.int64)
+    for j, (r, c) in enumerate(free):
+        bases[:, r, c] = (codes // q ** (nf - 1 - j)) % q
+    return bases
+
+
+def subspaces_iter(g, d):
+    """Every d-subspace of g exactly once, canonical echelon-basis order."""
+    rows = d + 1
+    for pivots, free in pivot_patterns(g.n + 1, rows):
+        for b in pattern_bases(pivots, free, rows, g.n + 1, g.q):
+            yield g.subspace_from_basis(b)

@@ -34,6 +34,8 @@ from pgcones.objects import (
     unital_cone,
 )
 
+from oracles import hyperplane_point_indices
+
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels(pg34):
@@ -67,7 +69,7 @@ def test_criterion_2_unital_cone(pg44):
     pencils_ok = True
     counts = sp  # hyperplane profile
     for h in range(pg44.num_points):
-        row = pg44.hyperplane_point_indices(h)
+        row = hyperplane_point_indices(pg44, h)
         in_h = row[K.mask[row]]
         if len(in_h) != 21:
             continue

@@ -86,6 +86,18 @@ def test_verify_rejects_bad_arc_degree(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q,d", [(9, 3), (8, 6)], ids=["odd-q", "d-not-dividing-q"])
+def test_verify_names_the_maxarc_existence_condition(q, d, capsys):
+    # both pass gcd(d-1, q) = 1, but no maximal arc of degree d exists in
+    # PG(2, q), so no canonical cone is built
+    assert main(["verify", "--theorem", "maxarc", "--n", "5", "--q", str(q), "--d", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: maxarc: maximal arcs of degree 1 < d < q exist only for"
+                            f" even q and d | q (Denniston; Ball, Blokhuis and Mazzocca),"
+                            f" got d={d}, q={q}\n")
+
+
 def test_feasible_k_screen_csv(capsys):
     rc = main(["feasible-k", "--theorem", "hyperoval3", "--q", "4",
                "--k-min", "9", "--k-max", "33", "--format", "csv"])
@@ -255,9 +267,13 @@ def test_rejected_worker_arguments(argv, capsys):
     ["verify", "--theorem", "unital", "--n", "100000", "--q", "4"],
     ["construct", "--object", "hyperoval-cone", "--n", "3000000", "--q", "4"],
     ["feasible-k", "--theorem", "unital", "--n", "100000", "--q", "4"],
-], ids=["verify-hyperovalN", "verify-unital", "construct", "feasible-k"])
+    ["feasible-k", "--theorem", "baer", "--n", "5", "--q", "16", "--t", "100000000"],
+    ["feasible-k", "--theorem", "maxarc", "--n", "5", "--q", "4", "--d", "-1000000000"],
+], ids=["verify-hyperovalN", "verify-unital", "construct", "feasible-k", "feasible-k-baer-t",
+        "feasible-k-maxarc-d"])
 def test_huge_n_exits_2_before_big_integer_work(argv, capsys):
-    # n is bounded before theta_n(q) or a closed form of the theorem is computed
+    # n, t and d are bounded before theta_n(q) or a closed form of the
+    # theorem is computed
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1

@@ -1,8 +1,8 @@
 """The exit-code contract of `pgcones.cli.main` on generated input.
 
 Point files and argument vectors are drawn by hypothesis (derandomized in
-conftest.py), within q <= 9 and n <= 4, or n up to 10^7 on the command
-line.  Whatever the input, `main` returns
+conftest.py), within q <= 9 and n <= 4, or n up to 10^7 and t and d up to
+10^9 either way on the command line.  Whatever the input, `main` returns
 or exits with 0, 1 or 2 and never lets an exception or a traceback out; an
 exit 2 names the problem on an `error:` line, and one that `main` reports
 itself prints that line alone.
@@ -99,8 +99,11 @@ FLAG_VALUES = {
     "--n": st.sampled_from([2, 3, 4] * 3 + [-1, 0, 1] + [None] * 3).flatmap(
         lambda n: st.integers(17, 10 ** 7) if n is None else st.just(n)).map(str),
     "--q": st.sampled_from([2, 3, 4, 5, 7, 8, 9] * 3 + [-1, 0, 1, 6]).map(str),
-    "--t": st.sampled_from([1, 2] * 3 + [-1, 0, 3]).map(str),
-    "--d": st.sampled_from([2, 4] * 3 + [-1, 0, 1, 3, 5]).map(str),
+    # now and then a t or d from anywhere within 10^9 either way
+    "--t": st.sampled_from([1, 2] * 3 + [-1, 0, 3, None]).flatmap(
+        lambda t: st.integers(-10 ** 9, 10 ** 9) if t is None else st.just(t)).map(str),
+    "--d": st.sampled_from([2, 4] * 3 + [-1, 0, 1, 3, 5, None]).flatmap(
+        lambda d: st.integers(-10 ** 9, 10 ** 9) if d is None else st.just(d)).map(str),
     "--r": st.integers(-2, 3).map(str),
     "--s": st.integers(-1, 4).map(str),
     "--k-min": st.integers(-5, 60).map(str),
@@ -150,6 +153,7 @@ def argument_vectors(draw):
 @example(argv=["construct", "--object", "unital-cone", "--n", str(10 ** 7), "--q", "9",
                "--out", "-"])
 @example(argv=["feasible-k", "--abc", "1", "2", "3", "--n", str(10 ** 7), "--q", "2"])
+@example(argv=["feasible-k", "--theorem", "baer", "--n", "5", "--q", "9", "--t", str(10 ** 8)])
 def test_argument_vectors_keep_the_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         cone = os.path.join(tmp, "cone.json")

@@ -2,6 +2,7 @@
 filters, pencil systems, and the per-theorem parameter tables."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -35,11 +36,13 @@ from pgcones.errors import (
     HypothesisViolated,
     NonSquareOrder,
 )
+from pgcones import counting
 from pgcones.counting import THEOREMS, _pencil_failures
 from pgcones.gf import factor_prime_power
 from pgcones.objects import hyperoval_cone
-from pgcones.pg import Geometry
 from pgcones.spectra import _counts
+
+from oracles import hyperplane_point_indices
 
 
 HYP3_Q4 = TypeParameters(1, 6, 9, 3, 4)
@@ -233,6 +236,10 @@ def test_theorem_instance_hypothesis_failures():
         theorem_instance("maxarc", 5, 4, 3)  # gcd(d-1, q) != 1
     with pytest.raises(HypothesisViolated):
         theorem_instance("maxarc", 4, 4, 2)  # dimension too small
+    with pytest.raises(HypothesisViolated, match="even q and d [|] q"):
+        theorem_instance("maxarc", 5, 9, 3)  # no maximal arc at odd q
+    with pytest.raises(HypothesisViolated, match="even q and d [|] q"):
+        theorem_instance("maxarc", 5, 8, 6)  # 6 does not divide 8
     with pytest.raises(NonSquareOrder):
         theorem_instance("unital", 4, 8)
     with pytest.raises(HypothesisViolated):
@@ -284,15 +291,65 @@ def test_run_verification_report():
     assert len(report["sign_checks"]) == 3
 
 
-@pytest.mark.parametrize("damage", [None, "remove", "add"])
-@pytest.mark.parametrize("theorem_id,n,q,x", [("unital", 4, 4, None), ("hyperoval3", 3, 4, None),
-                                             ("hyperovalN", 4, 4, None), ("maxarc", 5, 4, 2)])
-def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, damage):
-    # the pencil law read off the hyperplane counts equals a recount with
-    # pencil_counts over the same axes, on the cone and with one point
-    # off the vertex removed from it or one point added to it
+# the theorem instances of the pencil-law tests: both branches at q = 4,
+# the traces in odd characteristic and the through-vertex axes at q = 8
+PENCIL_CASES = [("unital", 4, 4, None), ("hyperoval3", 3, 4, None), ("hyperovalN", 4, 4, None),
+                ("maxarc", 5, 4, 2), ("unital", 4, 9, None), ("hyperovalN", 4, 8, None)]
+
+
+@lru_cache(maxsize=None)
+def _canonical_cone(theorem_id, n, q, x):
     th, inst = THEOREMS[theorem_id], theorem_instance(theorem_id, n, q, x)
-    K = th.cone(geometry_new(field_new(*factor_prime_power(q)), n), inst)
+    return th, inst, th.cone(geometry_new(field_new(*factor_prime_power(q)), n), inst)
+
+
+def _pencil_law_by_brute_force(th, inst, K, counts):
+    """The failures of the pencil law from point lists, sorted: K ∩ h from
+    every point of each a-hyperplane h, each axis spanned with
+    `Geometry.span` and recounted with `pencil_counts`.  Through the
+    vertex, the axes join K ∩ h to each point of h on no axis found before."""
+    g, n, q = K.geometry, inst.n, inst.q
+    u_a = th.pencil_u_a(q, inst.t_or_d)
+    law = {inst.a: u_a, inst.c: q + 1 - u_a}
+    a_planes = np.flatnonzero(counts == inst.a)
+    if a_planes.size == 0:
+        return [f"no hyperplane meets K in a={inst.a} points to give the axes"]
+    failures, axes = [], []
+    if th.pencil_through_vertex:
+        row = hyperplane_point_indices(g, a_planes[0])
+        vertex = list(row[K.mask[row]])
+        dim = g.span(vertex).dim
+        if dim != n - 3:
+            return [f"K ∩ h spans dimension {dim} at an a-hyperplane h,"
+                    f" not the vertex dimension {n - 3}"]
+        covered = K.mask.copy()
+        for x in row[~K.mask[row]]:
+            if not covered[x]:
+                axes.append(g.span(vertex + [x]))
+                covered[axes[-1].point_indices] = True
+        assert len(axes) == q + 1
+    else:
+        for h in a_planes:
+            row = hyperplane_point_indices(g, h)
+            axis = g.span(row[K.mask[row]])
+            if axis.dim == n - 2:
+                axes.append(axis)
+            else:
+                failures.append(f"K ∩ h spans dimension {axis.dim} at an a-hyperplane h,"
+                                f" not an axis of dimension {n - 2}")
+    failures += [f"axis profile {dict(sorted(u.items()))} != {law}"
+                 for u in (pencil_counts(K, axis).u for axis in axes) if u != law]
+    return sorted(failures)
+
+
+@pytest.mark.parametrize("damage", [None, "remove", "add"])
+@pytest.mark.parametrize("theorem_id,n,q,x", PENCIL_CASES)
+def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, damage):
+    # the pencil law read off the hyperplane counts on dual lines equals the
+    # law recounted over axes listed point by point, on the cone and with
+    # one point off the vertex removed from it or one point added to it;
+    # one a-hyperplane per dot-product gather changes nothing
+    th, inst, K = _canonical_cone(theorem_id, n, q, x)
     g = K.geometry
     rng = np.random.default_rng(7)
     if damage:
@@ -300,23 +357,53 @@ def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, d
         off_vertex = np.setdiff1d(K.indices, recognize_cone(K).vertex.point_indices)
         mask[rng.choice(off_vertex if damage == "remove" else np.flatnonzero(~mask))] ^= True
         K = pointset_from_indices(g, np.flatnonzero(mask))
-    axes, annihilator = [], Geometry.annihilator
-
-    def recording(self, sub):
-        axes.append(sub)
-        return annihilator(self, sub)
-
-    monkeypatch.setattr(Geometry, "annihilator", recording)
-    got = _pencil_failures(th, inst, K, _counts(K, n - 1)[0])
-    monkeypatch.undo()
-    u_a = th.pencil_u_a(q, x)
-    law = {inst.a: u_a, inst.c: q + 1 - u_a}
-    want = [f"axis profile {dict(sorted(u.items()))} != {law}"
-            for u in (pencil_counts(K, axis).u for axis in axes) if u != law]
-    if th.pencil_through_vertex and len(axes) != q + 1:
-        want.append(f"expected q+1 axes through the vertex, found {len(axes)}")
-    assert axes and got == want
+    counts = _counts(K, n - 1)[0]
+    got = _pencil_failures(th, inst, K, counts)
+    assert sorted(got) == _pencil_law_by_brute_force(th, inst, K, counts)
     assert bool(got) == bool(damage)
+    monkeypatch.setattr(counting, "DOT_CELLS", 1)
+    assert _pencil_failures(th, inst, K, counts) == got
+
+
+def _damaged(K, a_planes, rng):
+    """K with a few points changed, one of four ways: points dropped,
+    points added, both, or one point of K ∩ h moved to a point of h off K
+    for an a-hyperplane h of K."""
+    g, mask = K.geometry, K.mask.copy()
+    kind = rng.integers(4)
+    if kind < 3:
+        if kind != 1:
+            mask[rng.choice(K.indices, size=rng.integers(1, 3), replace=False)] = False
+        if kind != 0:
+            mask[rng.choice(np.flatnonzero(~K.mask), size=rng.integers(1, 3), replace=False)] = True
+    else:
+        row = hyperplane_point_indices(g, rng.choice(a_planes))
+        mask[rng.choice(row[K.mask[row]])] = False
+        mask[rng.choice(row[~K.mask[row]])] = True
+    return pointset_from_indices(g, np.flatnonzero(mask))
+
+
+KINDS = ("no hyperplane", "axis profile", "not an axis", "not the vertex")
+
+
+@pytest.mark.parametrize("theorem_id,n,q,x", PENCIL_CASES)
+def test_pencil_failures_match_brute_force_on_damaged_sets(theorem_id, n, q, x):
+    # a seeded differential, 50 damaged sets per instance and 300 in all;
+    # every kind of failure its branch can report occurs
+    th, inst, K = _canonical_cone(theorem_id, n, q, x)
+    a_planes = np.flatnonzero(_counts(K, n - 1)[0] == inst.a)
+    rng = np.random.default_rng(sum(map(ord, theorem_id)) + 100 * n + q)
+    seen = set()
+    for _ in range(50):
+        D = _damaged(K, a_planes, rng)
+        counts = _counts(D, n - 1)[0]
+        got = _pencil_failures(th, inst, D, counts)
+        assert sorted(got) == _pencil_law_by_brute_force(th, inst, D, counts)
+        seen.update(kind for f in got for kind in KINDS if kind in f)
+    kinds = {"axis profile", "not the vertex" if th.pencil_through_vertex else "not an axis"}
+    if inst.a == 1:  # one point always spans a vertex of dimension n-3 = 0
+        kinds.remove("not the vertex")
+    assert kinds <= seen
 
 
 @pytest.mark.parametrize("theorem_id,n,x", [("unital", 4, None), ("hyperoval3", 3, None),

@@ -1,14 +1,15 @@
 """Kernels against brute-force oracles.
 
 The d-subspace scan is checked element by element against sums of the
-membership mask over `Geometry.subspaces_iter`, which lists the subspaces
+membership mask over `oracles.subspaces_iter`, which lists the subspaces
 in the same canonical order; the points of each hyperplane from
-`Geometry.hyperplane_point_indices`, the hyperplane counts and lone points
-of the transform and of `spectra._counts` and the pencils of
-`spectra.pencil_counts` against hyperplane rows computed from a dense
-matrix of field dot products, and the counts also against the scan at
-d = n-1; and `cone_points`, read off the transform's hyperplane counts,
-against its definition, line by line with `Geometry.span`.
+`oracles.hyperplane_point_indices` and from `kernels.field_dots`, the
+hyperplane counts and lone points of the transform and of
+`spectra._counts` and the pencils of `spectra.pencil_counts` against
+hyperplane rows computed from a dense matrix of field dot products, and
+the counts also against the scan at d = n-1; and `cone_points`, read off
+the transform's hyperplane counts, against its definition, line by line
+with `Geometry.span`.
 """
 
 from functools import lru_cache
@@ -24,6 +25,7 @@ from pgcones.errors import GeometryTooLarge
 from pgcones.kernels import (
     combo_vectors,
     cone_points,
+    field_dots,
     hyperplane_intersection_counts,
     pivot_patterns,
     subspace_intersection_scan,
@@ -31,6 +33,8 @@ from pgcones.kernels import (
 from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_indices,
                              unital_cone)
 from pgcones.spectra import _counts, pencil_counts
+
+from oracles import hyperplane_point_indices, subspaces_iter
 
 
 def _field_args(g):
@@ -92,7 +96,7 @@ def _geometry(p, h, n):
 @lru_cache(maxsize=None)
 def _subspace_points(p, h, n, d):
     """(number of d-subspaces, theta_d) point indices, canonical order."""
-    return np.array([s.point_indices for s in _geometry(p, h, n).subspaces_iter(d)])
+    return np.array([s.point_indices for s in subspaces_iter(_geometry(p, h, n), d)])
 
 
 def _brute_counts(pts, mask):
@@ -150,8 +154,12 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
 @pytest.mark.parametrize("geometry", DOT_PRODUCT_GEOMETRIES)
 def test_hyperplane_points_rows_match_dot_product_rows(geometry):
     g = _geometry(*geometry)
-    for h, row in enumerate(_rows_of(g)):
-        np.testing.assert_array_equal(g.hyperplane_point_indices(h), np.flatnonzero(row))
+    rows = _rows_of(g)
+    for h, row in enumerate(rows):
+        np.testing.assert_array_equal(hyperplane_point_indices(g, h), np.flatnonzero(row))
+    for lo in range(0, g.num_points, 512):  # a block of hyperplanes at a time
+        dots = field_dots(g.points[lo:lo + 512], g.points, g.field.add, g.field.mul)
+        np.testing.assert_array_equal(dots == 0, rows[lo:lo + 512])
 
 
 @settings(max_examples=30)
@@ -289,7 +297,7 @@ def test_cone_points_of_damaged_cones_match_definition(case, seed, drop, add):
                                        (3, 1, 3, 3), (2, 4, 2, 2), (5, 1, 3, 0), (2, 3, 3, 0)])
 def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
     g = _geometry(p, h, n)
-    S = g.span(range(g.num_points)) if dim == n else next(g.subspaces_iter(dim))
+    S = g.span(range(g.num_points)) if dim == n else next(subspaces_iter(g, dim))
     mask = S.mask(g.num_points)
     got = _cone_points(g, mask)
     np.testing.assert_array_equal(got, S.point_indices)

@@ -9,6 +9,7 @@ from pgcones.errors import NotBlocking, WrongDimension
 from pgcones import geometry_new
 from pgcones.objects import axis_vertex, embed_in_first_coords
 from pgcones.spectra import _counts
+from oracles import hyperplane_point_indices, subspaces_iter
 
 
 def test_single_point_hyperplane_spectrum(pg34):
@@ -35,7 +36,7 @@ def test_spectrum_lower_dimension(pg34):
 
 
 def test_is_blocking(pg34):
-    hyp = pointset_from_indices(pg34, pg34.hyperplane_point_indices(0))
+    hyp = pointset_from_indices(pg34, hyperplane_point_indices(pg34, 0))
     assert is_blocking(hyp, 1)
     assert is_blocking(hyperoval_cone(pg34), 2)
     plane_oval = embed_in_first_coords(
@@ -84,7 +85,7 @@ def test_pencil_unital_a_hyperplane_law(pg44):
     a_hyps = np.nonzero(counts == 21)[0]
     assert len(a_hyps) == 9
     for h in a_hyps:
-        row = pg44.hyperplane_point_indices(h)
+        row = hyperplane_point_indices(pg44, h)
         axis = pg44.span(row[K.mask[row]])
         assert axis.dim == 2
         assert pencil_counts(K, axis).u == {21: 1, 53: 4}
@@ -95,7 +96,7 @@ def test_pencil_hyperoval_cone_tangent_line_law(pg34):
     vertex = recognize_cone(K).vertex
     vidx = int(vertex.point_indices[0])
     checked = 0
-    for line in pg34.subspaces_iter(1):
+    for line in subspaces_iter(pg34, 1):
         if vidx in line.point_indices and K.mask[line.point_indices].sum() == 1:
             assert pencil_counts(K, line).u == {1: 2, 9: 3}
             checked += 1
@@ -103,7 +104,7 @@ def test_pencil_hyperoval_cone_tangent_line_law(pg34):
 
 
 def test_recognize_subspace_is_its_own_vertex(pg34):
-    plane_pts = pg34.hyperplane_point_indices(3)
+    plane_pts = hyperplane_point_indices(pg34, 3)
     ps = pointset_from_indices(pg34, plane_pts)
     rec = recognize_cone(ps)
     assert rec.vertex.dim == 2
