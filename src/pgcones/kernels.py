@@ -7,8 +7,8 @@ point.  So no kernel normalizes a vector before looking it up.
 
 All kernels work on the raw arrays of a Geometry: field tables (add/mul/
 inv), the point coordinate matrix, the powers q^i, the code table and
-boolean membership masks; `cone_points` also takes the hyperplane counts
-of `hyperplane_intersection_counts` and returns their annihilator.
+membership masks, which the scan reads as q-ary tensors indexed by code;
+`cone_points` also takes the hyperplane counts and returns their annihilator.
 """
 
 from __future__ import annotations
@@ -68,66 +68,74 @@ def span_point_indices(basis, combos, add, mul, pows, code_to_index):
 # intersection counts of a point set against all d-subspaces
 # ---------------------------------------------------------------------------
 
-def _scan_pattern(pivots, free, combos, add, mul, pows, member_code, q,
-                  counts, lone_code):
-    """Counts and last member code for the q^nf subspaces of one pattern.
+SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a block
 
-    For a coefficient vector c the point sum_r c_r B_r of the echelon basis
-    B has c_r in pivot column p_r and, in a free column, the field sum of
-    c_r times the free digits of that column.  Its code is therefore
-    sum_r c_r q^(p_r) plus one small table per free column, broadcast over
-    the nf digit axes; the point is already normalized because B is in
-    reduced echelon form.
+
+def _scan_pattern(pivots, free, combos, add, mul, pows, tensors, q):
+    """Per member tensor, its sums over the q^nf subspaces of one pattern.
+
+    The point sum_r c_r B_r of the echelon basis B has c_r in pivot column
+    p_r, 0 before p_0 and, in a free column, the field sum of c_r times its
+    digits.  Fixing the first two leaves a tensor over the free columns and
+    the combos c; from the last free column to the first, one `take` along
+    its axis, merged with the combo axis, puts the column's digit axes in
+    its place.  The sum over c, in the least dtype holding theta_d, goes
+    from column-grouped to (row, col) slot order by one transpose.
     """
-    nf = len(free)
-    slots = {}  # free column -> [(digits along axis j, basis row)]
-    for j, (r, col) in enumerate(free):
-        axis = np.arange(q, dtype=np.int16).reshape((1,) * j + (q,) + (1,) * (nf - j - 1))
-        slots.setdefault(col, []).append((axis, r))
-    codes = np.empty(counts.shape[0], dtype=np.int64)
-    grid_codes = codes.reshape((q,) * nf)
-    for c in combos:
-        codes.fill(sum(int(c[r]) * int(pows[p]) for r, p in enumerate(pivots)))
-        for col, axes in slots.items():
-            value = np.zeros((1,) * nf, dtype=np.int16)
-            for digits, r in axes:
-                if c[r]:
-                    value = add[value, mul[c[r], digits]]
-            if value.any():
-                grid_codes += value.astype(np.int64) * pows[col]
-        hit = member_code[codes]
-        counts += hit
-        np.copyto(lone_code, codes, where=hit)
+    cols = sorted({col for _, col in free})
+    rows = [[r for r, f in free if f == col] for col in cols]  # ascending, as in `free`
+    codes = np.indices((q,) * len(cols)).reshape(len(cols), q ** len(cols)).T @ pows[cols]
+    block = max(1, SCAN_BLOCK // q ** len(free))
+    dtypes = [np.result_type(t.dtype, np.min_scalar_type(len(combos))) for t in tensors]
+    sums = [0] * len(tensors)
+    for lo in range(0, len(combos), block):
+        c = combos[lo:lo + block]
+        b = len(c)
+        at = codes[:, None] + c.astype(np.int64) @ pows[list(pivots)]
+        takes = []
+        for rs in rows:  # the column at every combo and digits, one row's digits at a time
+            value = np.zeros((b, 1), dtype=add.dtype)
+            for r in rs:  # flat addition table at s q + t < q^2 <= 2^14, as in `_add_outer`
+                value = add.ravel().take(value[:, :, None] * q + mul[c[:, r]][:, None]).reshape(b, -1)
+            takes.append((value * np.intp(b) + np.arange(b)[:, None]).ravel())
+        for i, tensor in enumerate(tensors):
+            t = tensor[at]  # the free columns, then the combo
+            for k in reversed(range(len(cols))):
+                t = t.reshape(q ** k, q * b, -1).take(takes[k], axis=1)
+            sums[i] = sums[i] + t.reshape(b, -1).sum(axis=0, dtype=dtypes[i])
+    perm = np.argsort(sorted(range(len(free)), key=lambda j: free[j][::-1]))
+    return [s.reshape((q,) * len(free)).transpose(perm).ravel() for s in sums]
 
 
 def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
-                               code_to_index, member, workers: int = 1):
-    """Intersection size of `member` with every d-subspace, plus the lone
-    member point where that size is 1.
+                               code_to_index, member, workers: int = 1, lone=False):
+    """Intersection size of `member` with every d-subspace, and with `lone`
+    the lone member point where that size is 1 (-1 elsewhere; None without
+    `lone`), as int64 arrays over the canonical subspace order.
 
-    Returns (counts, lone) int64/int64 arrays over the canonical subspace
-    order.  The worker count only chunks the pattern loop; results are
-    byte-identical for any value.
+    The lone point is the sum of the member indices, 0 off the set, through
+    the same takes.  The worker count only chunks the pattern loop; results
+    are byte-identical for any value.
     """
     rows = d + 1
     patterns = pivot_patterns(n_cols, rows)
     combos = combo_vectors(rows, q)
     sizes = [q ** len(free) for _, free in patterns]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    counts = np.zeros(offsets[-1], dtype=np.int64)
-    lone_code = np.zeros(offsets[-1], dtype=np.int64)
     member_code = np.asarray(member)[code_to_index]  # only the zero code, never built, is -1
+    tensors = [member_code.astype(np.uint8)]
+    if lone:
+        tensors.append(np.where(member_code, code_to_index, 0))
+    out = [np.zeros(offsets[-1], dtype=np.int64) for _ in tensors]
 
     def run(i):
-        pivots, free = patterns[i]
-        lo, hi = offsets[i], offsets[i + 1]
-        _scan_pattern(pivots, free, combos, add, mul, pows, member_code, q,
-                      counts[lo:hi], lone_code[lo:hi])
+        sums = _scan_pattern(*patterns[i], combos, add, mul, pows, tensors, q)
+        for o, s in zip(out, sums):
+            o[offsets[i]:offsets[i + 1]] = s
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(len(patterns))))
-    lone = np.where(counts == 1, code_to_index[lone_code], -1)
-    return counts, lone
+    return out[0], (np.where(out[0] == 1, out[1], -1) if lone else None)
 
 
 # ---------------------------------------------------------------------------

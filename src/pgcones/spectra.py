@@ -8,9 +8,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .errors import NotBlocking, WrongDimension
+from .errors import GeometryTooLarge, NotBlocking, WrongDimension
 from .objects import PointSet, cone, pointset_from_indices
 from .pg import Geometry, Subspace, gaussian_binomial, theta
+
+MAX_SUBSPACES = 1 << 25  # the int64 counts of a d < n-1 scan: 256 MiB at the bound
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,21 @@ class ConeRecognition:
 
 
 def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
-    """Intersection counts of K with every d-subspace and the lone point of
-    K on each one met once (-1 elsewhere; for hyperplanes None unless asked)."""
+    """Intersection counts of K with every d-subspace and, if asked, the lone
+    point of K on each one met once (-1 elsewhere; None unless asked).  A
+    scan over more than MAX_SUBSPACES subspaces is refused before it starts."""
     g = K.geometry
     if not 0 <= d <= g.n - 1:
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
         return kernels.hyperplane_intersection_counts(
             g.points, K.mask, g.field.mul, g.field.p, g.pows, g.code_to_index, lone)
+    subspaces = gaussian_binomial(g.n + 1, d + 1, g.q)
+    if subspaces > MAX_SUBSPACES:
+        raise GeometryTooLarge(f"{subspaces} {d}-subspaces exceed the scan bound {MAX_SUBSPACES}")
     return kernels.subspace_intersection_scan(
         g.n + 1, d, g.q, g.field.add, g.field.mul,
-        g.pows, g.code_to_index, K.mask, workers)
+        g.pows, g.code_to_index, K.mask, workers, lone)
 
 
 def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:

@@ -290,3 +290,19 @@ def test_verify_over_the_table_bound_exits_2(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert "exceeds the bound 100000" in captured.err
+
+
+@pytest.mark.parametrize("p,n,d,subspaces", [(2, 9, 4, 109221651), (3, 8, 3, 6174066262)],
+                         ids=["PG(9,2)-d4", "PG(8,3)-d3"])
+def test_spectrum_over_the_scan_bound_exits_2(tmp_path, capsys, p, n, d, subspaces):
+    # a one-point file whose d-subspaces are counted before any is scanned
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"p": p, "h": 1, "n": n, "object": "junk", "size": 1,
+                                "points": [[1] + [0] * n]}))
+    start = time.perf_counter()
+    assert main(["spectrum", "--file", str(path), "--d", str(d)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {subspaces} {d}-subspaces exceed the scan bound"
+                            f" {1 << 25}\n")

@@ -62,9 +62,9 @@ def test_worker_chunking_is_deterministic(pg34):
     K = hyperoval_cone(pg34)
     add, mul, pows, c2i = _field_args(pg34)
     ref = subspace_intersection_scan(4, 1, 4, add, mul, pows,
-                                     c2i, K.mask, workers=1)
+                                     c2i, K.mask, workers=1, lone=True)
     alt = subspace_intersection_scan(4, 1, 4, add, mul, pows,
-                                     c2i, K.mask, workers=4)
+                                     c2i, K.mask, workers=4, lone=True)
     np.testing.assert_array_equal(ref[0], alt[0])
     np.testing.assert_array_equal(ref[1], alt[1])
 
@@ -128,12 +128,14 @@ def _random_mask(g, seed, density):
     return np.random.default_rng(seed).random(g.num_points) < density
 
 
-def _scan(g, d, mask, workers=1):
+def _scan(g, d, mask, workers=1, lone=True):
     return subspace_intersection_scan(g.n + 1, d, g.q, *_field_args(g), mask,
-                                      workers=workers)
+                                      workers=workers, lone=lone)
 
 
-SCAN_GRID = [(p, h, n, d) for p, h, n in ORACLE_GEOMETRIES for d in range(n)]
+# the scan also takes lines and planes at q = 7 and 16 and lines at q = 27
+SCAN_GRID = ([(p, h, n, d) for p, h, n in ORACLE_GEOMETRIES for d in range(n)]
+             + [(7, 1, 3, 1), (7, 1, 3, 2), (2, 4, 3, 1), (2, 4, 3, 2), (3, 3, 2, 1)])
 
 
 @pytest.mark.parametrize("p,h,n,d", SCAN_GRID)
@@ -149,6 +151,10 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(lone, want_lone)
     assert counts.dtype == lone.dtype == np.int64
+    # without lone points the scan sums one tensor and gives the same counts
+    alone, none = _scan(g, d, mask, workers, lone=False)
+    np.testing.assert_array_equal(alone, counts)
+    assert alone.dtype == np.int64 and none is None
 
 
 @pytest.mark.parametrize("geometry", DOT_PRODUCT_GEOMETRIES)
