@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernels, objects, spectra
 from .errors import (DegenerateType, EmptyRange, HypothesisViolated,
-                     NonSquareOrder)
-from .gf import factor_prime_power, field_new
+                     NonSquareOrder, OrderTooLarge)
+from .gf import MAX_ORDER, factor_prime_power, field_new
 from .pg import Geometry, check_dimension, theta
 from .spectra import Spectrum
 
@@ -195,7 +195,8 @@ class Theorem:
     the type (a, b, c) and the size k.  A hypothesis is (holds, message),
     the message formatted with n, q and x (also as t and d).  An endpoint is
     (label, index into (t_a, t_b, t_c), claim, size), the size None where
-    its interval is empty."""
+    its interval is empty.  The pencil law, where u_a is given, holds at
+    every a-hyperplane h, for every axis of h through K ∩ h."""
 
     id: str
     param: str | None          # "t", "d" or None
@@ -212,9 +213,7 @@ class Theorem:
     instance_hypotheses: tuple = ()  # checked after the others, by theorem_instance only
     endpoints: tuple = ()      # evaluated by step_sign_check
     empty_note: str | None = None  # note when endpoints of an empty interval are skipped
-    pencil_u_a: Callable | None = None  # (q, x) -> a-hyperplanes through each axis
-    pencil_through_vertex: bool = False  # axes through the vertex inside one
-                                         # a-hyperplane, else a-hyperplane traces
+    pencil_u_a: Callable | None = None  # (q, x) -> u_a, the a-hyperplanes on each axis
 
     def check(self, n: int, q: int, x, instance: bool = True):
         """Raise HypothesisViolated at the first hypothesis that fails; the
@@ -294,7 +293,7 @@ THEOREMS = {th.id: th for th in (
         cone=lambda g, inst: objects.hyperoval_cone(g),
         divisibilities=hyperoval3_step1_congruences,
         k_max=lambda n, q, x, abc, k: 2 * q * q + 1, axis_points=0,
-        pencil_u_a=lambda q, x: q // 2, pencil_through_vertex=True),
+        pencil_u_a=lambda q, x: q // 2),
     Theorem(
         id="hyperovalN", param=None, default_n=4,
         hypotheses=((lambda n, q, x: n >= 4, "need n >= 4, got n={n}"),),
@@ -313,7 +312,7 @@ THEOREMS = {th.id: th for th in (
                    ("t_a at k = 2q^{n-1} + theta_{n-3}", 0, "<0",
                     lambda n, q, x, abc, k: _hyperovalN_top(n, q, x, abc, k) if q > 2 else None)),
         empty_note="high interval is empty for q = 2; its checks are skipped",
-        pencil_u_a=lambda q, x: q // 2, pencil_through_vertex=True),
+        pencil_u_a=lambda q, x: q // 2),
     Theorem(
         id="maxarc", param="d", default_n=4,
         hypotheses=((lambda n, q, d: d is not None, "the arc degree d is required"),
@@ -335,7 +334,7 @@ THEOREMS = {th.id: th for th in (
                    ("t_a at lower endpoint of the high interval", 0, "<0",
                     lambda n, q, d, abc, k: k + q ** (n - 3)),
                    ("t_a at k = d*q^{n-1} + theta_{n-3}", 0, "<1", _maxarc_top)),
-        pencil_u_a=lambda q, d: q // d, pencil_through_vertex=True),
+        pencil_u_a=lambda q, d: q // d),
 )}
 
 
@@ -462,16 +461,15 @@ DOT_CELLS = 1 << 20  # field dot products in one gather of the pencil law
 
 
 def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
-    """The pencil law: each axis lies on u_a a-hyperplanes and q+1-u_a
-    c-hyperplanes, the points of its dual line <x, y>, so its profile is
-    `counts` at x + s y, s in GF(q), and at y; no point of a hyperplane or
-    an axis is listed.  Without an a-hyperplane there is no axis, which
-    fails.  For traces, each a-hyperplane h meets K in a = theta_(n-2)
-    points, an axis exactly when their annihilator, the dual line, has two
-    rows.  Through the vertex, K ∩ h, of a = theta_(n-3) points, is the
-    vertex V exactly when it has rank n-2.  The hyperplanes through V are a
-    dual plane holding h; with u, w completing h to a basis of it, the q+1
-    axes through V in h have the dual lines <u + t w, h>, t in GF(q), and <w, h>."""
+    """The pencil law: at each a-hyperplane h, one per distinct K ∩ h, K ∩ h
+    fills its span, and each axis, an (n-2)-space A with K ∩ h in A in h,
+    lies on u_a a-hyperplanes and q+1-u_a c-hyperplanes; with no
+    a-hyperplane it fails.  No point of a hyperplane or axis is listed: K ∩ h
+    fills its span exactly when its annihilator D, of r rows, has
+    theta_(n-r) = a.  The hyperplanes through A are a dual line through h
+    in D.  With U completing h to a basis (U, h) of D, D's points in lex
+    order are h, then per point x of <U> the q points x + s h, s in GF(q),
+    of <x, h> but h: one line at r = 2, q+1 at r = 3, each a profile."""
     if th.pencil_u_a is None:
         return []
     g, q = K.geometry, inst.q
@@ -481,32 +479,28 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     a_planes = np.nonzero(counts == inst.a)[0]
     if a_planes.size == 0:
         return [f"no hyperplane meets K in a={inst.a} points to give the axes"]
-    members, failures, s = g.points[K.indices], [], np.arange(q)[:, None]
-    if th.pencil_through_vertex:
-        h = g.points[a_planes[0]]
-        vertex = kernels.rref(members[kernels.field_dots([h], members, add, mul)[0] == 0],
-                              add, mul, inv, neg)
-        if len(vertex) != g.n - 2:
-            return [f"K ∩ h spans dimension {len(vertex) - 1} at an a-hyperplane h,"
-                    f" not the vertex dimension {g.n - 3}"]
-        # over the free columns c of the vertex, h is the sum of h[c] times the row 1 at c
-        free = np.setdiff1d(np.arange(g.n + 1), np.argmax(vertex != 0, axis=1))
-        plane = kernels.annihilator(vertex, add, mul, inv, neg)
-        u, w = np.delete(plane, np.argmax(h[free] != 0), axis=0)
-        x, y = np.vstack([add[u, mul[s, w]], w]), np.tile(h, (q + 1, 1))
-    else:
-        lines, step = [], max(1, DOT_CELLS // K.k)
-        for lo in range(0, a_planes.size, step):
-            for trace in kernels.field_dots(g.points[a_planes[lo:lo + step]], members, add, mul) == 0:
-                line = kernels.annihilator(members[trace], add, mul, inv, neg)
-                if len(line) == 2:
-                    lines.append(line)
-                else:
-                    failures.append(f"K ∩ h spans dimension {g.n - len(line)} at an"
-                                    f" a-hyperplane h, not an axis of dimension {g.n - 2}")
-        x, y = np.array(lines, dtype=np.int16).reshape(-1, 2, g.n + 1).transpose(1, 0, 2)
-    on = np.hstack([g.indices_of(add[x[:, None], mul[s, y[:, None]]]), g.indices_of(y)[:, None]])
-    profiles = (dict(sorted(Counter(counts[line].tolist()).items())) for line in on)
+    members, traces, step = g.points[K.indices], {}, max(1, DOT_CELLS // K.k)
+    for lo in range(0, a_planes.size, step):
+        block = kernels.field_dots(g.points[a_planes[lo:lo + step]], members, add, mul) == 0
+        for h, trace, key in zip(a_planes[lo:lo + step], block, np.packbits(block, axis=1)):
+            traces.setdefault(key.tobytes(), (h, trace))
+    duals = {h: kernels.annihilator(members[t], add, mul, inv, neg) for h, t in traces.values()}
+    planes = {h: dual for h, dual in duals.items() if theta(g.n - len(dual), q) == inst.a}
+    failures = [f"K ∩ h spans dimension {g.n - len(dual)} at an a-hyperplane h, not a subspace"
+                f" of a={inst.a} points" for h, dual in duals.items() if h not in planes]
+    if not planes:
+        return failures
+    h, dual = g.points[list(planes)], np.array(list(planes.values()))
+    # as in `kernels.annihilator`, h is the sum of h[f] times the row whose last nonzero column is f
+    last = g.n - np.argmax(dual[:, :, ::-1] != 0, axis=2)
+    drop = np.argmax(np.take_along_axis(h, last, axis=1) != 0, axis=1)[:, None]
+    basis = np.concatenate([dual[np.arange(dual.shape[1]) != drop].reshape(len(h), -1, g.n + 1),
+                            h[:, None]], axis=1)
+    combos, points = kernels.combo_vectors(basis.shape[1], q), 0
+    for j in range(basis.shape[1]):
+        points = add[points, mul[combos[:, j, None], basis[:, j, None]]]
+    lines = counts[g.indices_of(points[:, 1:])].reshape(-1, q)
+    profiles = (dict(sorted(Counter(line.tolist() + [inst.a]).items())) for line in lines)
     return failures + [f"axis profile {u} != {expected}" for u in profiles if u != expected]
 
 
@@ -517,10 +511,13 @@ def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:
 
     Returns a report dict; report["ok"] is the overall verdict.
     """
+    if q > MAX_ORDER:  # as field_new would, before factor_prime_power trial-divides q
+        raise OrderTooLarge(f"p^h = {q} exceeds the bound {MAX_ORDER}")
+    p, h = factor_prime_power(q)  # before a closed form reads a q that is no field order
     check_dimension(n, q)  # before any closed form grows with n
     inst = theorem_instance(theorem_id, n, q, t_or_d)
     th = THEOREMS[theorem_id]
-    K = th.cone(Geometry(field_new(*factor_prime_power(q)), n), inst)
+    K = th.cone(Geometry(field_new(p, h), n), inst)
     rec = spectra.recognize_cone(K)
     failures = []
 

@@ -226,7 +226,9 @@ def rref(rows, add, mul, inv, neg):
 
 def annihilator(rows, add, mul, inv, neg):
     """A basis, not echelonized, of the a with a . x = 0 for every row x: per
-    free column of the reduced rows, 1 there and minus that column at the pivots."""
+    free column f of the reduced rows, 1 there and minus that column at the
+    pivots, 0 at those after f as a reduced row is 0 before its pivot.  So f
+    is the row's last nonzero column, and each a is sum_f a[f] times the row."""
     basis = rref(rows, add, mul, inv, neg)
     pivots = np.argmax(basis != 0, axis=1)
     free = np.setdiff1d(np.arange(basis.shape[1]), pivots)

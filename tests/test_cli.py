@@ -204,6 +204,21 @@ def test_feasible_k_rejects_non_prime_power_q(argv, named, capsys):
 
 
 @pytest.mark.parametrize("argv,named", [
+    (["--theorem", "hyperoval3", "--q", "0"], "q must be >= 2, got 0"),
+    (["--theorem", "hyperoval3", "--q", "-2"], "q must be >= 2, got -2"),
+    (["--theorem", "hyperovalN", "--n", "4", "--q", "0"], "q must be >= 2, got 0"),
+    (["--theorem", "hyperoval3", "--q", "6"], "q = 6 is not a prime power"),
+], ids=["hyperoval3-q0", "hyperoval3-q-2", "hyperovalN-q0", "hyperoval3-q6"])
+def test_verify_rejects_non_prime_power_q(argv, named, capsys):
+    # q is checked before the closed forms of the type, which would read a
+    # q that is no field order as a degenerate type
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("argv,named", [
     (["--abc", "-1", "2", "3", "--n", "3", "--q", "4", "--format", "csv"],
      "a must be >= 0, got -1"),
     (["--abc", "1", "2", "22", "--n", "3", "--q", "4"], "c must be <= theta_2(4) = 21, got 22"),
@@ -269,11 +284,12 @@ def test_rejected_worker_arguments(argv, capsys):
     ["feasible-k", "--theorem", "unital", "--n", "100000", "--q", "4"],
     ["feasible-k", "--theorem", "baer", "--n", "5", "--q", "16", "--t", "100000000"],
     ["feasible-k", "--theorem", "maxarc", "--n", "5", "--q", "4", "--d", "-1000000000"],
+    ["verify", "--theorem", "hyperoval3", "--q", "1000000000000000003"],
 ], ids=["verify-hyperovalN", "verify-unital", "construct", "feasible-k", "feasible-k-baer-t",
-        "feasible-k-maxarc-d"])
+        "feasible-k-maxarc-d", "verify-odd-q"])
 def test_huge_n_exits_2_before_big_integer_work(argv, capsys):
     # n, t and d are bounded before theta_n(q) or a closed form of the
-    # theorem is computed
+    # theorem is computed, and the q of verify before it is trial-divided
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1

@@ -291,10 +291,12 @@ def test_run_verification_report():
     assert len(report["sign_checks"]) == 3
 
 
-# the theorem instances of the pencil-law tests: both branches at q = 4,
-# the traces in odd characteristic and the through-vertex axes at q = 8
+# the theorem instances of the pencil-law tests: all four at q = 4, the
+# unital in odd characteristic, hyperovalN at q = 8, and a maximal arc of
+# degree d = 4, where u_a = q/d = 2
 PENCIL_CASES = [("unital", 4, 4, None), ("hyperoval3", 3, 4, None), ("hyperovalN", 4, 4, None),
-                ("maxarc", 5, 4, 2), ("unital", 4, 9, None), ("hyperovalN", 4, 8, None)]
+                ("maxarc", 5, 4, 2), ("unital", 4, 9, None), ("hyperovalN", 4, 8, None),
+                ("maxarc", 5, 8, 4)]
 
 
 @lru_cache(maxsize=None)
@@ -305,38 +307,37 @@ def _canonical_cone(theorem_id, n, q, x):
 
 def _pencil_law_by_brute_force(th, inst, K, counts):
     """The failures of the pencil law from point lists, sorted: K ∩ h from
-    every point of each a-hyperplane h, each axis spanned with
-    `Geometry.span` and recounted with `pencil_counts`.  Through the
-    vertex, the axes join K ∩ h to each point of h on no axis found before."""
+    every point of each a-hyperplane h, one h per distinct K ∩ h, spanned
+    with `Geometry.span`.  Where the span has a points, its axes in h are
+    the span itself at dimension n-2; at dimension n-3 they join it to each
+    point of h on no axis found before.  Each axis is recounted with
+    `pencil_counts`."""
     g, n, q = K.geometry, inst.n, inst.q
     u_a = th.pencil_u_a(q, inst.t_or_d)
     law = {inst.a: u_a, inst.c: q + 1 - u_a}
     a_planes = np.flatnonzero(counts == inst.a)
     if a_planes.size == 0:
         return [f"no hyperplane meets K in a={inst.a} points to give the axes"]
+    traces = {}
+    for h in a_planes:
+        row = hyperplane_point_indices(g, h)
+        traces.setdefault(tuple(row[K.mask[row]]), row)
     failures, axes = [], []
-    if th.pencil_through_vertex:
-        row = hyperplane_point_indices(g, a_planes[0])
-        vertex = list(row[K.mask[row]])
-        dim = g.span(vertex).dim
-        if dim != n - 3:
-            return [f"K ∩ h spans dimension {dim} at an a-hyperplane h,"
-                    f" not the vertex dimension {n - 3}"]
-        covered = K.mask.copy()
-        for x in row[~K.mask[row]]:
-            if not covered[x]:
-                axes.append(g.span(vertex + [x]))
-                covered[axes[-1].point_indices] = True
-        assert len(axes) == q + 1
-    else:
-        for h in a_planes:
-            row = hyperplane_point_indices(g, h)
-            axis = g.span(row[K.mask[row]])
-            if axis.dim == n - 2:
-                axes.append(axis)
-            else:
-                failures.append(f"K ∩ h spans dimension {axis.dim} at an a-hyperplane h,"
-                                f" not an axis of dimension {n - 2}")
+    for trace, row in traces.items():
+        span = g.span(trace)
+        if len(span.point_indices) != inst.a:
+            failures.append(f"K ∩ h spans dimension {span.dim} at an a-hyperplane h,"
+                            f" not a subspace of a={inst.a} points")
+        elif span.dim == n - 2:
+            axes.append(span)
+        else:
+            assert span.dim == n - 3
+            covered, found = span.mask(g.num_points), len(axes)
+            for x in row[~covered[row]]:
+                if not covered[x]:
+                    axes.append(g.span(list(trace) + [x]))
+                    covered[axes[-1].point_indices] = True
+            assert len(axes) - found == q + 1
     failures += [f"axis profile {dict(sorted(u.items()))} != {law}"
                  for u in (pencil_counts(K, axis).u for axis in axes) if u != law]
     return sorted(failures)
@@ -383,26 +384,26 @@ def _damaged(K, a_planes, rng):
     return pointset_from_indices(g, np.flatnonzero(mask))
 
 
-KINDS = ("no hyperplane", "axis profile", "not an axis", "not the vertex")
+KINDS = ("no hyperplane", "axis profile", "not a subspace")
 
 
 @pytest.mark.parametrize("theorem_id,n,q,x", PENCIL_CASES)
 def test_pencil_failures_match_brute_force_on_damaged_sets(theorem_id, n, q, x):
-    # a seeded differential, 50 damaged sets per instance and 300 in all;
-    # every kind of failure its branch can report occurs
+    # a seeded differential, 50 damaged sets per instance, 10 in PG(5,8),
+    # and 310 in all; every kind of failure the law can report occurs
     th, inst, K = _canonical_cone(theorem_id, n, q, x)
     a_planes = np.flatnonzero(_counts(K, n - 1)[0] == inst.a)
     rng = np.random.default_rng(sum(map(ord, theorem_id)) + 100 * n + q)
     seen = set()
-    for _ in range(50):
+    for _ in range(10 if (n, q) == (5, 8) else 50):
         D = _damaged(K, a_planes, rng)
         counts = _counts(D, n - 1)[0]
         got = _pencil_failures(th, inst, D, counts)
         assert sorted(got) == _pencil_law_by_brute_force(th, inst, D, counts)
         seen.update(kind for f in got for kind in KINDS if kind in f)
-    kinds = {"axis profile", "not the vertex" if th.pencil_through_vertex else "not an axis"}
-    if inst.a == 1:  # one point always spans a vertex of dimension n-3 = 0
-        kinds.remove("not the vertex")
+    kinds = {"axis profile", "not a subspace"}
+    if inst.a == 1:  # one point is always a subspace
+        kinds.remove("not a subspace")
     assert kinds <= seen
 
 
