@@ -152,9 +152,9 @@ def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_in
     Over the q-1 multiples v of a point, omega^c(a.v) sums to q-1 if the
     point is on h and to -1 otherwise.  So for f, 1 on the nonzero vectors
     of the k members, the transform f^(a) = sum_v f(v) omega^c(a.v) is
-    q N(h) - k; it takes one q-point transform per coordinate.  The member
-    indices sum over h the same way, which names a lone member.  Modulo a
-    prime ell = 1 (mod p) above the number of points, every result is exact.
+    q N(h) - k, one q-point transform per coordinate, exact modulo a prime
+    ell = 1 (mod p) above the number of points.  Only if some count is 1 do
+    the member indices, summed over h the same way, name the lone members.
     """
     q, member = len(mul), np.asarray(member)
     ell = member.size + 1 + (-member.size) % p  # = 1 (mod p), above every result
@@ -168,17 +168,21 @@ def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_in
     in_k = member[code_to_index]
     in_k[0] = False  # the zero code, mapped to -1
 
-    def per_hyperplane(values, total):
-        """Sum over each hyperplane of a point function, `values` on every
-        vector; each stage transforms the lowest coordinate, rotated to the top."""
-        for _ in pows:
-            values = (values.reshape(-1, q) @ w % ell).T.ravel()
-        return (total % ell + values[at]) * inv_q % ell
+    def per_hyperplane(values, total, bound):
+        """Sum over each hyperplane of a point function, `values` < `bound` on
+        every vector; each stage transforms the lowest coordinate, rotated to
+        the top.  Values are reduced mod ell only where int64 could overflow."""
+        for _ in pows:  # a stage sums q products below (ell-1) bound, < 2^63 after a reduction
+            if q * (ell - 1) * bound >= 1 << 63:
+                values, bound = values % ell, ell
+            values, bound = (values.reshape(-1, q) @ w).T.ravel(), q * (ell - 1) * bound
+        return (total % ell + values[at] % ell) * inv_q % ell
 
-    counts = per_hyperplane(in_k.astype(np.int64), int(member.sum()))
-    if not lone:
-        return counts, None
-    indices = per_hyperplane(np.where(in_k, code_to_index, 0), int(np.flatnonzero(member).sum()))
+    counts = per_hyperplane(in_k.astype(np.int64), int(member.sum()), 2)
+    if not lone or not (counts == 1).any():
+        return counts, (np.full_like(counts, -1) if lone else None)
+    indices = per_hyperplane(np.where(in_k, code_to_index, 0),
+                             int(np.flatnonzero(member).sum()), member.size)
     return counts, np.where(counts == 1, indices, -1)
 
 

@@ -60,8 +60,8 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
 
 def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
     """The spectrum tallied from the intersection counts of every d-subspace."""
-    sizes, mult = np.unique(counts, return_counts=True)
-    return Spectrum(by_size={int(s): int(m) for s, m in zip(sizes, mult)},
+    tally = np.bincount(counts)  # the counts lie in 0..theta_d: no sort
+    return Spectrum(by_size={int(s): int(tally[s]) for s in np.flatnonzero(tally)},
                     d=d, total=gaussian_binomial(g.n + 1, d + 1, g.q))
 
 

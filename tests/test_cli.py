@@ -298,6 +298,18 @@ def test_huge_n_exits_2_before_big_integer_work(argv, capsys):
     assert "exceeds the bound" in err or "over the bound" in err
 
 
+def test_construct_refuses_an_order_over_the_bound_before_factoring(capsys):
+    # an 18-digit prime q: factor_prime_power would trial-divide it up to
+    # sqrt(q), about 10^9, so q is held against the field-order bound first
+    start = time.perf_counter()
+    assert main(["construct", "--object", "hyperoval-cone", "--n", "3",
+                 "--q", "1000000000000000003", "--out", "-"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p^h = 1000000000000000003 exceeds the bound 128\n"
+
+
 def test_verify_over_the_table_bound_exits_2(capsys):
     # PG(9,4) has 349 525 points, over the point bound that sizes the code
     # table of a geometry: refused before it is allocated

@@ -195,6 +195,34 @@ def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     np.testing.assert_array_equal(np.sort(lone), np.sort(scan_lone))
 
 
+def test_hyperplane_counts_reduce_only_before_an_overflow():
+    # PG(8,4) has 87 381 points and the transform modulus ell = 87 403, so
+    # each stage multiplies the bound on its values by q (ell-1) = 349 608,
+    # about 2^18.4.  The indicator, below 2, stays below 2^19.4, 2^37.8 and
+    # 2^56.2 over three stages; the fourth could reach 2^74.7 >= 2^63, so it
+    # is reduced first, down to ell (2^16.4), which two stages take to 2^71.7
+    # again: reductions before stages 4, 6 and 8 of 9.  The indices, below
+    # 87 381, are reduced before stages 3, 5, 7 and 9.  At density 0.00005
+    # the set has a few points, some hyperplane meets it once, and the index
+    # transform runs; the two denser sets meet every sampled hyperplane often.
+    g = _geometry(2, 2, 8)
+    f = g.field
+    rng = np.random.default_rng(8)
+    sample = np.sort(rng.choice(g.num_points, 300, replace=False))
+    rows = np.concatenate([field_dots(g.points[chunk], g.points, f.add, f.mul) == 0
+                           for chunk in np.array_split(sample, 6)])  # 50 rows at a time
+    for density in (0.00005, 0.02, 0.3):
+        mask = rng.random(g.num_points) < density
+        counts, lone = hyperplane_intersection_counts(g.points, mask, f.mul, f.p, g.pows,
+                                                      g.code_to_index, lone=True)
+        assert counts.dtype == lone.dtype == np.int64
+        on = rows & mask
+        want = on.sum(axis=1)
+        np.testing.assert_array_equal(counts[sample], want)
+        np.testing.assert_array_equal(lone[sample], np.where(want == 1, on.argmax(axis=1), -1))
+        assert (want == 1).any() == (density < 0.001)
+
+
 def test_hyperplane_count_refuses_a_modulus_that_overflows():
     # 2^31 points, as a zero-stride view: the least prime = 1 (mod 2) above
     # them squared, times q, overflows the int64 of a transform stage

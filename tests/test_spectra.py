@@ -63,6 +63,24 @@ def test_essential_points_unital_minimal(plane4):
     assert essential_points(u, 1) == u
 
 
+def test_essential_points_without_a_tangent_hyperplane(pg44):
+    # every hyperplane meets the unital cone of PG(4,4) in 21, 37 or 53
+    # points, so no count is 1 and the index transform is skipped
+    K = unital_cone(pg44)
+    counts, lone = _counts(K, 3, lone=True)
+    assert counts.min() > 1
+    np.testing.assert_array_equal(lone, np.full(pg44.num_points, -1))
+    assert lone.dtype == np.int64
+    assert essential_points(K, 3).k == 0
+
+
+def test_essential_points_of_a_line_in_space(pg34):
+    # a line blocks every plane of PG(3,4) and each of its points lies on
+    # planes that meet it there alone, named by the index transform
+    line = pointset_from_indices(pg34, pg34.span([0, 1]).point_indices)
+    assert essential_points(line, 2) == line
+
+
 def test_essential_points_not_blocking(plane4):
     with pytest.raises(NotBlocking):
         essential_points(pointset_from_indices(plane4, [0]), 1)
