@@ -98,7 +98,7 @@ OBJECTS = {
 
 
 def cmd_construct(args) -> int:
-    if args.q > MAX_ORDER:  # as field_new would, before factor_prime_power trial-divides q
+    if args.q > MAX_ORDER:  # any q over the bound gets its message, naming q, before factoring
         raise OrderTooLarge(f"p^h = {args.q} exceeds the bound {MAX_ORDER}")
     g = Geometry(field_new(*factor_prime_power(args.q)), args.n)
     required, build = OBJECTS[args.object]

@@ -511,7 +511,7 @@ def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:
 
     Returns a report dict; report["ok"] is the overall verdict.
     """
-    if q > MAX_ORDER:  # as field_new would, before factor_prime_power trial-divides q
+    if q > MAX_ORDER:  # any q over the bound gets its message, naming q, before factoring
         raise OrderTooLarge(f"p^h = {q} exceeds the bound {MAX_ORDER}")
     p, h = factor_prime_power(q)  # before a closed form reads a q that is no field order
     check_dimension(n, q)  # before any closed form grows with n

@@ -15,7 +15,6 @@ element has one inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import isqrt
 
 import numpy as np
 
@@ -40,14 +39,31 @@ _MODULI = {
 }
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+# Miller-Rabin with the primes 2..41 as bases decides primality exactly
+# below MR_BOUND (Sorenson & Webster 2015)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin.  A witness proves n composite at any
+    size; an n at or above MR_BOUND that no base witnesses is refused."""
+    if n < 2 or any(n % b == 0 for b in MR_BASES):
+        return n in MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    for b in MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} passes Miller-Rabin with bases 2..41, which decides"
+                         f" primality only below {MR_BOUND}")
     return True
 
 
@@ -104,7 +120,7 @@ def field_new(p: int, h: int) -> Field:
     one inverse, that is, the first irreducible one; either way the
     element enumeration is deterministic across runs.
     """
-    # p^h > MAX_ORDER for these; refused before trial division or p ** h
+    # p^h > MAX_ORDER for these; refused before the primality test or p ** h
     if p > MAX_ORDER or (p >= 2 and h > MAX_ORDER.bit_length()):
         raise OrderTooLarge(f"p^h = {p}^{h} exceeds the bound {MAX_ORDER}")
     if not _is_prime(p):
@@ -133,17 +149,24 @@ def field_new(p: int, h: int) -> Field:
 
 
 def factor_prime_power(q: int) -> tuple:
-    """q -> (p, h) with q = p^h, p prime; raises ValueError otherwise."""
+    """q -> (p, h) with q = p^h, p prime; raises ValueError otherwise.
+
+    q = p^k is an exact h-th power only for h | k, so the largest h with an
+    exact integer root, found by bisection, is k, and that root is p."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    h, rem = 0, q
-    while rem % p == 0:
-        rem //= p
-        h += 1
-    if rem != 1:
+    for h in range(q.bit_length(), 1, -1):
+        lo, hi = 1, 1 << -(-q.bit_length() // h)  # lo^h <= q < hi^h
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid ** h <= q else (lo, mid)
+        if lo ** h == q:
+            break
+    else:
+        lo, h = q, 1
+    if not _is_prime(lo):
         raise ValueError(f"q = {q} is not a prime power")
-    return p, h
+    return lo, h
 
 
 def subfield(field: Field) -> list:

@@ -1,11 +1,13 @@
 """Constructions of the point sets under study.
 
 Canonical coordinate models throughout: the Hermitian curve for the
-embedded unital, conic-plus-nucleus for the hyperoval, a pencil-of-conics
+unital, conic-plus-nucleus for the hyperoval, a pencil-of-conics
 (Denniston) arc for maximal arcs, and subfield coordinates for Baer
-subgeometries.  Cones place the vertex on the last coordinate axes and the
-base inside the span of the first coordinates, so constructions are
-deterministic and directly comparable across runs.
+subgeometries.  Every base is built in the PG(n,q) it is asked for: the
+planar ones in the plane of the first three coordinates, x_3 = ... = x_n =
+0, and a Baer subgeometry in the span of the first s+1.  Cones place the
+vertex on the last coordinate axes, so constructions are deterministic and
+directly comparable across runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from .errors import (DegreeNotDividingOrder, OddDegree, OddOrder,
                      VertexBaseNotDisjoint, WrongDimension)
 from .gf import Field, subfield
-from .pg import Geometry, Subspace, theta
+from . import kernels
+from .pg import Geometry, Subspace
 
 
 @dataclass(frozen=True)
@@ -87,24 +90,7 @@ def cone(geometry: Geometry, vertex: Subspace, base: PointSet) -> PointSet:
 
 def axis_vertex(geometry: Geometry, r: int) -> Subspace:
     """Span of the last r+1 coordinate axes (the canonical cone vertex)."""
-    if r == -1:
-        return geometry.span([])
-    basis = np.zeros((r + 1, geometry.n + 1), dtype=np.int16)
-    for i in range(r + 1):
-        basis[i, geometry.n - r + i] = 1
-    return geometry.subspace_from_basis(basis)
-
-
-def embed_in_first_coords(geometry: Geometry, plane_set: PointSet) -> PointSet:
-    """Copy a point set of a lower-dimensional PG(m,q) into the subspace
-    spanned by the first m+1 coordinates of `geometry`."""
-    small = plane_set.geometry
-    if small.q != geometry.q:
-        raise WrongDimension("field orders differ between geometries")
-    vecs = small.points[plane_set.indices]
-    padded = np.zeros((vecs.shape[0], geometry.n + 1), dtype=np.int16)
-    padded[:, : small.n + 1] = vecs
-    return pointset_from_indices(geometry, geometry.indices_of(padded))
+    return geometry.subspace_from_basis(np.eye(geometry.n + 1, dtype=np.int16)[geometry.n - r:])
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +106,7 @@ def baer_subgeometry(geometry: Geometry, s: int) -> PointSet:
     sub_set = np.zeros(geometry.q, dtype=bool)
     sub_set[sub] = True
     pts = geometry.points
-    in_sub = sub_set[pts].all(axis=1)
-    tail_zero = (pts[:, s + 1:] == 0).all(axis=1) if s < geometry.n else np.ones(len(pts), dtype=bool)
-    return PointSet(geometry, in_sub & tail_zero)
+    return PointSet(geometry, sub_set[pts].all(axis=1) & (pts[:, s + 1:] == 0).all(axis=1))
 
 
 def baer_cone(geometry: Geometry, r: int, s: int) -> PointSet:
@@ -138,35 +122,35 @@ def baer_cone(geometry: Geometry, r: int, s: int) -> PointSet:
 # planar bases: unital, hyperoval, Denniston maximal arc
 # ---------------------------------------------------------------------------
 
-def _require_plane(geometry: Geometry):
-    if geometry.n != 2:
-        raise WrongDimension(f"expected a plane (n=2), got n={geometry.n}")
+def _in_plane(geometry: Geometry, vecs: np.ndarray) -> PointSet:
+    """The points x_3 = ... = x_n = 0 of `geometry` whose first three
+    coordinates are the rows of vecs."""
+    padded = np.zeros((len(vecs), geometry.n + 1), dtype=np.int16)
+    padded[:, :3] = vecs
+    return pointset_from_indices(geometry, geometry.indices_of(padded))
 
 
 def hermitian_unital(geometry: Geometry) -> PointSet:
     """The Hermitian curve x^(s+1) + y^(s+1) + z^(s+1) = 0, s = sqrt(q)."""
-    _require_plane(geometry)
     if geometry.field.h % 2 != 0:
         raise OddDegree(f"q = {geometry.q} is not a square")
     s = geometry.field.p ** (geometry.field.h // 2)
     fld = geometry.field
     powed = np.array([fld.pow(x, s + 1) for x in range(geometry.q)], dtype=np.int16)
-    terms = powed[geometry.points]
+    pts = kernels.combo_vectors(3, geometry.q)
+    terms = powed[pts]
     total = fld.add[fld.add[terms[:, 0], terms[:, 1]], terms[:, 2]]
-    return PointSet(geometry, total == 0)
+    return _in_plane(geometry, pts[total == 0])
 
 
 def hyperoval(geometry: Geometry) -> PointSet:
     """Conic y*z = x^2 together with its nucleus (1,0,0); q+2 points."""
-    _require_plane(geometry)
     if geometry.q % 2 != 0:
         raise OddOrder(f"hyperovals require even q, got q = {geometry.q}")
     fld = geometry.field
-    pts = geometry.points
+    pts = kernels.combo_vectors(3, geometry.q)
     on_conic = fld.mul[pts[:, 1], pts[:, 2]] == fld.mul[pts[:, 0], pts[:, 0]]
-    mask = on_conic.copy()
-    mask[geometry.point_index([1, 0, 0])] = True
-    return PointSet(geometry, mask)
+    return _in_plane(geometry, np.vstack([pts[on_conic], [1, 0, 0]]))
 
 
 def _denniston_lambda(field: Field) -> int:
@@ -195,7 +179,6 @@ def denniston_arc(geometry: Geometry, d: int) -> PointSet:
     additive subgroup of order d, lam chosen so the quadratic form is
     anisotropic.  Size qd + d - q; every line meets it in 0 or d points.
     """
-    _require_plane(geometry)
     q = geometry.q
     if q % 2 != 0:
         raise OddOrder(f"Denniston arcs require even q, got q = {q}")
@@ -215,29 +198,21 @@ def denniston_arc(geometry: Geometry, d: int) -> PointSet:
     form = fld.add[fld.add[fld.mul[xs, xs], fld.mul[lam, fld.mul[xs, ys]]],
                    fld.mul[ys, ys]]
     keep = in_group[form]
-    vecs = np.stack([xs[keep], ys[keep], np.ones(int(keep.sum()), dtype=np.int16)], axis=1)
-    return pointset_from_indices(geometry, geometry.indices_of(vecs))
+    return _in_plane(geometry, np.stack([xs[keep], ys[keep], np.ones_like(xs[keep])], axis=1))
 
 
 # ---------------------------------------------------------------------------
 # canonical cone builders used by the theorem drivers and the CLI
 # ---------------------------------------------------------------------------
 
-def _plane_geometry(geometry: Geometry) -> Geometry:
-    return Geometry(geometry.field, 2)
-
-
 def hyperoval_cone(geometry: Geometry) -> PointSet:
     """Cone with an (n-3)-dim vertex over a hyperoval in the first 3 coords."""
-    base = embed_in_first_coords(geometry, hyperoval(_plane_geometry(geometry)))
-    return cone(geometry, axis_vertex(geometry, geometry.n - 3), base)
+    return cone(geometry, axis_vertex(geometry, geometry.n - 3), hyperoval(geometry))
 
 
 def unital_cone(geometry: Geometry) -> PointSet:
-    base = embed_in_first_coords(geometry, hermitian_unital(_plane_geometry(geometry)))
-    return cone(geometry, axis_vertex(geometry, geometry.n - 3), base)
+    return cone(geometry, axis_vertex(geometry, geometry.n - 3), hermitian_unital(geometry))
 
 
 def maxarc_cone(geometry: Geometry, d: int) -> PointSet:
-    base = embed_in_first_coords(geometry, denniston_arc(_plane_geometry(geometry), d))
-    return cone(geometry, axis_vertex(geometry, geometry.n - 3), base)
+    return cone(geometry, axis_vertex(geometry, geometry.n - 3), denniston_arc(geometry, d))

@@ -109,28 +109,21 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
 # cone recognition
 # ---------------------------------------------------------------------------
 
-def _complementary_subspace(g: Geometry, vertex: Subspace) -> Subspace:
-    """The greedy complement, which extends the vertex one at a time by the
-    least point independent of it: the span of the unit vectors at the
-    free columns of the vertex's reduced basis.
-
-    Points are listed with coordinate 0 most significant.  Let W be the
-    span so far, E_c the span of e_c, ..., e_n, and c the largest column
-    with E_c not in W.  Every point before e_c lies in E_(c+1), inside W,
-    so e_c is the least point off W, and c is W's largest free column: each
-    step adds the unit vector at the largest free column left."""
-    basis = g.rref(vertex.basis)
-    free = np.setdiff1d(np.arange(g.n + 1), np.argmax(basis != 0, axis=1))
-    return g.subspace_from_basis(np.eye(g.n + 1, dtype=np.int16)[free])
-
-
 def recognize_cone(K: PointSet) -> ConeRecognition:
     """Detect the maximal vertex of K and test whether K is a cone over it.
 
     The vertex is the subspace of the points P of K such that every line
     joining P to another point of K lies entirely in K, the annihilator of
     the hyperplanes off the cone law in the counts of K, which the result
-    keeps.  The base is K on a deterministic complementary subspace.
+    keeps.  The base is K on the greedy complement of the vertex, which
+    extends the vertex one at a time by the least point independent of it:
+    the points that are 0 at the pivot columns of the vertex's reduced
+    basis, the span of the unit vectors at its free columns.  Points are
+    listed with coordinate 0 most significant.  Let W be the span so far,
+    E_c the span of e_c, ..., e_n, and c the largest column with E_c not in
+    W.  Every point before e_c lies in E_(c+1), inside W, so e_c is the
+    least point off W, and c is W's largest free column: each step adds the
+    unit vector at the largest free column left.
     """
     g = K.geometry
     if K.k == 0:
@@ -139,7 +132,7 @@ def recognize_cone(K: PointSet) -> ConeRecognition:
     f = g.field
     vertex = g.subspace_from_basis(
         kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv))
-    comp = _complementary_subspace(g, vertex)
-    base = PointSet(g, K.mask & comp.mask(g.num_points))
+    pivots = np.argmax(g.rref(vertex.basis) != 0, axis=1)
+    base = PointSet(g, K.mask & (g.points[:, pivots] == 0).all(axis=1))
     is_cone = vertex.dim >= 0 and cone(g, vertex, base) == K
     return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=is_cone, counts=counts)

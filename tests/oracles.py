@@ -1,12 +1,13 @@
 """Brute-force listings that only the tests use as oracles: the points of a
-hyperplane from a dot product with every point, and every d-subspace
-from the echelon bases of its pivot pattern, in the canonical order of
-the subspace scan.
+hyperplane from a dot product with every point, every d-subspace from the
+echelon bases of its pivot pattern, in the canonical order of the subspace
+scan, and a set of PG(2,q) copied into the first coordinates of PG(n,q).
 """
 
 import numpy as np
 
 from pgcones.kernels import pivot_patterns
+from pgcones.objects import pointset_from_indices
 
 
 def dot(g, a, vectors):
@@ -45,3 +46,14 @@ def subspaces_iter(g, d):
     for pivots, free in pivot_patterns(g.n + 1, rows):
         for b in pattern_bases(pivots, free, rows, g.n + 1, g.q):
             yield g.subspace_from_basis(b)
+
+
+def embed_in_first_coords(g, plane_set):
+    """Copy a point set of a lower-dimensional PG(m,q) into the subspace
+    spanned by the first m+1 coordinates of g, padding its points with
+    zeros."""
+    small = plane_set.geometry
+    vecs = small.points[plane_set.indices]
+    padded = np.zeros((vecs.shape[0], g.n + 1), dtype=np.int16)
+    padded[:, : small.n + 1] = vecs
+    return pointset_from_indices(g, g.indices_of(padded))

@@ -107,7 +107,7 @@ def test_feasible_k_screen_csv(capsys):
 
 
 def test_feasible_k_large_prime_q(capsys):
-    # q = 10^9 + 7 is prime: factoring it stops at isqrt(q), and no k survives
+    # q = 10^9 + 7 is prime: it is its own first exact root, and no k survives
     rc = main(["feasible-k", "--abc", "1", "2", "3", "--n", "3", "--q", "1000000007",
                "--k-max", "10"])
     assert rc == 0
@@ -175,6 +175,15 @@ def test_bad_construct_arguments(capsys):
     capsys.readouterr()
     assert main(["construct", "--object", "hyperoval", "--n", "2", "--q", "9",
                  "--out", "-"]) == 2  # odd order has no such arc
+
+
+def test_construct_a_planar_base_in_space(capsys):
+    # a planar base lies in the plane x_3 = ... = x_n = 0 of any PG(n,q)
+    assert main(["construct", "--object", "hyperoval", "--n", "4", "--q", "4",
+                 "--out", "-"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 4 and doc["size"] == 6 == len(doc["points"])
+    assert all(pt[3:] == [0, 0] for pt in doc["points"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,7 +260,7 @@ _POINTS_DOC = {"p": 2, "h": 2, "n": 2, "object": "junk", "size": 2,
     ({"points": [[1, 1, 0], [2, 2, 0]]}, "duplicate point [2, 2, 0]"),  # same projective point
     ({"size": 3}, "'size'"),
     ({"size": True}, "'size'"),
-    # refused before a trial division up to p or a power p ** h is computed
+    # refused before a primality test of p or a power p ** h is computed
     ({"p": 2 ** 61 - 1}, "exceeds the bound 128"),
     ({"h": 10 ** 12}, "exceeds the bound 128"),
 ], ids=["p-string", "h-bool", "n-float", "bool-coordinate", "duplicate", "duplicate-scaled",
@@ -289,13 +298,25 @@ def test_rejected_worker_arguments(argv, capsys):
         "feasible-k-maxarc-d", "verify-odd-q"])
 def test_huge_n_exits_2_before_big_integer_work(argv, capsys):
     # n, t and d are bounded before theta_n(q) or a closed form of the
-    # theorem is computed, and the q of verify before it is trial-divided
+    # theorem is computed, and the q of verify before it is factored
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "exceeds the bound" in err or "over the bound" in err
+
+
+def test_feasible_k_factors_an_18_digit_prime_at_once(capsys):
+    q = 10 ** 18 + 3  # prime
+    start = time.perf_counter()
+    assert main(["feasible-k", "--theorem", "hyperoval3", "--q", str(q)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the k range [") and "narrow it with --k-min/--k-max" in err
+    assert main(["feasible-k", "--theorem", "hyperoval3", "--q", str(q),
+                 "--k-min", str(2 * q + 1), "--k-max", str(2 * q + 100)]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] == q
 
 
 def test_construct_refuses_an_order_over_the_bound_before_factoring(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pgcones import field_new, subfield
-from pgcones.gf import _MODULI, MAX_ORDER, factor_prime_power
+from pgcones.gf import _MODULI, MAX_ORDER, MR_BOUND, _is_prime, factor_prime_power
 from pgcones.errors import NonPrimeCharacteristic, OddDegree, OrderTooLarge
 
 
@@ -85,16 +85,54 @@ def test_errors():
 
 
 @pytest.mark.parametrize("q,want", [(1_000_000_007, (1_000_000_007, 1)), (3 ** 19, (3, 19)),
-                                    (2, (2, 1)), (49, (7, 2))])
+                                    (2, (2, 1)), (49, (7, 2)), (2 ** 100, (2, 100)),
+                                    ((10 ** 9 + 7) ** 2, (10 ** 9 + 7, 2))])
 def test_factor_prime_power(q, want):
-    # trial division stops at isqrt(q): a large prime is its own factor
+    # a large prime is its own first exact root, at h = 1
     assert factor_prime_power(q) == want
 
 
-@pytest.mark.parametrize("q", [1_000_003 * 1_000_033, 1, 12])
+@pytest.mark.parametrize("q", [1_000_003 * 1_000_033, 1, 12, 3 * (10 ** 18 + 3)])
 def test_factor_prime_power_rejects_other_numbers(q):
     with pytest.raises(ValueError):
         factor_prime_power(q)
+
+
+def _factor_or_none(q):
+    try:
+        return factor_prime_power(q)
+    except ValueError:
+        return None
+
+
+def test_factor_prime_power_agrees_with_trial_division():
+    # the smallest prime factor from a sieve, divided out as often as it goes
+    limit = 10 ** 5
+    spf = np.zeros(limit, dtype=np.int64)
+    for d in range(2, limit):
+        if spf[d] == 0:
+            spf[d::d][spf[d::d] == 0] = d
+    want = []
+    for q in range(2, limit):
+        p, h, rem = int(spf[q]), 0, q
+        while rem % p == 0:
+            rem //= p
+            h += 1
+        want.append((p, h) if rem == 1 else None)
+    assert [_factor_or_none(q) for q in range(2, limit)] == want
+
+
+def test_primality_is_exact_below_the_miller_rabin_bound():
+    # 318665857834031151167461 is a strong pseudoprime to the bases 2..37,
+    # and MR_BOUND itself to 2..41; 2^89 - 1 is a prime above the bound
+    assert not _is_prime(318_665_857_834_031_151_167_461)
+    assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
+    assert not _is_prime(3 * (10 ** 18 + 3))
+    for n in (MR_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"only below {MR_BOUND}"):
+            _is_prime(n)
+    with pytest.raises(ValueError, match=f"only below {MR_BOUND}"):
+        factor_prime_power((2 ** 89 - 1) ** 2)
 
 
 def test_enumeration_deterministic():

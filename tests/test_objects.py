@@ -4,10 +4,12 @@ import pytest
 from pgcones import (PointSet, baer_cone, baer_subgeometry, cone,
                      denniston_arc, field_new, geometry_new, hermitian_unital,
                      hyperoval, hyperoval_cone, maxarc_cone,
-                     pointset_from_indices, spectrum, unital_cone)
+                     pointset_from_indices, spectrum, theta, unital_cone)
 from pgcones.errors import (DegreeNotDividingOrder, OddDegree, OddOrder,
                             VertexBaseNotDisjoint)
-from pgcones.objects import axis_vertex, embed_in_first_coords
+from pgcones.gf import factor_prime_power
+from pgcones.objects import axis_vertex
+from oracles import embed_in_first_coords
 
 
 def line_spectrum(ps):
@@ -78,6 +80,29 @@ def test_denniston_arc_errors(plane4, plane8):
         denniston_arc(geometry_new(field_new(3, 1), 2), 3)
 
 
+# (n, q) with an even or square q and at most 70 000 points
+PLANAR_CASES = [(n, q) for q in (2, 4, 8, 9, 16, 25, 32) for n in (3, 4, 5)
+                if theta(n, q) <= 70_000]
+
+
+@pytest.mark.parametrize("n,q", PLANAR_CASES)
+def test_planar_bases_of_any_space_embed_the_plane_sets(n, q):
+    fld = field_new(*factor_prime_power(q))
+    g, plane = geometry_new(fld, n), geometry_new(fld, 2)
+    builders = []
+    if q % 2 == 0:
+        builders.append(hyperoval)
+        builders += [lambda geo, d=d: denniston_arc(geo, d)
+                     for d in (2 ** i for i in range(1, fld.h + 1))]
+    if fld.h % 2 == 0:
+        builders.append(hermitian_unital)
+    assert builders
+    for build in builders:
+        got = build(g)
+        assert got.geometry is g
+        np.testing.assert_array_equal(got.mask, embed_in_first_coords(g, build(plane)).mask)
+
+
 def test_cone_empty_vertex_is_identity(pg34):
     base = pointset_from_indices(pg34, [0, 1, 5])
     assert cone(pg34, pg34.span([]), base) == base
@@ -90,9 +115,7 @@ def test_cone_sizes(pg34, pg44):
 
 def test_cone_size_law(pg44):
     # |cone| = |base| * q^(r+1) + theta_r, any base off the vertex
-    from pgcones import theta
-    plane = geometry_new(pg44.field, 2)
-    base = embed_in_first_coords(pg44, hermitian_unital(plane))
+    base = hermitian_unital(pg44)
     for r in (0, 1):
         v = axis_vertex(pg44, r)
         got = cone(pg44, v, base).k

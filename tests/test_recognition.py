@@ -4,9 +4,9 @@
 Python integers over the field tables.  `recognize_cone` is checked end to
 end on cones over a conic with a vertex spanned by random points, at q = 3,
 5 and 9, whole and damaged, and on the unital cone of PG(8,4): the vertex against the cone points found from
-the definition, the complement against a copy of the greedy loop that adds
-the first point keeping the rows independent, and the base and the rebuild
-against both.
+the definition, the base against K on a copy of the greedy loop that adds
+the first point keeping the rows independent, and the rebuild against
+both.
 """
 
 from functools import lru_cache
@@ -16,7 +16,7 @@ import pytest
 
 from pgcones import field_new, geometry_new
 from pgcones.objects import PointSet, cone, pointset_from_indices, unital_cone
-from pgcones.spectra import _complementary_subspace, recognize_cone
+from pgcones.spectra import recognize_cone
 
 
 @lru_cache(maxsize=None)
@@ -150,11 +150,8 @@ def _check_recognition(K, expected_vertex):
     g = K.geometry
     rec = recognize_cone(K)
     np.testing.assert_array_equal(rec.vertex.point_indices, expected_vertex)
-    comp = _complementary_subspace(g, rec.vertex)
     ref = _reference_complement(g, rec.vertex)
-    assert comp.dim == ref.dim == g.n - rec.vertex.dim - 1
-    np.testing.assert_array_equal(comp.basis, ref.basis)
-    np.testing.assert_array_equal(comp.point_indices, ref.point_indices)
+    assert ref.dim == g.n - rec.vertex.dim - 1
     np.testing.assert_array_equal(rec.base.mask, K.mask & ref.mask(g.num_points))
     rebuilt = rec.vertex.dim >= 0 and cone(g, rec.vertex, rec.base) == K
     assert rec.is_cone_over_vertex == rebuilt

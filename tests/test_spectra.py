@@ -6,8 +6,7 @@ from pgcones import (PointSet, cone, essential_points, hermitian_unital,
                      pencil_counts, pointset_from_indices, recognize_cone,
                      spectrum, unital_cone)
 from pgcones.errors import NotBlocking, WrongDimension
-from pgcones import geometry_new
-from pgcones.objects import axis_vertex, embed_in_first_coords
+from pgcones.objects import axis_vertex
 from pgcones.spectra import _counts
 from oracles import hyperplane_point_indices, subspaces_iter
 
@@ -39,9 +38,7 @@ def test_is_blocking(pg34):
     hyp = pointset_from_indices(pg34, hyperplane_point_indices(pg34, 0))
     assert is_blocking(hyp, 1)
     assert is_blocking(hyperoval_cone(pg34), 2)
-    plane_oval = embed_in_first_coords(
-        pg34, hyperoval(geometry_new(pg34.field, 2)))
-    assert not is_blocking(plane_oval, 2)
+    assert not is_blocking(hyperoval(pg34), 2)
 
 
 def test_maxarc_cone_blocks_planes(pg54):
