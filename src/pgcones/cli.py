@@ -163,8 +163,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_feasible_k(args) -> int:
-    factor_prime_power(args.q)  # PG(n, q) exists only for prime powers q
     bits = args.q.bit_length()
+    if 3 * bits > MAX_BITS:  # every screen has n >= 2; factoring such a q would take seconds
+        raise ValueError(f"q has {bits} bits, over the bound {MAX_BITS // 3}"
+                         " of a screen at n >= 2")
+    factor_prime_power(args.q)  # PG(n, q) exists only for prime powers q
     if args.n is not None and (args.n + 1) * bits > MAX_BITS:
         raise ValueError(f"n = {args.n} is over the bound {MAX_BITS // bits - 1}"
                          f" of a screen at q = {args.q}")

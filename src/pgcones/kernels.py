@@ -1,14 +1,11 @@
-"""Hot numeric kernels, one numpy implementation each.
-
-The kernels work in code space: a coordinate vector v of GF(q)^(n+1) has
-the code sum_i v[i] q^i, and `Geometry.code_to_index` maps the code of
-every nonzero vector, in any scaling, to the index of its projective
-point.  So no kernel normalizes a vector before looking it up.
-
-All kernels work on the raw arrays of a Geometry: field tables (add/mul/
-inv), the point coordinate matrix, the powers q^i, the code table and
-membership masks, which the scan reads as q-ary tensors indexed by code;
-`cone_points` also takes the hyperplane counts and returns their annihilator.
+"""Hot numeric kernels, one numpy implementation each, on the raw arrays
+of a Geometry: field tables (add/mul/inv), the point coordinate matrix and
+membership masks.  The span and the scan work in code space: v in
+GF(q)^(n+1) has the code sum_i v[i] q^i, and `Geometry.code_to_index` maps
+every nonzero code, in any scaling, to its point; the scan reads masks as
+q-ary tensors indexed by code.  The hyperplane count reads no code table
+and builds no array above q^n; `cone_points` also takes the hyperplane
+counts and returns their annihilator.
 """
 
 from __future__ import annotations
@@ -139,22 +136,20 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
 
 
 # ---------------------------------------------------------------------------
-# hyperplane intersection counts from one transform over GF(q)^(n+1)
+# hyperplane intersection counts, one transform per level of PG(n,q)
 # ---------------------------------------------------------------------------
 
-def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_index,
-                                   lone=False):
+def hyperplane_intersection_counts(points, member, mul, inv, p, lone=False):
     """Per-hyperplane |H ∩ member|, and with `lone` the lone member where
     the count is 1 (-1 elsewhere; None without `lone`).
 
-    Row h of `hyperplanes` holds the coordinates a of hyperplane h.  Let
-    c(y) be the constant coefficient of y, an F_p-linear map onto F_p.
-    Over the q-1 multiples v of a point, omega^c(a.v) sums to q-1 if the
-    point is on h and to -1 otherwise.  So for f, 1 on the nonzero vectors
-    of the k members, the transform f^(a) = sum_v f(v) omega^c(a.v) is
-    q N(h) - k, one q-point transform per coordinate, exact modulo a prime
-    ell = 1 (mod p) above the number of points.  Only if some count is 1 do
-    the member indices, summed over h the same way, name the lone members.
+    For f, 1 on the nonzero vectors of the k members, and c(y) the constant
+    coefficient of y, f^(a) = sum_v f(v) omega^c(a.v) is q N(h) - k at the
+    coordinates a of point h, exact modulo a prime ell = 1 (mod p) above the
+    number of points.  The rows are PG(m) = PG(m-1) ∪ AG(m), m = 1..n, and
+    by scaling f^(a0, a') = H(a') + sum_(s != 0) omega^c(a0 s) G(s a'), H
+    being f^ on PG(m-1), G the m-stage transform of y -> f(1, y) on GF(q)^m.
+    Only if some count is 1 are the member indices summed the same way.
     """
     q, member = len(mul), np.asarray(member)
     ell = member.size + 1 + (-member.size) % p  # = 1 (mod p), above every result
@@ -162,27 +157,32 @@ def hyperplane_intersection_counts(hyperplanes, member, mul, p, pows, code_to_in
         ell += p
     if q * ell * ell >= 1 << 63:  # a stage sums q products below ell^2 in int64
         raise GeometryTooLarge(f"{member.size} points overflow the transform modulus {ell}")
-    omega, inv_q = pow(2, (ell - 1) // p, ell), pow(q, -1, ell)
-    w = np.array([pow(omega, s, ell) for s in range(p)], dtype=np.int64)[mul % p]
-    at = hyperplanes.astype(np.int64) @ pows
-    in_k = member[code_to_index]
-    in_k[0] = False  # the zero code, mapped to -1
+    w = np.array([pow(2, (ell - 1) // p * j, ell) for j in range(p)], dtype=np.int64)[mul % p]
+    scale, s = w[inv][:, 1:], np.arange(1, q)[:, None]  # omega^c(s / mu), 1 at mu = 0
+    codes, sy = [s], np.zeros((q - 1, 1), dtype=np.int64)  # per level, the codes of s b
+    for m in range(1, points.shape[1] - 1):  # s (0, b) = (0, s b), s (1, y) = (s, s y)
+        sy = (sy[:, :, None] * q + mul[1:, None, :]).reshape(q - 1, -1)  # y in GF(q)^m
+        codes.append(np.concatenate([codes[-1], s * q ** m + sy], axis=1))
 
-    def per_hyperplane(values, total, bound):
-        """Sum over each hyperplane of a point function, `values` < `bound` on
-        every vector; each stage transforms the lowest coordinate, rotated to
-        the top.  Values are reduced mod ell only where int64 could overflow."""
-        for _ in pows:  # a stage sums q products below (ell-1) bound, < 2^63 after a reduction
-            if q * (ell - 1) * bound >= 1 << 63:
-                values, bound = values % ell, ell
-            values, bound = (values.reshape(-1, q) @ w).T.ravel(), q * (ell - 1) * bound
-        return (total % ell + values[at] % ell) * inv_q % ell
+    def per_hyperplane(values, bound):
+        out, below = np.append(-values[0] % ell, values[1:]), int(values[0])  # f^ = -f on PG(0)
+        for m, at in enumerate(codes, 1):  # below: the sum of f over PG(m-1)
+            lo = at.shape[1]  # PG(m-1) is the first lo rows, AG(m) the q^m rows (1, y)
+            g, top = values[lo:lo + q ** m], bound
+            for _ in range(m):  # reduced mod ell only where int64 could overflow
+                if q * (ell - 1) * top >= 1 << 63:
+                    g, top = g % ell, ell
+                g, top = (g.reshape(-1, q) @ w).T.ravel(), q * (ell - 1) * top
+            u, h, g0 = g[at] % ell, out[:lo], int(g[0])  # U[s, b] = G(s b); G(0) sums f
+            r = (h + scale @ u) % ell  # at (0, b) for mu = 0, else at (1, mu b)
+            h[:], out[lo:lo + q ** m][at] = r[0], r[1:]
+            out[lo], below = ((q - 1) * below - g0) % ell, below + g0  # (1, 0); omega^c sums to 0
+        return (below % ell + out) * pow(q, -1, ell) % ell
 
-    counts = per_hyperplane(in_k.astype(np.int64), int(member.sum()), 2)
+    counts = per_hyperplane(member.astype(np.int64), 2)
     if not lone or not (counts == 1).any():
         return counts, (np.full_like(counts, -1) if lone else None)
-    indices = per_hyperplane(np.where(in_k, code_to_index, 0),
-                             int(np.flatnonzero(member).sum()), member.size)
+    indices = per_hyperplane(np.where(member, np.arange(member.size), 0), member.size)
     return counts, np.where(counts == 1, indices, -1)
 
 

@@ -4,11 +4,11 @@ Points are homogeneous coordinate vectors of length n+1 with the first
 nonzero coordinate scaled to 1, listed in lexicographic order; hyperplane
 h is {x : sum_c P_h[c] x[c] = 0}, P_h the coordinates of point h.  The
 code table maps each of the q^(n+1) vectors to its point; MAX_POINTS
-bounds it, and the transforms of the hyperplane count, which have its
-size, before anything is allocated; an n too large for it is refused
-before theta_n(q) is computed.  A subspace is given by a basis and its
-points; a basis from `span` is reduced, one from `kernels.annihilator`
-is not.
+bounds it before anything is allocated, and with it the transforms of
+the hyperplane count, which hold at most q^n values; an n too large for
+it is refused before theta_n(q) is computed.  A subspace is given by a
+basis and its points; a basis from `span` is reduced, one from
+`kernels.annihilator` is not.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ class Subspace:
     dim: int
     basis: np.ndarray = dc_field(repr=False)  # (dim+1, n+1), empty for dim -1
     point_indices: np.ndarray = dc_field(repr=False)
-
-    def mask(self, num_points: int) -> np.ndarray:
-        m = np.zeros(num_points, dtype=bool)
-        m[self.point_indices] = True
-        return m
 
 
 class Geometry:

@@ -49,7 +49,7 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
         return kernels.hyperplane_intersection_counts(
-            g.points, K.mask, g.field.mul, g.field.p, g.pows, g.code_to_index, lone)
+            g.points, K.mask, g.field.mul, g.field.inv, g.field.p, lone)
     subspaces = gaussian_binomial(g.n + 1, d + 1, g.q)
     if subspaces > MAX_SUBSPACES:
         raise GeometryTooLarge(f"{subspaces} {d}-subspaces exceed the scan bound {MAX_SUBSPACES}")

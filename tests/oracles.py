@@ -1,7 +1,8 @@
 """Brute-force listings that only the tests use as oracles: the points of a
 hyperplane from a dot product with every point, every d-subspace from the
 echelon bases of its pivot pattern, in the canonical order of the subspace
-scan, and a set of PG(2,q) copied into the first coordinates of PG(n,q).
+scan, the membership mask of a subspace, and a set of PG(2,q) copied into
+the first coordinates of PG(n,q).
 """
 
 import numpy as np
@@ -46,6 +47,13 @@ def subspaces_iter(g, d):
     for pivots, free in pivot_patterns(g.n + 1, rows):
         for b in pattern_bases(pivots, free, rows, g.n + 1, g.q):
             yield g.subspace_from_basis(b)
+
+
+def subspace_mask(g, subspace):
+    """Membership mask over the points of g of the points of a subspace."""
+    mask = np.zeros(g.num_points, dtype=bool)
+    mask[subspace.point_indices] = True
+    return mask
 
 
 def embed_in_first_coords(g, plane_set):

@@ -319,9 +319,22 @@ def test_feasible_k_factors_an_18_digit_prime_at_once(capsys):
     assert json.loads(capsys.readouterr().out)["q"] == q
 
 
+def test_feasible_k_refuses_a_q_over_the_bit_bound_before_factoring(capsys):
+    # 4300 digits, Python's limit for parsing an int: factor_prime_power
+    # would take seconds of bisection on it, and no screen at n >= 2 fits
+    q = 10 ** 4299 + 1
+    start = time.perf_counter()
+    assert main(["feasible-k", "--theorem", "hyperoval3", "--q", str(q)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: q has 14281 bits, over the bound 2730 of a screen at n >= 2\n"
+
+
 def test_construct_refuses_an_order_over_the_bound_before_factoring(capsys):
-    # an 18-digit prime q: factor_prime_power would trial-divide it up to
-    # sqrt(q), about 10^9, so q is held against the field-order bound first
+    # an 18-digit prime q is held against the field-order bound before it is
+    # factored, so every q over the bound, prime power or not, is refused
+    # with one message that names the bound
     start = time.perf_counter()
     assert main(["construct", "--object", "hyperoval-cone", "--n", "3",
                  "--q", "1000000000000000003", "--out", "-"]) == 2

@@ -42,7 +42,7 @@ from pgcones.gf import factor_prime_power
 from pgcones.objects import hyperoval_cone
 from pgcones.spectra import _counts
 
-from oracles import hyperplane_point_indices
+from oracles import hyperplane_point_indices, subspace_mask
 
 
 HYP3_Q4 = TypeParameters(1, 6, 9, 3, 4)
@@ -332,7 +332,7 @@ def _pencil_law_by_brute_force(th, inst, K, counts):
             axes.append(span)
         else:
             assert span.dim == n - 3
-            covered, found = span.mask(g.num_points), len(axes)
+            covered, found = subspace_mask(g, span), len(axes)
             for x in row[~covered[row]]:
                 if not covered[x]:
                     axes.append(g.span(list(trace) + [x]))

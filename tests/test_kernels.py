@@ -34,7 +34,7 @@ from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_in
                              unital_cone)
 from pgcones.spectra import _counts, pencil_counts
 
-from oracles import hyperplane_point_indices, subspaces_iter
+from oracles import hyperplane_point_indices, subspace_mask, subspaces_iter
 
 
 def _field_args(g):
@@ -175,7 +175,7 @@ def test_hyperplane_points_rows_match_dot_product_rows(geometry):
 def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
-    args = (g.points, mask, g.field.mul, g.field.p, g.pows, g.code_to_index)
+    args = (g.points, mask, g.field.mul, g.field.inv, g.field.p)
     counts, lone = hyperplane_intersection_counts(*args, lone=True)
     want_counts, want_lone = [], []
     for row in _rows_of(g):
@@ -198,13 +198,16 @@ def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
 def test_hyperplane_counts_reduce_only_before_an_overflow():
     # PG(8,4) has 87 381 points and the transform modulus ell = 87 403, so
     # each stage multiplies the bound on its values by q (ell-1) = 349 608,
-    # about 2^18.4.  The indicator, below 2, stays below 2^19.4, 2^37.8 and
-    # 2^56.2 over three stages; the fourth could reach 2^74.7 >= 2^63, so it
-    # is reduced first, down to ell (2^16.4), which two stages take to 2^71.7
-    # again: reductions before stages 4, 6 and 8 of 9.  The indices, below
-    # 87 381, are reduced before stages 3, 5, 7 and 9.  At density 0.00005
-    # the set has a few points, some hyperplane meets it once, and the index
-    # transform runs; the two denser sets meet every sampled hyperplane often.
+    # about 2^18.4.  Level m = 1..8 runs m stages over its 4^m values.  The
+    # indicator, below 2, stays below 2^19.4, 2^37.8 and 2^56.2 over three
+    # stages; a fourth could reach 2^74.7 >= 2^63, so it is reduced first,
+    # down to ell (2^16.4), which two stages take to 2^71.7 again:
+    # reductions before stages 4, 6 and 8 of the levels that have them.  The
+    # indices, below 87 381, are reduced before stages 3, 5 and 7.  Each
+    # level's transform is reduced once more where it is gathered.  At
+    # density 0.00005 the set has a few points, some hyperplane meets it
+    # once, and the index transform runs; the two denser sets meet every
+    # sampled hyperplane often.
     g = _geometry(2, 2, 8)
     f = g.field
     rng = np.random.default_rng(8)
@@ -213,8 +216,8 @@ def test_hyperplane_counts_reduce_only_before_an_overflow():
                            for chunk in np.array_split(sample, 6)])  # 50 rows at a time
     for density in (0.00005, 0.02, 0.3):
         mask = rng.random(g.num_points) < density
-        counts, lone = hyperplane_intersection_counts(g.points, mask, f.mul, f.p, g.pows,
-                                                      g.code_to_index, lone=True)
+        counts, lone = hyperplane_intersection_counts(g.points, mask, f.mul, f.inv, f.p,
+                                                      lone=True)
         assert counts.dtype == lone.dtype == np.int64
         on = rows & mask
         want = on.sum(axis=1)
@@ -223,14 +226,42 @@ def test_hyperplane_counts_reduce_only_before_an_overflow():
         assert (want == 1).any() == (density < 0.001)
 
 
+@pytest.mark.parametrize("p,h,n", [(3, 3, 3), (5, 2, 3), (2, 4, 4), (2, 7, 2), (3, 2, 5)],
+                         ids=["PG(3,27)", "PG(3,25)", "PG(4,16)", "PG(2,128)", "PG(5,9)"])
+def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
+    # PG(5,9) has 66 430 points and ell = 66 463, q (ell-1) about 2^19.2:
+    # the indicator reaches 2^58.6 after three stages, so levels 4 and 5
+    # reduce before their fourth, at odd p.  The sample holds hyperplanes
+    # that meet the three-point set once, so the index transform runs.
+    g = _geometry(p, h, n)
+    f = g.field
+    rng = np.random.default_rng(g.q)
+    few = rng.choice(g.num_points, 3, replace=False)
+    on_few = field_dots(g.points, g.points[few], f.add, f.mul) == 0
+    once = np.flatnonzero(on_few.sum(axis=1) == 1)
+    sample = np.union1d(rng.choice(g.num_points, 100, replace=False),
+                        rng.choice(once, 20, replace=False))
+    rows = field_dots(g.points[sample], g.points, f.add, f.mul) == 0
+    few_mask = np.zeros(g.num_points, dtype=bool)
+    few_mask[few] = True
+    for mask in (np.zeros(g.num_points, dtype=bool), np.ones(g.num_points, dtype=bool),
+                 few_mask, rng.random(g.num_points) < 0.3):
+        counts, lone = hyperplane_intersection_counts(g.points, mask, f.mul, f.inv, f.p,
+                                                      lone=True)
+        assert counts.dtype == lone.dtype == np.int64
+        on = rows & mask
+        want = on.sum(axis=1)
+        np.testing.assert_array_equal(counts[sample], want)
+        np.testing.assert_array_equal(lone[sample], np.where(want == 1, on.argmax(axis=1), -1))
+
+
 def test_hyperplane_count_refuses_a_modulus_that_overflows():
     # 2^31 points, as a zero-stride view: the least prime = 1 (mod 2) above
     # them squared, times q, overflows the int64 of a transform stage
     g = _geometry(2, 1, 2)
     member = np.broadcast_to(False, (2 ** 31,))
     with pytest.raises(GeometryTooLarge, match="overflow"):
-        hyperplane_intersection_counts(g.points, member, g.field.mul, g.field.p, g.pows,
-                                       g.code_to_index)
+        hyperplane_intersection_counts(g.points, member, g.field.mul, g.field.inv, g.field.p)
 
 
 def _cone_points_by_definition(K):
@@ -271,8 +302,7 @@ def _conic_cone(g, r):
 def _cone_points(g, mask):
     """`cone_points` of a membership mask, from its hyperplane counts."""
     f = g.field
-    counts, _ = hyperplane_intersection_counts(g.points, mask, f.mul, f.p, g.pows,
-                                               g.code_to_index)
+    counts, _ = hyperplane_intersection_counts(g.points, mask, f.mul, f.inv, f.p)
     return g.subspace_from_basis(cone_points(mask, counts, g.points, f.add, f.mul, f.inv)).point_indices
 
 
@@ -332,7 +362,7 @@ def test_cone_points_of_damaged_cones_match_definition(case, seed, drop, add):
 def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
     g = _geometry(p, h, n)
     S = g.span(range(g.num_points)) if dim == n else next(subspaces_iter(g, dim))
-    mask = S.mask(g.num_points)
+    mask = subspace_mask(g, S)
     got = _cone_points(g, mask)
     np.testing.assert_array_equal(got, S.point_indices)
     np.testing.assert_array_equal(got, _cone_points_by_definition(pointset_from_indices(g, got)))

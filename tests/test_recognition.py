@@ -18,6 +18,8 @@ from pgcones import field_new, geometry_new
 from pgcones.objects import PointSet, cone, pointset_from_indices, unital_cone
 from pgcones.spectra import recognize_cone
 
+from oracles import subspace_mask
+
 
 @lru_cache(maxsize=None)
 def _geometry(p, h, n):
@@ -152,7 +154,7 @@ def _check_recognition(K, expected_vertex):
     np.testing.assert_array_equal(rec.vertex.point_indices, expected_vertex)
     ref = _reference_complement(g, rec.vertex)
     assert ref.dim == g.n - rec.vertex.dim - 1
-    np.testing.assert_array_equal(rec.base.mask, K.mask & ref.mask(g.num_points))
+    np.testing.assert_array_equal(rec.base.mask, K.mask & subspace_mask(g, ref))
     rebuilt = rec.vertex.dim >= 0 and cone(g, rec.vertex, rec.base) == K
     assert rec.is_cone_over_vertex == rebuilt
     return rec
@@ -201,7 +203,7 @@ def test_recognize_random_sets(p, h, n):
         D = PointSet(g, mask)
         _check_recognition(D, _cone_points_by_definition(D))
         # a cone over a random base, whose vertex may be larger than a point
-        base = PointSet(g, mask & comp.mask(g.num_points))
+        base = PointSet(g, mask & subspace_mask(g, comp))
         C = cone(g, vertex, base)
         _check_recognition(C, _cone_points_by_definition(C))
 
