@@ -464,12 +464,14 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     """The pencil law: at each a-hyperplane h, one per distinct K ∩ h, K ∩ h
     fills its span, and each axis, an (n-2)-space A with K ∩ h in A in h,
     lies on u_a a-hyperplanes and q+1-u_a c-hyperplanes; with no
-    a-hyperplane it fails.  No point of a hyperplane or axis is listed: K ∩ h
-    fills its span exactly when its annihilator D, of r rows, has
-    theta_(n-r) = a.  The hyperplanes through A are a dual line through h
-    in D.  With U completing h to a basis (U, h) of D, D's points in lex
-    order are h, then per point x of <U> the q points x + s h, s in GF(q),
-    of <x, h> but h: one line at r = 2, q+1 at r = 3, each a profile."""
+    a-hyperplane it fails.  No point of a hyperplane or axis is listed: the
+    traces, a points each, are row-reduced in one stacked reduction, and
+    K ∩ h fills its span exactly when its rank r has theta_(r-1) = a.  Those
+    that do share r, so one stacked annihilator gives each its dual D, of
+    n+1-r rows.  The hyperplanes through A are a dual line through h in D.
+    With U completing h to a basis (U, h) of D, D's points in lex order are
+    h, then per point x of <U> the q points x + s h, s in GF(q), of <x, h>
+    but h: one line when D has 2 rows, q+1 when it has 3, each a profile."""
     if th.pencil_u_a is None:
         return []
     g, q = K.geometry, inst.q
@@ -484,13 +486,16 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
         block = kernels.field_dots(g.points[a_planes[lo:lo + step]], members, add, mul) == 0
         for h, trace, key in zip(a_planes[lo:lo + step], block, np.packbits(block, axis=1)):
             traces.setdefault(key.tobytes(), (h, trace))
-    duals = {h: kernels.annihilator(members[t], add, mul, inv, neg) for h, t in traces.values()}
-    planes = {h: dual for h, dual in duals.items() if theta(g.n - len(dual), q) == inst.a}
-    failures = [f"K ∩ h spans dimension {g.n - len(dual)} at an a-hyperplane h, not a subspace"
-                f" of a={inst.a} points" for h, dual in duals.items() if h not in planes]
-    if not planes:
+    hs, masks = map(np.array, zip(*traces.values()))  # each trace has a points
+    reduced, ranks = kernels.rref(members[np.nonzero(masks)[1].reshape(len(hs), inst.a)],
+                                  add, mul, inv, neg)
+    fills = np.array([theta(r - 1, q) == inst.a for r in ranks.tolist()])
+    failures = [f"K ∩ h spans dimension {r - 1} at an a-hyperplane h, not a subspace"
+                f" of a={inst.a} points" for r in ranks[~fills].tolist()]
+    if not fills.any():
         return failures
-    h, dual = g.points[list(planes)], np.array(list(planes.values()))
+    rank = ranks[fills][0]  # theta(rank - 1) = a
+    h, dual = g.points[hs[fills]], kernels.annihilator(reduced[fills, :rank], add, mul, inv, neg)
     # as in `kernels.annihilator`, h is the sum of h[f] times the row whose last nonzero column is f
     last = g.n - np.argmax(dual[:, :, ::-1] != 0, axis=2)
     drop = np.argmax(np.take_along_axis(h, last, axis=1) != 0, axis=1)[:, None]

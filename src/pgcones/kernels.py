@@ -5,13 +5,16 @@ GF(q)^(n+1) has the code sum_i v[i] q^i, and `Geometry.code_to_index` maps
 every nonzero code, in any scaling, to its point; the scan reads masks as
 q-ary tensors indexed by code.  The hyperplane count reads no code table
 and builds no array above q^n; `cone_points` also takes the hyperplane
-counts and returns their annihilator.
+counts and returns their annihilator.  `rref` and `annihilator` take a
+stack of matrices and reduce them all in one column loop.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -47,10 +50,17 @@ def pivot_patterns(n_cols: int, rows: int):
 
 def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
     """Normalized coefficient vectors (first nonzero = 1), i.e. the points
-    of PG(dim, q), in lexicographic order.  Shape (theta_dim, dim_plus_1)."""
-    vecs = np.indices((q,) * dim_plus_1, dtype=np.int16).reshape(dim_plus_1, -1).T
-    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
-    return vecs[lead == 1]  # the rows of np.indices are already in lexicographic order
+    of PG(dim, q), in lexicographic order.  Shape (theta_dim, dim_plus_1).
+    Per i from dim down to 0, a block of the vectors led by a 1 at i: tail
+    digit j of GF(q)^m, m = dim - i, runs q^j times through GF(q), each value
+    held for q^(m-1-j) rows."""
+    out = np.zeros(((q ** dim_plus_1 - 1) // (q - 1), dim_plus_1), dtype=np.int16)
+    for m in range(dim_plus_1):  # the block of i = dim - m starts at theta_(m-1)
+        block, i = out[(q ** m - 1) // (q - 1):(q ** (m + 1) - 1) // (q - 1)], dim_plus_1 - 1 - m
+        block[:, i] = 1
+        for j in range(m):
+            block[:, i + 1 + j].reshape(q ** j, q, -1)[...] = np.arange(q)[:, None]
+    return out
 
 
 def span_point_indices(basis, combos, add, mul, pows, code_to_index):
@@ -92,7 +102,7 @@ def _scan_pattern(pivots, free, combos, add, mul, pows, tensors, q):
         takes = []
         for rs in rows:  # the column at every combo and digits, one row's digits at a time
             value = np.zeros((b, 1), dtype=add.dtype)
-            for r in rs:  # flat addition table at s q + t < q^2 <= 2^14, as in `_add_outer`
+            for r in rs:  # flat addition table at s q + t < q^2 <= 2^14, as in `field_dots`
                 value = add.ravel().take(value[:, :, None] * q + mul[c[:, r]][:, None]).reshape(b, -1)
             takes.append((value * np.intp(b) + np.arange(b)[:, None]).ravel())
         for i, tensor in enumerate(tensors):
@@ -122,7 +132,8 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
     member_code = np.asarray(member)[code_to_index]  # only the zero code, never built, is -1
     tensors = [member_code.astype(np.uint8)]
     if lone:
-        tensors.append(np.where(member_code, code_to_index, 0))
+        # int64 as in its sums, up to theta_d theta_n, from the int32 table
+        tensors.append(np.multiply(member_code, code_to_index, dtype=np.int64))
     out = [np.zeros(offsets[-1], dtype=np.int64) for _ in tensors]
 
     def run(i):
@@ -139,6 +150,16 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
 # hyperplane intersection counts, one transform per level of PG(n,q)
 # ---------------------------------------------------------------------------
 
+@cache
+def _transform_modulus(points: int, p: int) -> tuple:
+    """The least prime ell = 1 (mod p) above `points` in which 2 has an omega
+    = 2^((ell-1)/p) of order p, and the powers omega^j, j < p."""
+    ell = points + 1 + (-points) % p  # = 1 (mod p), above every result
+    while not (_is_prime(ell) and pow(2, (ell - 1) // p, ell) != 1):
+        ell += p
+    return ell, tuple(pow(2, (ell - 1) // p * j, ell) for j in range(p))
+
+
 def hyperplane_intersection_counts(points, member, mul, inv, p, lone=False):
     """Per-hyperplane |H ∩ member|, and with `lone` the lone member where
     the count is 1 (-1 elsewhere; None without `lone`).
@@ -152,12 +173,10 @@ def hyperplane_intersection_counts(points, member, mul, inv, p, lone=False):
     Only if some count is 1 are the member indices summed the same way.
     """
     q, member = len(mul), np.asarray(member)
-    ell = member.size + 1 + (-member.size) % p  # = 1 (mod p), above every result
-    while not (_is_prime(ell) and pow(2, (ell - 1) // p, ell) != 1):  # omega of order p
-        ell += p
+    ell, powers = _transform_modulus(member.size, p)
     if q * ell * ell >= 1 << 63:  # a stage sums q products below ell^2 in int64
         raise GeometryTooLarge(f"{member.size} points overflow the transform modulus {ell}")
-    w = np.array([pow(2, (ell - 1) // p * j, ell) for j in range(p)], dtype=np.int64)[mul % p]
+    w = np.array(powers, dtype=np.int64)[mul % p]
     scale, s = w[inv][:, 1:], np.arange(1, q)[:, None]  # omega^c(s / mu), 1 at mu = 0
     codes, sy = [s], np.zeros((q - 1, 1), dtype=np.int64)  # per level, the codes of s b
     for m in range(1, points.shape[1] - 1):  # s (0, b) = (0, s b), s (1, y) = (s, s y)
@@ -190,56 +209,63 @@ def hyperplane_intersection_counts(points, member, mul, inv, p, lone=False):
 # dot products, row reduction, annihilators and the cone points
 # ---------------------------------------------------------------------------
 
-def _add_outer(acc, a, b, add, mul):
-    """acc + a_i b_j over the field, acc of shape (len(a), len(b)); the sum
-    s + t is the flat addition table at s q + t < q^2 <= 2^14, in int16."""
-    return add.ravel().take(acc * len(add) + mul[a][:, b])
-
-
 def field_dots(rows, vectors, add, mul):
     """The field dot products of every row with every vector, shape
-    (len(rows), len(vectors)), one outer product per coordinate."""
+    (len(rows), len(vectors)), one outer product per coordinate; the sum
+    s + t is the flat addition table at s q + t < q^2 <= 2^14, in int16."""
     acc = np.zeros((len(rows), len(vectors)), dtype=add.dtype)
     for r_c, x_c in zip(np.asarray(rows).T, np.asarray(vectors).T):
-        acc = _add_outer(acc, r_c, x_c, add, mul)
+        acc = add.ravel().take(acc * len(add) + mul[r_c][:, x_c])
     return acc
 
 
 def rref(rows, add, mul, inv, neg):
-    """Reduced row echelon form of a matrix over the field tables, nonzero
-    rows only: each pivot row is scaled by the inverse of its pivot, then
-    one outer product clears the pivot column in every other row, over the
-    columns from the pivot on, as the pivot row is 0 before it."""
-    m = np.array(rows, dtype=np.int16)
-    rank = 0
-    for col in range(m.shape[1]):
-        if rank == len(m):
-            break
-        nonzero = np.flatnonzero(m[rank:, col])
-        if nonzero.size == 0:
+    """Reduced row echelon form over the field tables of each matrix of a
+    stack (..., R, C), a matrix being a stack of one, and the ranks.  Rows
+    stay in place.  Per column, one outer product clears the column in every
+    row, from the column on as a pivot row is 0 before its pivot, with each
+    matrix's first row nonzero there and not yet a pivot, which is then put
+    back scaled by the inverse of that entry; a matrix with no such row uses
+    an extra zero row.  The pivot rows in pivot order, then the zero rows
+    left, are the reduced form."""
+    rows = np.asarray(rows)
+    *stack, R, C = rows.shape
+    q, flat_add, flat_mul = len(add), add.ravel(), mul.ravel()  # at s q + t, as in `field_dots`
+    inv_q, neg_q = inv * q, neg * q
+    m = np.zeros((prod(stack), R + 1, C), dtype=np.int16)
+    m[:, :R] = rows.reshape(len(m), R, C)
+    flat, first = m.reshape(-1, C), np.arange(len(m))[:, None] * (R + 1)
+    at = np.full(m.shape[:2], C)  # the pivot column of each row, C for none yet
+    for col in range(C):
+        nonzero = (m[:, :, col] != 0) & (at == C)
+        if not nonzero.any():  # no pivot here in any matrix, or no row left
             continue
-        pivot = rank + nonzero[0]
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = mul[inv[m[rank, col]], m[rank]]
-        factor = neg[m[:, col]]
-        factor[rank] = 0
-        m[:, col:] = _add_outer(m[:, col:], factor, m[rank, col:], add, mul)
-        rank += 1
-    return m[:rank]
+        nonzero[:, R] = True
+        pivot = first[:, 0] + nonzero.argmax(axis=1)
+        row = flat[pivot, col:]
+        row = flat_mul.take(inv_q[row[:, :1]] + row)
+        product = flat_mul.take(neg_q[m[:, :, col, None]] + row[:, None])
+        m[:, :, col:] = flat_add.take(m[:, :, col:] * q + product)
+        flat[pivot, col:], at.ravel()[pivot] = row, col
+    reduced = flat[first + np.argsort(at[:, :R], axis=1)]
+    return reduced.reshape(rows.shape), (at[:, :R] < C).sum(axis=1).reshape(stack)
 
 
 def annihilator(rows, add, mul, inv, neg):
-    """A basis, not echelonized, of the a with a . x = 0 for every row x: per
-    free column f of the reduced rows, 1 there and minus that column at the
-    pivots, 0 at those after f as a reduced row is 0 before its pivot.  So f
-    is the row's last nonzero column, and each a is sum_f a[f] times the row."""
-    basis = rref(rows, add, mul, inv, neg)
-    pivots = np.argmax(basis != 0, axis=1)
-    free = np.setdiff1d(np.arange(basis.shape[1]), pivots)
-    dual = np.zeros((len(free), basis.shape[1]), dtype=np.int16)
-    dual[np.arange(len(free)), free] = 1
-    dual[:, pivots] = neg[basis[:, free]].T
-    return dual
+    """A basis, not echelonized, of the a with a . x = 0 for every row x, per
+    matrix of a stack (..., R, C) of one rank.  In the square of the reduced
+    rows, row p the one with pivot p and 0 where p is free, each free column
+    f gives e_f minus column f: 1 at f and minus that column at the pivots,
+    0 at those after f as a reduced row is 0 before its pivot.  So f is the
+    row's last nonzero column, and each a is sum_f a[f] times the row."""
+    reduced, ranks = rref(rows, add, mul, inv, neg)
+    *stack, R, C = reduced.shape
+    basis = reduced.reshape(prod(stack), R, C)[:, :int(ranks.max(initial=0))]
+    b, square = np.arange(len(basis))[:, None], np.zeros((len(basis), C, C), dtype=np.int16)
+    square[b, np.argmax(basis != 0, axis=2)] = basis
+    free = np.nonzero(np.diagonal(square, axis1=1, axis2=2) == 0)[1].reshape(len(basis), -1)
+    dual = add[np.eye(C, dtype=np.int16), neg[square]].transpose(0, 2, 1)[b, free]
+    return dual.reshape(*stack, C - basis.shape[1], C)
 
 
 def cone_points(member, counts, points, add, mul, inv):

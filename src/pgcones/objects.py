@@ -66,20 +66,19 @@ def cone(geometry: Geometry, vertex: Subspace, base: PointSet) -> PointSet:
     if vertex.dim == -1:
         return PointSet(geometry, base.mask.copy())
     base_idx = base.indices
-    if base_idx.size:
-        stacked = np.vstack([vertex.basis, geometry.rref(geometry.points[base_idx])])
-        if geometry.rref(stacked).shape[0] != stacked.shape[0]:
-            raise VertexBaseNotDisjoint("vertex and base span share a point")
-
     mask = np.zeros(geometry.num_points, dtype=bool)
     mask[vertex.point_indices] = True
     if base_idx.size == 0:
         return PointSet(geometry, mask)
+    fld, bpts = geometry.field, geometry.points[base_idx]
+    # one reduction of a stack: the base, and the vertex basis with it
+    pair = np.stack([np.vstack([0 * vertex.basis, bpts]), np.vstack([vertex.basis, bpts])])
+    base_rank, joint_rank = kernels.rref(pair, fld.add, fld.mul, fld.inv, fld.neg)[1]
+    if joint_rank != base_rank + len(vertex.basis):
+        raise VertexBaseNotDisjoint("vertex and base span share a point")
     mask[base_idx] = True
 
-    fld = geometry.field
     vpts = geometry.points[vertex.point_indices]
-    bpts = geometry.points[base_idx]
     ts = np.arange(1, geometry.q, dtype=np.int16)
     # interior[v, b, t] = V_v + t * B_b, covering each joining line
     interior = fld.add[vpts[:, None, None, :], fld.mul[ts[None, None, :, None], bpts[None, :, None, :]]]

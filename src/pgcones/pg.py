@@ -3,12 +3,14 @@
 Points are homogeneous coordinate vectors of length n+1 with the first
 nonzero coordinate scaled to 1, listed in lexicographic order; hyperplane
 h is {x : sum_c P_h[c] x[c] = 0}, P_h the coordinates of point h.  The
-code table maps each of the q^(n+1) vectors to its point; MAX_POINTS
-bounds it before anything is allocated, and with it the transforms of
-the hyperplane count, which hold at most q^n values; an n too large for
-it is refused before theta_n(q) is computed.  A subspace is given by a
-basis and its points; a basis from `span` is reduced, one from
-`kernels.annihilator` is not.
+code table maps each of the q^(n+1) vectors to its point, in int32 as
+theta_n < 2^31.  Both are built block by block, one block per leading
+coordinate as PG(m) = PG(m-1) ∪ AG(m), with no list of all q^(n+1)
+vectors.  MAX_POINTS bounds the table before anything is allocated, and
+with it the transforms of the hyperplane count, which hold at most q^n
+values; an n too large for it is refused before theta_n(q) is computed.
+A subspace is given by a basis and its points; a basis from `span` is
+reduced, one from `kernels.annihilator` is not.
 """
 
 from __future__ import annotations
@@ -77,12 +79,19 @@ class Geometry:
         self.num_points = npts
 
         self.points = kernels.combo_vectors(n + 1, q)  # normalized, lex order
-        # code sum_i v[i] q^i of every nonzero vector v -> index of its point
+        # code sum_i v[i] q^i of every nonzero vector v -> index of its point.  Led by t
+        # at n - m, then y, v is the point theta_(m-1) + sum_j (y_j / t) q^(n-j): in the
+        # cube of codes, axis a holding coordinate n - a, an outer sum over axes 0..m-1
         self.pows = q ** np.arange(n + 1, dtype=np.int64)
-        self.code_to_index = np.full(q ** (n + 1), -1, dtype=np.int64)
-        index = np.arange(npts, dtype=np.int64)
-        for t in range(1, q):
-            self.code_to_index[field.mul[t, self.points].astype(np.int64) @ self.pows] = index
+        self.code_to_index = np.empty(q ** (n + 1), dtype=np.int32)  # theta_n < 2^31
+        self.code_to_index[0] = -1
+        cube = self.code_to_index.reshape((q,) * (n + 1))
+        over_t = field.mul[:, field.inv[1:]].astype(np.int32)  # [y, t - 1] = y / t
+        for m in range(n + 1):
+            block = np.full(q - 1, theta(m - 1, q), dtype=np.int32)  # over t on axis m
+            for a in reversed(range(m)):
+                block = (over_t * q ** a).reshape((q,) + (1,) * (m - 1 - a) + (q - 1,)) + block
+            cube[(slice(None),) * m + (slice(1, None),) + (0,) * (n - m)] = block
 
     # -- coordinate helpers -------------------------------------------------
 
@@ -101,7 +110,8 @@ class Geometry:
     def rref(self, vectors: np.ndarray) -> np.ndarray:
         """Reduced row echelon form over the field; returns the nonzero rows."""
         f = self.field
-        return kernels.rref(np.reshape(vectors, (-1, self.n + 1)), f.add, f.mul, f.inv, f.neg)
+        reduced, rank = kernels.rref(np.reshape(vectors, (-1, self.n + 1)), f.add, f.mul, f.inv, f.neg)
+        return reduced[:rank]
 
     def span(self, point_indices) -> Subspace:
         """Smallest subspace containing the given points (possibly empty)."""

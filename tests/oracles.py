@@ -1,14 +1,31 @@
-"""Brute-force listings that only the tests use as oracles: the points of a
-hyperplane from a dot product with every point, every d-subspace from the
-echelon bases of its pivot pattern, in the canonical order of the subspace
-scan, the membership mask of a subspace, and a set of PG(2,q) copied into
-the first coordinates of PG(n,q).
+"""Brute-force listings that only the tests use as oracles: the points and
+the code table of PG(n,q) from a filter of all q^(n+1) vectors, the points
+of a hyperplane from a dot product with every point, every d-subspace from
+the echelon bases of its pivot pattern, in the canonical order of the
+subspace scan, the membership mask of a subspace, and a set of PG(2,q)
+copied into the first coordinates of PG(n,q).
 """
 
 import numpy as np
 
 from pgcones.kernels import pivot_patterns
 from pgcones.objects import pointset_from_indices
+
+
+def points_and_codes(field, n):
+    """The points of PG(n,q), first nonzero coordinate 1 in lexicographic
+    order, kept from all q^(n+1) vectors, and the table from the code
+    sum_i v[i] q^i of every nonzero vector v to its point, filled with the
+    points scaled by each t != 0 in turn; -1 at the zero code."""
+    q = field.q
+    vecs = np.indices((q,) * (n + 1), dtype=np.int16).reshape(n + 1, -1).T
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    points = vecs[lead == 1]
+    pows = q ** np.arange(n + 1, dtype=np.int64)
+    codes = np.full(q ** (n + 1), -1, dtype=np.int64)
+    for t in range(1, q):
+        codes[field.mul[t, points].astype(np.int64) @ pows] = np.arange(len(points))
+    return points, codes
 
 
 def dot(g, a, vectors):

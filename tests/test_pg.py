@@ -6,9 +6,10 @@ import pytest
 
 from pgcones import field_new, gaussian_binomial, geometry_new, theta
 from pgcones.errors import GeometryTooLarge
+from pgcones.gf import factor_prime_power
 from pgcones.kernels import annihilator
 
-from oracles import hyperplane_point_indices, subspaces_iter
+from oracles import hyperplane_point_indices, points_and_codes, subspaces_iter
 
 
 def _incidence(g):
@@ -56,6 +57,23 @@ def test_geometry_pg34_counts(pg34):
 def test_geometry_pg54_counts(pg54):
     assert pg54.num_points == 1365
     assert (_incidence(pg54).sum(axis=1) == theta(4, 4)).all()
+
+
+PRIMES = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
+PRIME_POWERS = sorted(p ** h for p in PRIMES for h in range(1, 8) if p ** h <= 128)
+
+
+@pytest.mark.parametrize("q,n", [(q, 2) for q in PRIME_POWERS]
+                         + [(27, 3), (9, 4), (9, 5), (4, 8), (2, 15)])
+def test_points_and_code_table_match_the_filter_of_all_vectors(q, n):
+    # built block by block, per leading coordinate, against the list of all
+    # q^(n+1) vectors filtered to first nonzero 1 and scaled by each t != 0
+    f = field_new(*factor_prime_power(q))
+    g = geometry_new(f, n)
+    points, codes = points_and_codes(f, n)
+    assert g.points.dtype == points.dtype and g.code_to_index.dtype == np.int32
+    np.testing.assert_array_equal(g.points, points)
+    np.testing.assert_array_equal(g.code_to_index, codes)
 
 
 def test_points_normalized_unique(pg34):

@@ -1,7 +1,8 @@
 """Row reduction and cone recognition against in-test references.
 
-`Geometry.rref` is checked against a textbook Gauss-Jordan elimination on
-Python integers over the field tables.  `recognize_cone` is checked end to
+`Geometry.rref`, and `kernels.rref` on stacks of matrices, are checked
+against a textbook Gauss-Jordan elimination on Python integers over the
+field tables.  `recognize_cone` is checked end to
 end on cones over a conic with a vertex spanned by random points, at q = 3,
 5 and 9, whole and damaged, and on the unital cone of PG(8,4): the vertex against the cone points found from
 the definition, the base against K on a copy of the greedy loop that adds
@@ -14,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from pgcones import field_new, geometry_new
+from pgcones import field_new, geometry_new, kernels
 from pgcones.objects import PointSet, cone, pointset_from_indices, unital_cone
 from pgcones.spectra import recognize_cone
 
@@ -85,6 +86,47 @@ def test_rref_matches_the_reference(p, h, n):
         np.testing.assert_array_equal(got, ref)  # the reduced form is unique
         # the same row space: the input rows add nothing to the output rows
         assert _reference_rref(g, np.vstack([got, m])).shape[0] == got.shape[0]
+
+
+def _random_stack(g, rng, b, rows):
+    """b matrices of `rows` rows, each of rank at most a random r (0 for an
+    all-zero matrix): field combinations of r random vectors, with a random
+    set of columns zeroed per matrix, so that in a column only some matrices
+    have a pivot."""
+    add, mul = g.field.add, g.field.mul
+    stack = np.zeros((b, rows, g.n + 1), dtype=np.int16)
+    for m in stack:
+        basis = rng.integers(0, g.q, size=(rng.integers(0, g.n + 2), g.n + 1))
+        basis[:, rng.random(g.n + 1) < 0.3] = 0
+        for vector in basis:
+            m[:] = add[m, mul[rng.integers(0, g.q, size=(rows, 1)), vector]]
+    return stack
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_stacked_rref_matches_the_reference_per_matrix(p, h):
+    # one reduction of a whole stack, each matrix against the textbook
+    # elimination; the seeded stacks hold mixed ranks, all-zero matrices
+    # and columns where only some matrices have a pivot
+    g = _geometry(p, h, 3)
+    f = g.field
+    rng = np.random.default_rng(100 * g.q + 7)
+    ranks_seen, partial_columns = set(), 0
+    for _ in range(30):
+        stack = _random_stack(g, rng, int(rng.integers(1, 9)), int(rng.integers(1, 8)))
+        reduced, ranks = kernels.rref(stack, f.add, f.mul, f.inv, f.neg)
+        assert reduced.dtype == np.int16 and reduced.shape == stack.shape
+        assert ranks.shape == stack.shape[:1]
+        pivots = np.zeros((len(stack), g.n + 1), dtype=bool)
+        for m, got, rank, at in zip(stack, reduced, ranks, pivots):
+            ref = _reference_rref(g, m)
+            assert rank == ref.shape[0]
+            np.testing.assert_array_equal(got[:rank], ref)
+            assert not got[rank:].any()
+            at[np.argmax(ref != 0, axis=1)] = True
+        ranks_seen.update(ranks.tolist())
+        partial_columns += int((pivots.any(axis=0) & ~pivots.all(axis=0)).sum())
+    assert 0 in ranks_seen and len(ranks_seen) >= 4 and partial_columns > 0
 
 
 # ---------------------------------------------------------------------------
