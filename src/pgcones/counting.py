@@ -469,8 +469,8 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     K ∩ h fills its span exactly when its rank r has theta_(r-1) = a.  Those
     that do share r, so one stacked annihilator gives each its dual D, of
     n+1-r rows.  The hyperplanes through A are a dual line through h in D.
-    With U completing h to a basis (U, h) of D, D's points in lex order are
-    h, then per point x of <U> the q points x + s h, s in GF(q), of <x, h>
+    With U completing h to a basis (U, h) of D, its `kernels.span_vectors`
+    are h, then per point x of <U> the q points x + s h, s in GF(q), of <x, h>
     but h: one line when D has 2 rows, q+1 when it has 3, each a profile."""
     if th.pencil_u_a is None:
         return []
@@ -501,10 +501,7 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     drop = np.argmax(np.take_along_axis(h, last, axis=1) != 0, axis=1)[:, None]
     basis = np.concatenate([dual[np.arange(dual.shape[1]) != drop].reshape(len(h), -1, g.n + 1),
                             h[:, None]], axis=1)
-    combos, points = kernels.combo_vectors(basis.shape[1], q), 0
-    for j in range(basis.shape[1]):
-        points = add[points, mul[combos[:, j, None], basis[:, j, None]]]
-    lines = counts[g.indices_of(points[:, 1:])].reshape(-1, q)
+    lines = counts[g.indices_of(kernels.span_vectors(basis, add, mul)[:, 1:])].reshape(-1, q)
     profiles = (dict(sorted(Counter(line.tolist() + [inst.a]).items())) for line in lines)
     return failures + [f"axis profile {u} != {expected}" for u in profiles if u != expected]
 

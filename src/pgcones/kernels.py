@@ -1,12 +1,15 @@
 """Hot numeric kernels, one numpy implementation each, on the raw arrays
-of a Geometry: field tables (add/mul/inv), the point coordinate matrix and
-membership masks.  The span and the scan work in code space: v in
-GF(q)^(n+1) has the code sum_i v[i] q^i, and `Geometry.code_to_index` maps
-every nonzero code, in any scaling, to its point; the scan reads masks as
-q-ary tensors indexed by code.  The hyperplane count reads no code table
-and builds no array above q^n; `cone_points` also takes the hyperplane
-counts and returns their annihilator.  `rref` and `annihilator` take a
-stack of matrices and reduce them all in one column loop.
+of a Geometry: field tables (add/mul/inv/neg), the point coordinate matrix
+and membership masks.  `span_vectors` lists the vectors of a stack of
+spans, for `Geometry.indices_of` to name.  The scan works in code space:
+v in GF(q)^(n+1) has the code sum_i v[i] q^i, `Geometry.code_to_index`
+maps every nonzero code, in any scaling, to its point, and the scan reads
+a mask as a q-ary tensor indexed by code.  The scan and the hyperplane
+count sum one tensor per pass, and sum the member indices for the lone
+points only if some subspace is met once.  The hyperplane count reads no
+code table and builds no array above q^n; `cone_points` also takes the
+hyperplane counts and returns their annihilator.  `rref` and `annihilator`
+take a stack of matrices and reduce them all in one column loop.
 """
 
 from __future__ import annotations
@@ -63,12 +66,17 @@ def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
     return out
 
 
-def span_point_indices(basis, combos, add, mul, pows, code_to_index):
-    """Sorted point indices of the span of `basis` (rows linearly independent)."""
-    acc = mul[combos[:, 0][:, None], basis[0][None, :]]
-    for r in range(1, basis.shape[0]):
-        acc = add[acc, mul[combos[:, r][:, None], basis[r][None, :]]]
-    return np.sort(code_to_index[acc.astype(np.int64) @ pows])
+def span_vectors(bases, add, mul):
+    """The vectors sum_r c_r B_r of each basis B of a stack (..., R, C), one
+    per row c of `combo_vectors(R, q)` in its order: shape (..., theta_(R-1),
+    C).  The sums go through the flat addition table, as in `field_dots`."""
+    bases = np.asarray(bases)
+    *stack, R, C = bases.shape
+    combos = combo_vectors(R, len(add))
+    acc = np.zeros((*stack, len(combos), C), dtype=add.dtype)
+    for r in range(R):
+        acc = add.ravel().take(acc * len(add) + mul[combos[:, r, None], bases[..., r, None, :]])
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +86,8 @@ def span_point_indices(basis, combos, add, mul, pows, code_to_index):
 SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a block
 
 
-def _scan_pattern(pivots, free, combos, add, mul, pows, tensors, q):
-    """Per member tensor, its sums over the q^nf subspaces of one pattern.
+def _scan_pattern(pivots, free, combos, add, mul, pows, tensor, q):
+    """The sums of a member tensor over the q^nf subspaces of one pattern.
 
     The point sum_r c_r B_r of the echelon basis B has c_r in pivot column
     p_r, 0 before p_0 and, in a free column, the field sum of c_r times its
@@ -93,25 +101,21 @@ def _scan_pattern(pivots, free, combos, add, mul, pows, tensors, q):
     rows = [[r for r, f in free if f == col] for col in cols]  # ascending, as in `free`
     codes = np.indices((q,) * len(cols)).reshape(len(cols), q ** len(cols)).T @ pows[cols]
     block = max(1, SCAN_BLOCK // q ** len(free))
-    dtypes = [np.result_type(t.dtype, np.min_scalar_type(len(combos))) for t in tensors]
-    sums = [0] * len(tensors)
+    dtype = np.result_type(tensor.dtype, np.min_scalar_type(len(combos)))
+    sums = 0
     for lo in range(0, len(combos), block):
         c = combos[lo:lo + block]
         b = len(c)
-        at = codes[:, None] + c.astype(np.int64) @ pows[list(pivots)]
-        takes = []
-        for rs in rows:  # the column at every combo and digits, one row's digits at a time
+        t = tensor[codes[:, None] + c.astype(np.int64) @ pows[list(pivots)]]  # free columns, combo
+        for k in reversed(range(len(cols))):  # the column at every combo and digits
             value = np.zeros((b, 1), dtype=add.dtype)
-            for r in rs:  # flat addition table at s q + t < q^2 <= 2^14, as in `field_dots`
+            for r in rows[k]:  # flat addition table at s q + t < q^2 <= 2^14, as in `field_dots`
                 value = add.ravel().take(value[:, :, None] * q + mul[c[:, r]][:, None]).reshape(b, -1)
-            takes.append((value * np.intp(b) + np.arange(b)[:, None]).ravel())
-        for i, tensor in enumerate(tensors):
-            t = tensor[at]  # the free columns, then the combo
-            for k in reversed(range(len(cols))):
-                t = t.reshape(q ** k, q * b, -1).take(takes[k], axis=1)
-            sums[i] = sums[i] + t.reshape(b, -1).sum(axis=0, dtype=dtypes[i])
+            t = t.reshape(q ** k, q * b, -1).take((value * np.intp(b) + np.arange(b)[:, None]).ravel(),
+                                                  axis=1)
+        sums = sums + t.reshape(b, -1).sum(axis=0, dtype=dtype)
     perm = np.argsort(sorted(range(len(free)), key=lambda j: free[j][::-1]))
-    return [s.reshape((q,) * len(free)).transpose(perm).ravel() for s in sums]
+    return sums.reshape((q,) * len(free)).transpose(perm).ravel()
 
 
 def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
@@ -120,30 +124,31 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
     the lone member point where that size is 1 (-1 elsewhere; None without
     `lone`), as int64 arrays over the canonical subspace order.
 
-    The lone point is the sum of the member indices, 0 off the set, through
-    the same takes.  The worker count only chunks the pattern loop; results
-    are byte-identical for any value.
+    Only if some size is 1 is a second pass made, over the member indices,
+    0 off the set, whose sum is the lone point there.  The worker count only
+    chunks the pattern loop; results are byte-identical for any value.
     """
-    rows = d + 1
-    patterns = pivot_patterns(n_cols, rows)
-    combos = combo_vectors(rows, q)
-    sizes = [q ** len(free) for _, free in patterns]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
+    offsets = np.cumsum([0] + [q ** len(free) for _, free in patterns])
     member_code = np.asarray(member)[code_to_index]  # only the zero code, never built, is -1
-    tensors = [member_code.astype(np.uint8)]
-    if lone:
-        # int64 as in its sums, up to theta_d theta_n, from the int32 table
-        tensors.append(np.multiply(member_code, code_to_index, dtype=np.int64))
-    out = [np.zeros(offsets[-1], dtype=np.int64) for _ in tensors]
 
-    def run(i):
-        sums = _scan_pattern(*patterns[i], combos, add, mul, pows, tensors, q)
-        for o, s in zip(out, sums):
-            o[offsets[i]:offsets[i + 1]] = s
+    def scan(tensor):  # each pattern's sums go straight into the result, none are held
+        out = np.empty(offsets[-1], dtype=np.int64)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(len(patterns))))
-    return out[0], (np.where(out[0] == 1, out[1], -1) if lone else None)
+        def run(i):
+            sums = _scan_pattern(*patterns[i], combos, add, mul, pows, tensor, q)
+            out[offsets[i]:offsets[i + 1]] = sums
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(len(patterns))))
+        return out
+
+    counts = scan(member_code.astype(np.uint8))
+    if not lone or not (counts == 1).any():
+        return counts, (np.full_like(counts, -1) if lone else None)
+    # int64 as in its sums, up to theta_d theta_n, from the int32 table
+    indices = scan(np.multiply(member_code, code_to_index, dtype=np.int64))
+    return counts, np.where(counts == 1, indices, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +273,7 @@ def annihilator(rows, add, mul, inv, neg):
     return dual.reshape(*stack, C - basis.shape[1], C)
 
 
-def cone_points(member, counts, points, add, mul, inv):
+def cone_points(member, counts, points, add, mul, inv, neg):
     """A basis of the cone points, the members whose every joining line
     stays in the set, read off its hyperplane counts N(h).
 
@@ -279,6 +284,5 @@ def cone_points(member, counts, points, add, mul, inv):
     member, and the line PQ, P and the Q + tP, stays in the set.  So the
     cone points are the annihilator of the hyperplanes with q N(h) != k - 1.
     """
-    neg = np.argmax(add == 0, axis=1)
     off = points[len(mul) * counts != np.asarray(member).sum() - 1]
     return annihilator(off, add, mul, inv, neg)

@@ -89,6 +89,8 @@ def cone(geometry: Geometry, vertex: Subspace, base: PointSet) -> PointSet:
 
 def axis_vertex(geometry: Geometry, r: int) -> Subspace:
     """Span of the last r+1 coordinate axes (the canonical cone vertex)."""
+    if not -1 <= r <= geometry.n:
+        raise WrongDimension(f"need -1 <= r <= n, got r={r}, n={geometry.n}")
     return geometry.subspace_from_basis(np.eye(geometry.n + 1, dtype=np.int16)[geometry.n - r:])
 
 
@@ -110,8 +112,8 @@ def baer_subgeometry(geometry: Geometry, s: int) -> PointSet:
 
 def baer_cone(geometry: Geometry, r: int, s: int) -> PointSet:
     """Cone with an r-dim vertex over an s-dim Baer subgeometry base."""
-    if r + s >= geometry.n:
-        raise WrongDimension(f"need r+s < n, got r={r}, s={s}, n={geometry.n}")
+    if s < -1 or r + s >= geometry.n:
+        raise WrongDimension(f"need s >= -1 and r+s < n, got r={r}, s={s}, n={geometry.n}")
     base = baer_subgeometry(geometry, s) if s >= 0 else PointSet(
         geometry, np.zeros(geometry.num_points, dtype=bool))
     return cone(geometry, axis_vertex(geometry, r), base)

@@ -9,8 +9,9 @@ coordinate as PG(m) = PG(m-1) ∪ AG(m), with no list of all q^(n+1)
 vectors.  MAX_POINTS bounds the table before anything is allocated, and
 with it the transforms of the hyperplane count, which hold at most q^n
 values; an n too large for it is refused before theta_n(q) is computed.
-A subspace is given by a basis and its points; a basis from `span` is
-reduced, one from `kernels.annihilator` is not.
+A subspace is given by a basis and its points, the sorted indices of
+`kernels.span_vectors` of the basis; a basis from `span` is reduced, one
+from `kernels.annihilator` is not.
 """
 
 from __future__ import annotations
@@ -119,12 +120,9 @@ class Geometry:
         return self.subspace_from_basis(self.rref(self.points[idx]))
 
     def subspace_from_basis(self, basis: np.ndarray) -> Subspace:
-        if basis.shape[0] == 0:
-            return Subspace(-1, basis, np.empty(0, dtype=np.int64))
-        combos = kernels.combo_vectors(basis.shape[0], self.q)
-        pts = kernels.span_point_indices(basis, combos, self.field.add, self.field.mul,
-                                         self.pows, self.code_to_index)
-        return Subspace(basis.shape[0] - 1, basis, pts)
+        """The subspace of a basis (rows linearly independent), its points sorted."""
+        vectors = kernels.span_vectors(basis, self.field.add, self.field.mul)
+        return Subspace(len(basis) - 1, basis, np.sort(self.indices_of(vectors)))
 
 
 def geometry_new(field: Field, n: int) -> Geometry:

@@ -131,7 +131,7 @@ def recognize_cone(K: PointSet) -> ConeRecognition:
     counts, _ = _counts(K, g.n - 1)
     f = g.field
     vertex = g.subspace_from_basis(
-        kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv))
+        kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv, f.neg))
     pivots = np.argmax(g.rref(vertex.basis) != 0, axis=1)
     base = PointSet(g, K.mask & (g.points[:, pivots] == 0).all(axis=1))
     is_cone = vertex.dim >= 0 and cone(g, vertex, base) == K

@@ -177,6 +177,18 @@ def test_bad_construct_arguments(capsys):
                  "--out", "-"]) == 2  # odd order has no such arc
 
 
+@pytest.mark.parametrize("r,s,message", [
+    ("10", "-7", "need s >= -1 and r+s < n, got r=10, s=-7, n=4"),
+    ("-5", "2", "need -1 <= r <= n, got r=-5, n=4"),
+])
+def test_construct_baer_cone_refuses_r_or_s_out_of_range(capsys, r, s, message):
+    assert main(["construct", "--object", "baer-cone", "--n", "4", "--q", "4",
+                 "--r", r, "--s", s, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_construct_a_planar_base_in_space(capsys):
     # a planar base lies in the plane x_3 = ... = x_n = 0 of any PG(n,q)
     assert main(["construct", "--object", "hyperoval", "--n", "4", "--q", "4",

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgcones import field_new, geometry_new
+from pgcones import field_new, geometry_new, kernels
 from pgcones.errors import GeometryTooLarge
 
 from pgcones.kernels import (
@@ -155,6 +155,34 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
     alone, none = _scan(g, d, mask, workers, lone=False)
     np.testing.assert_array_equal(alone, counts)
     assert alone.dtype == np.int64 and none is None
+
+
+@pytest.mark.parametrize("met_once", [False, True])
+def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_once):
+    # every plane of PG(4,4) meets the unital cone in 5, 9, 13 or 21 points,
+    # and some plane meets a line in one point
+    g = _geometry(2, 2, 4)
+    mask = subspace_mask(g, g.span([0, 1])) if met_once else unital_cone(g).mask
+    tensors, scan_pattern = [], kernels._scan_pattern
+
+    def counted(*args):
+        tensors.append(args[-2])
+        return scan_pattern(*args)
+
+    monkeypatch.setattr(kernels, "_scan_pattern", counted)
+    counts, lone = _scan(g, 2, mask)
+    patterns = len(pivot_patterns(g.n + 1, 3))
+    assert lone.dtype == np.int64
+    if met_once:  # a pass over the counts, then one over the indices
+        assert len(tensors) == 2 * patterns
+        assert [t.dtype for t in tensors[::patterns]] == [np.uint8, np.int64]
+        want_counts, want_lone = _brute_counts(_subspace_points(2, 2, 4, 2), mask)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(lone, want_lone)
+        assert (lone >= 0).any()
+    else:
+        assert len(tensors) == patterns and counts.min() > 1
+        np.testing.assert_array_equal(lone, np.full(len(counts), -1))
 
 
 @pytest.mark.parametrize("geometry", DOT_PRODUCT_GEOMETRIES)
@@ -303,7 +331,8 @@ def _cone_points(g, mask):
     """`cone_points` of a membership mask, from its hyperplane counts."""
     f = g.field
     counts, _ = hyperplane_intersection_counts(g.points, mask, f.mul, f.inv, f.p)
-    return g.subspace_from_basis(cone_points(mask, counts, g.points, f.add, f.mul, f.inv)).point_indices
+    return g.subspace_from_basis(cone_points(mask, counts, g.points, f.add, f.mul, f.inv,
+                                               f.neg)).point_indices
 
 
 def _conic_cone_cases(specs):

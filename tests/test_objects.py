@@ -6,7 +6,7 @@ from pgcones import (PointSet, baer_cone, baer_subgeometry, cone,
                      hyperoval, hyperoval_cone, maxarc_cone,
                      pointset_from_indices, spectrum, theta, unital_cone)
 from pgcones.errors import (DegreeNotDividingOrder, OddDegree, OddOrder,
-                            VertexBaseNotDisjoint)
+                            VertexBaseNotDisjoint, WrongDimension)
 from pgcones.gf import factor_prime_power
 from pgcones.objects import axis_vertex
 from oracles import embed_in_first_coords
@@ -146,6 +146,26 @@ def test_baer_cone_sizes(pg34, pg44):
     assert baer_cone(pg44, -1, 2).k == 7
     assert baer_cone(pg44, 1, 2).k == 7 * 16 + 5 == 117
     assert baer_cone(pg34, 0, 1).k == 3 * 4 + 1 == 13
+
+
+def test_axis_vertex_takes_r_from_minus_one_to_n(pg44):
+    assert axis_vertex(pg44, -1).dim == -1
+    assert axis_vertex(pg44, 4).point_indices.size == pg44.num_points
+    for r in (-5, -2, 5, 10):
+        with pytest.raises(WrongDimension, match="need -1 <= r <= n"):
+            axis_vertex(pg44, r)
+
+
+@pytest.mark.parametrize("r,s", [(-5, 2), (10, -7), (6, -3), (-2, 0), (0, -2), (1, 3)])
+def test_baer_cone_refuses_r_or_s_out_of_range(pg44, r, s):
+    # r outside -1..n, s below -1, or r+s >= n
+    with pytest.raises(WrongDimension):
+        baer_cone(pg44, r, s)
+
+
+def test_baer_cone_with_an_empty_base_is_its_vertex(pg44):
+    assert baer_cone(pg44, 1, -1) == pointset_from_indices(pg44, axis_vertex(pg44, 1).point_indices)
+    assert baer_cone(pg44, -1, -1).k == 0
 
 
 def test_maxarc_cone_size(pg54):

@@ -71,6 +71,17 @@ def test_essential_points_without_a_tangent_hyperplane(pg44):
     assert essential_points(K, 3).k == 0
 
 
+def test_essential_points_without_a_plane_met_once(pg44):
+    # every plane meets the unital cone of PG(4,4) in 5, 9, 13 or 21
+    # points, so no count is 1 and the scan skips its index pass
+    K = unital_cone(pg44)
+    counts, lone = _counts(K, 2, lone=True)
+    assert counts.min() > 1
+    np.testing.assert_array_equal(lone, np.full(len(counts), -1))
+    assert lone.dtype == np.int64
+    assert essential_points(K, 2).k == 0
+
+
 def test_essential_points_of_a_line_in_space(pg34):
     # a line blocks every plane of PG(3,4) and each of its points lies on
     # planes that meet it there alone, named by the index transform
