@@ -117,8 +117,6 @@ def cmd_spectrum(args) -> int:
     g = ps.geometry
     d = args.d if args.d is not None else g.n - 1
     spec = spectra.spectrum(ps, d, workers=args.workers)
-    identities_ok = (d == g.n - 1
-                     and counting.verify_identities(spec, ps.k, g.n, g.q))
     assert sum(spec.by_size.values()) == spec.total
     rows = sorted(spec.by_size.items())
     if args.format == "csv":
@@ -126,8 +124,8 @@ def cmd_spectrum(args) -> int:
         for size, count in rows:
             print(f"{size},{count}")
     else:
-        print(json.dumps({"d": spec.d, "rows": rows, "total": spec.total,
-                          "identities_ok": identities_ok}, indent=1))
+        print(json.dumps({"d": spec.d, "rows": rows, "total": spec.total, "identities_ok":
+                          counting.verify_identities(spec, ps.k, g.n, g.q)}, indent=1))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from . import kernels, objects, spectra
 from .errors import (DegenerateType, EmptyRange, HypothesisViolated,
                      NonSquareOrder, OrderTooLarge)
 from .gf import MAX_ORDER, factor_prime_power, field_new
-from .pg import Geometry, check_dimension, theta
+from .pg import Geometry, check_dimension, gaussian_binomial, theta
 from .spectra import Spectrum
 
 
@@ -110,13 +110,14 @@ def t_closed_form(params: TypeParameters, k) -> tuple:
 
 
 def verify_identities(spectrum: Spectrum, k: int, n: int, q: int) -> bool:
-    """Exact check of the three double-counting identities for a
-    hyperplane spectrum."""
-    items = spectrum.by_size.items()
-    eq1 = sum(t for _, t in items) == theta(n, q)
-    eq2 = sum(m * t for m, t in items) == k * theta(n - 1, q)
-    eq3 = sum(m * (m - 1) * t for m, t in items) == k * (k - 1) * theta(n - 2, q)
-    return eq1 and eq2 and eq3
+    """Exact check of the double counts of subspaces, points and point pairs
+    in a k-set's spectrum on the d-subspaces: sum t = [n+1, d+1]_q, sum m t =
+    k [n, d]_q, sum m(m-1) t = k(k-1) [n-1, d-1]_q; the theta ones at n-1."""
+    d, items = spectrum.d, spectrum.by_size.items()
+    eq1 = sum(t for _, t in items) == gaussian_binomial(n + 1, d + 1, q)
+    eq2 = sum(m * t for m, t in items) == k * gaussian_binomial(n, d, q)
+    pairs = gaussian_binomial(n - 1, d - 1, q) if d else 0
+    return eq1 and eq2 and sum(m * (m - 1) * t for m, t in items) == k * (k - 1) * pairs
 
 
 def lemma_congruence(params: TypeParameters, beta: int):

@@ -3,21 +3,23 @@ of a Geometry: field tables (add/mul/inv/neg), the point coordinate matrix
 and membership masks.  `span_vectors` lists the vectors of a stack of
 spans, for `Geometry.indices_of` to name.  The scan works in code space:
 v in GF(q)^(n+1) has the code sum_i v[i] q^i, `Geometry.code_to_index`
-maps every nonzero code, in any scaling, to its point, and the scan reads
-a mask as a q-ary tensor indexed by code.  The scan and the hyperplane
-count sum one tensor per pass, and sum the member indices for the lone
-points only if some subspace is met once.  The hyperplane count reads no
-code table and builds no array above q^n; `cone_points` also takes the
-hyperplane counts and returns their annihilator.  `rref` and `annihilator`
-take a stack of matrices and reduce them all in one column loop.
+maps every nonzero code, in any scaling, to its point, and the scan takes
+a mask, as a q-ary tensor by code, through d + 1 value tables, one per
+pivot prefix, in units of a pivot pattern and a block of combos, which
+workers run in contiguous runs of about equal work.  Both counts sum the
+member indices for the lone points only where a subspace is met once.
+The hyperplane count reads no code table and builds no array above q^n;
+`cone_points` returns the annihilator of the hyperplanes off the cone law.
+`rref` and `annihilator` reduce a stack of matrices in one column loop.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import prod
+from threading import Lock
 
 import numpy as np
 
@@ -32,6 +34,7 @@ USE_NUMBA = False
 # subspace enumeration: canonical reduced-echelon representatives
 # ---------------------------------------------------------------------------
 
+@cache
 def pivot_patterns(n_cols: int, rows: int):
     """Pivot-column choices for echelon bases of `rows`-row matrices.
 
@@ -39,16 +42,9 @@ def pivot_patterns(n_cols: int, rows: int):
     over patterns this is the Gaussian binomial.  Order is lexicographic,
     which fixes the global subspace enumeration order.
     """
-    out = []
-    for pivots in combinations(range(n_cols), rows):
-        free = []
-        for i, p in enumerate(pivots):
-            later_pivots = set(pivots[i + 1:])
-            for col in range(p + 1, n_cols):
-                if col not in later_pivots:
-                    free.append((i, col))
-        out.append((pivots, tuple(free)))
-    return out
+    return tuple((pivots, tuple((i, col) for i, p in enumerate(pivots)
+                                for col in range(p + 1, n_cols) if col not in pivots))
+                 for pivots in combinations(range(n_cols), rows))
 
 
 def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
@@ -83,39 +79,23 @@ def span_vectors(bases, add, mul):
 # intersection counts of a point set against all d-subspaces
 # ---------------------------------------------------------------------------
 
-SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a block
+SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a unit
 
 
-def _scan_pattern(pivots, free, combos, add, mul, pows, tensor, q):
-    """The sums of a member tensor over the q^nf subspaces of one pattern.
-
-    The point sum_r c_r B_r of the echelon basis B has c_r in pivot column
-    p_r, 0 before p_0 and, in a free column, the field sum of c_r times its
-    digits.  Fixing the first two leaves a tensor over the free columns and
-    the combos c; from the last free column to the first, one `take` along
-    its axis, merged with the combo axis, puts the column's digit axes in
-    its place.  The sum over c, in the least dtype holding theta_d, goes
-    from column-grouped to (row, col) slot order by one transpose.
-    """
-    cols = sorted({col for _, col in free})
-    rows = [[r for r, f in free if f == col] for col in cols]  # ascending, as in `free`
-    codes = np.indices((q,) * len(cols)).reshape(len(cols), q ** len(cols)).T @ pows[cols]
-    block = max(1, SCAN_BLOCK // q ** len(free))
-    dtype = np.result_type(tensor.dtype, np.min_scalar_type(len(combos)))
+def _scan_pattern(index, rows, blocks, takes, tensor, q):
+    """The sums, in its dtype, of a member tensor over the q^nf subspaces of
+    one pattern, by free column, and the combos c of its (lo, hi) `blocks`.
+    The point sum_r c_r B_r is c_r at pivot p_r, 0 before p_0 and, at free
+    column k after m = `rows[k]` pivots, sum_(r<m) c_r times its digits:
+    `index[:, c]` codes the first two, then per free column, last first, one
+    `take` along its axis merged with the combos' puts its m digit axes in."""
     sums = 0
-    for lo in range(0, len(combos), block):
-        c = combos[lo:lo + block]
-        b = len(c)
-        t = tensor[codes[:, None] + c.astype(np.int64) @ pows[list(pivots)]]  # free columns, combo
-        for k in reversed(range(len(cols))):  # the column at every combo and digits
-            value = np.zeros((b, 1), dtype=add.dtype)
-            for r in rows[k]:  # flat addition table at s q + t < q^2 <= 2^14, as in `field_dots`
-                value = add.ravel().take(value[:, :, None] * q + mul[c[:, r]][:, None]).reshape(b, -1)
-            t = t.reshape(q ** k, q * b, -1).take((value * np.intp(b) + np.arange(b)[:, None]).ravel(),
-                                                  axis=1)
-        sums = sums + t.reshape(b, -1).sum(axis=0, dtype=dtype)
-    perm = np.argsort(sorted(range(len(free)), key=lambda j: free[j][::-1]))
-    return sums.reshape((q,) * len(free)).transpose(perm).ravel()
+    for lo, hi in blocks:
+        t = tensor[index[:, lo:hi]]  # free columns, combo
+        for k in reversed(range(len(rows))):  # the column at every combo and digits
+            t = t.reshape(q ** k, q * (hi - lo), -1).take(takes(rows[k], lo, hi), axis=1)
+        sums = sums + t.reshape(hi - lo, -1).sum(axis=0, dtype=tensor.dtype)
+    return sums
 
 
 def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
@@ -124,30 +104,61 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
     the lone member point where that size is 1 (-1 elsewhere; None without
     `lone`), as int64 arrays over the canonical subspace order.
 
-    Only if some size is 1 is a second pass made, over the member indices,
-    0 off the set, whose sum is the lone point there.  The worker count only
-    chunks the pattern loop; results are byte-identical for any value.
+    The rows free in a column are those of the pivots before it, so a value
+    table per prefix, sum_(r<m) c_r x_r, serves every pattern.  A unit is a
+    pattern on a block of combos, run inline at one worker, else in contiguous
+    runs of about equal work; the results are the same.  Only if some size is
+    1 is a second pass made, on the patterns holding a 1, over the member
+    indices, 0 off the set, whose sum is the lone point there.  Each pattern's
+    sums, counts in the least dtype holding theta_d, go to (row, col) slot
+    order by one transposed add.
     """
     patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
-    offsets = np.cumsum([0] + [q ** len(free) for _, free in patterns])
+    digits = [np.indices((q,) * k).reshape(k, q ** k).T for k in range(max(n_cols - d, d + 2))]
+    values = [field_dots(combos[:, :m], digits[m], add, mul) for m in range(1, d + 2)]
+    at = combos.astype(np.int64) @ pows[[list(pivots) for pivots, _ in patterns]].T
+    sizes = [q ** len(free) for _, free in patterns]
+    offsets = np.cumsum([0] + sizes)
     member_code = np.asarray(member)[code_to_index]  # only the zero code, never built, is -1
 
-    def scan(tensor):  # each pattern's sums go straight into the result, none are held
-        out = np.empty(offsets[-1], dtype=np.int64)
+    @cache
+    def takes(m, lo, hi):  # value v of combo c at v b + c, b = hi - lo
+        return (values[m - 1][lo:hi] * np.intp(hi - lo) + np.arange(hi - lo)[:, None]).ravel()
 
-        def run(i):
-            sums = _scan_pattern(*patterns[i], combos, add, mul, pows, tensor, q)
-            out[offsets[i]:offsets[i + 1]] = sums
+    def scan(tensor, which):
+        units = [(i, lo, min(lo + step, len(combos))) for i in which
+                 for step in [max(1, SCAN_BLOCK // sizes[i])] for lo in range(0, len(combos), step)]
+        out, lock = np.zeros(offsets[-1], dtype=np.int64), Lock()
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(patterns))))
+        def run(chunk):
+            for i, group in groupby(chunk, key=lambda unit: unit[0]):
+                pivots, free = patterns[i]
+                cols = sorted({col for _, col in free})
+                sums = _scan_pattern((digits[len(cols)] @ pows[cols])[:, None] + at[:, i],
+                                     [sum(p < col for p in pivots) for col in cols],
+                                     [unit[1:] for unit in group], takes, tensor, q)
+                with lock:  # the parts of a pattern split between runs add up
+                    slots = out[offsets[i]:offsets[i + 1]].reshape((q,) * len(free))
+                    slots += sums.reshape(slots.shape).transpose(
+                        np.argsort(sorted(range(len(free)), key=lambda j: free[j][::-1])))
+
+        if workers > 1:  # a unit's work: the entries it gathers, a quarter block of set-up
+            work = np.cumsum([(hi - lo) * sizes[i] + SCAN_BLOCK // 4 for i, lo, hi in units])
+            cuts = [0, *np.unique(work.searchsorted(work[-1] * np.arange(1, workers) // workers))]
+            with ThreadPoolExecutor(max_workers=workers - 1) as pool:  # and this thread
+                rest = pool.map(run, [units[a:b] for a, b in zip(cuts[1:], cuts[2:] + [None])])
+                run(units[:cuts[1]])
+                list(rest)
+        else:
+            run(units)
         return out
 
-    counts = scan(member_code.astype(np.uint8))
+    counts = scan(member_code.astype(np.min_scalar_type(len(combos))), range(len(patterns)))
     if not lone or not (counts == 1).any():
         return counts, (np.full_like(counts, -1) if lone else None)
-    # int64 as in its sums, up to theta_d theta_n, from the int32 table
-    indices = scan(np.multiply(member_code, code_to_index, dtype=np.int64))
+    # on the patterns holding a 1; int64 as in its sums, up to theta_d theta_n
+    indices = scan(np.multiply(member_code, code_to_index, dtype=np.int64),
+                   np.flatnonzero(np.logical_or.reduceat(counts == 1, offsets[:-1])))
     return counts, np.where(counts == 1, indices, -1)
 
 

@@ -50,6 +50,24 @@ def test_spectrum_workers_agree(tmp_path, capsys):
     assert json.loads(one)["rows"] == [[21, 9], [37, 320], [53, 12]]
 
 
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_spectrum_checks_the_identities_below_hyperplanes(tmp_path, capsys, monkeypatch, d):
+    path = _construct(tmp_path, "unital-cone", "--n", "4", "--q", "4")
+    assert main(["spectrum", "--file", str(path), "--d", d]) == 0
+    assert json.loads(capsys.readouterr().out)["identities_ok"] is True
+    spectrum = cli.spectra.spectrum
+
+    def tampered(ps, d, workers=1):  # one subspace moved to the next size
+        sp = spectrum(ps, d, workers)
+        sizes, low = dict(sp.by_size), min(sp.by_size)
+        sizes[low], sizes[low + 1] = sizes[low] - 1, sizes.get(low + 1, 0) + 1
+        return type(sp)(sizes, sp.d, sp.total)
+
+    monkeypatch.setattr(cli.spectra, "spectrum", tampered)
+    assert main(["spectrum", "--file", str(path), "--d", d]) == 0
+    assert json.loads(capsys.readouterr().out)["identities_ok"] is False
+
+
 def test_spectrum_lower_dimension(tmp_path, capsys):
     path = _construct(tmp_path, "hyperoval", "--n", "2", "--q", "4")
     main(["spectrum", "--file", str(path), "--d", "1", "--format", "csv"])

@@ -125,6 +125,23 @@ def test_verify_identities_detects_perturbation(pg34):
     assert not verify_identities(broken, K.k, pg34.n, 4)
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_verify_identities_at_every_dimension(pg44, d):
+    # the subspaces, their points and their pairs of points, counted over
+    # the d-subspaces of PG(4,4) met by a seeded set and by its cone
+    rng = np.random.default_rng(19)
+    for K in (hyperoval_cone(pg44), pointset_from_indices(
+            pg44, rng.choice(pg44.num_points, 40, replace=False).tolist())):
+        sp = spectrum(K, d)
+        assert verify_identities(sp, K.k, pg44.n, 4)
+        # one subspace moved from each size to the next keeps the total only
+        for m in sp.by_size:
+            bad = sp.by_size.copy()
+            bad[m] -= 1
+            bad[m + 1] = bad.get(m + 1, 0) + 1
+            assert not verify_identities(type(sp)(bad, d, sp.total), K.k, pg44.n, 4)
+
+
 def test_congruence_holds():
     c = Congruence(alpha=5, beta=16)
     assert c.holds(149) and not c.holds(148)

@@ -12,6 +12,7 @@ the transform's hyperplane counts, against its definition, line by line
 with `Geometry.span`.
 """
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -171,18 +172,66 @@ def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_onc
 
     monkeypatch.setattr(kernels, "_scan_pattern", counted)
     counts, lone = _scan(g, 2, mask)
-    patterns = len(pivot_patterns(g.n + 1, 3))
+    sizes = [4 ** len(free) for _, free in pivot_patterns(g.n + 1, 3)]
+    with_one = sum((part == 1).any() for part in np.split(counts, np.cumsum(sizes)[:-1]))
     assert lone.dtype == np.int64
-    if met_once:  # a pass over the counts, then one over the indices
-        assert len(tensors) == 2 * patterns
-        assert [t.dtype for t in tensors[::patterns]] == [np.uint8, np.int64]
+    if met_once:  # a call per pattern over the counts, then per pattern holding a 1
+        assert 0 < with_one < len(sizes)
+        assert [t.dtype for t in tensors] == [np.uint8] * len(sizes) + [np.int64] * with_one
         want_counts, want_lone = _brute_counts(_subspace_points(2, 2, 4, 2), mask)
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(lone, want_lone)
         assert (lone >= 0).any()
     else:
-        assert len(tensors) == patterns and counts.min() > 1
+        assert len(tensors) == len(sizes) and counts.min() > 1
         np.testing.assert_array_equal(lone, np.full(len(counts), -1))
+
+
+@pytest.mark.parametrize("p,h,n,d", [(2, 2, 3, 1), (3, 2, 3, 1), (3, 1, 4, 2)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_splits_patterns_into_combo_blocks(monkeypatch, p, h, n, d, workers):
+    # 64 entries per block: every pattern of more than 64 / theta_d subspaces
+    # is split into blocks of combos, and two workers split some pattern
+    monkeypatch.setattr(kernels, "SCAN_BLOCK", 64)
+    g, met_once = _geometry(p, h, n), False
+    for seed, density in [(1, 0.05), (2, 0.3), (3, 0.7)]:
+        mask = _random_mask(g, seed, density)
+        counts, lone = _scan(g, d, mask, workers)
+        want_counts, want_lone = _brute_counts(_subspace_points(p, h, n, d), mask)
+        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(lone, want_lone)
+        met_once |= (counts == 1).any()
+    assert met_once  # the index pass ran
+
+
+def test_scan_adds_split_patterns_under_thread_switches(monkeypatch):
+    # more workers than cores, one-combo units and a short switch interval:
+    # a lost update of a pattern split between two runs changes its counts
+    monkeypatch.setattr(kernels, "SCAN_BLOCK", 64)
+    g = _geometry(3, 2, 4)  # a line pattern of 9^6 subspaces, one combo a unit
+    mask = _random_mask(g, 5, 0.3)
+    want_counts, want_lone = _scan(g, 1, mask)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (3, 4, 8) * 3:
+            counts, lone = _scan(g, 1, mask, workers)
+            np.testing.assert_array_equal(counts, want_counts)
+            np.testing.assert_array_equal(lone, want_lone)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_worker_starts_no_thread_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool at one worker")
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", refuse)
+    g = _geometry(2, 2, 4)
+    mask = subspace_mask(g, g.span([0, 1]))
+    for d in (1, 2):
+        counts, lone = _scan(g, d, mask)
+        assert (lone >= 0).any()
 
 
 @pytest.mark.parametrize("geometry", DOT_PRODUCT_GEOMETRIES)
