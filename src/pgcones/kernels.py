@@ -5,9 +5,9 @@ spans, for `Geometry.indices_of` to name.  The scan works in code space:
 v in GF(q)^(n+1) has the code sum_i v[i] q^i, `Geometry.code_to_index`
 maps every nonzero code, in any scaling, to its point, and the scan takes
 a mask, as a q-ary tensor by code, through d + 1 value tables, one per
-pivot prefix, in units of a pivot pattern and a block of combos, which
-workers run in contiguous runs of about equal work.  Both counts sum the
-member indices for the lone points only where a subspace is met once.
+pivot prefix, a pattern at a time in blocks of combos, one pool task per
+pattern at more than one worker.  Both counts sum the member indices for
+the lone points only where a subspace is met once.
 The hyperplane count reads no code table and builds no array above q^n;
 `cone_points` returns the annihilator of the hyperplanes off the cone law.
 `rref` and `annihilator` reduce a stack of matrices in one column loop.
@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from itertools import combinations, groupby
+from itertools import combinations
 from math import prod
-from threading import Lock
 
 import numpy as np
 
@@ -79,7 +78,7 @@ def span_vectors(bases, add, mul):
 # intersection counts of a point set against all d-subspaces
 # ---------------------------------------------------------------------------
 
-SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a unit
+SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a block
 
 
 def _scan_pattern(index, rows, blocks, takes, tensor, q):
@@ -105,13 +104,13 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
     `lone`), as int64 arrays over the canonical subspace order.
 
     The rows free in a column are those of the pivots before it, so a value
-    table per prefix, sum_(r<m) c_r x_r, serves every pattern.  A unit is a
-    pattern on a block of combos, run inline at one worker, else in contiguous
-    runs of about equal work; the results are the same.  Only if some size is
-    1 is a second pass made, on the patterns holding a 1, over the member
-    indices, 0 off the set, whose sum is the lone point there.  Each pattern's
-    sums, counts in the least dtype holding theta_d, go to (row, col) slot
-    order by one transposed add.
+    table per prefix, sum_(r<m) c_r x_r, serves every pattern.  A pattern
+    runs in blocks of combos; patterns run inline at one worker, else one
+    pool task each; the results are the same.  Only if some size is 1 is a
+    second pass made, on the patterns holding a 1, over the member indices,
+    0 off the set, whose sum is the lone point there.  Each pattern's sums,
+    counts in the least dtype holding theta_d, go to (row, col) slot order
+    by one transposed write.
     """
     patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
     digits = [np.indices((q,) * k).reshape(k, q ** k).T for k in range(max(n_cols - d, d + 2))]
@@ -126,31 +125,24 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
         return (values[m - 1][lo:hi] * np.intp(hi - lo) + np.arange(hi - lo)[:, None]).ravel()
 
     def scan(tensor, which):
-        units = [(i, lo, min(lo + step, len(combos))) for i in which
-                 for step in [max(1, SCAN_BLOCK // sizes[i])] for lo in range(0, len(combos), step)]
-        out, lock = np.zeros(offsets[-1], dtype=np.int64), Lock()
+        out = np.empty(offsets[-1], dtype=np.int64)  # read only at the patterns of `which`
 
-        def run(chunk):
-            for i, group in groupby(chunk, key=lambda unit: unit[0]):
-                pivots, free = patterns[i]
-                cols = sorted({col for _, col in free})
-                sums = _scan_pattern((digits[len(cols)] @ pows[cols])[:, None] + at[:, i],
-                                     [sum(p < col for p in pivots) for col in cols],
-                                     [unit[1:] for unit in group], takes, tensor, q)
-                with lock:  # the parts of a pattern split between runs add up
-                    slots = out[offsets[i]:offsets[i + 1]].reshape((q,) * len(free))
-                    slots += sums.reshape(slots.shape).transpose(
-                        np.argsort(sorted(range(len(free)), key=lambda j: free[j][::-1])))
+        def run(i):  # each pattern writes its own slice
+            pivots, free = patterns[i]
+            cols, step = sorted({col for _, col in free}), max(1, SCAN_BLOCK // sizes[i])
+            blocks = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
+            sums = _scan_pattern((digits[len(cols)] @ pows[cols])[:, None] + at[:, i],
+                                 [sum(p < col for p in pivots) for col in cols],
+                                 blocks, takes, tensor, q)
+            slots = out[offsets[i]:offsets[i + 1]].reshape((q,) * len(free))
+            slots[...] = sums.reshape(slots.shape).transpose(
+                np.argsort(sorted(range(len(free)), key=lambda j: free[j][::-1])))
 
-        if workers > 1:  # a unit's work: the entries it gathers, a quarter block of set-up
-            work = np.cumsum([(hi - lo) * sizes[i] + SCAN_BLOCK // 4 for i, lo, hi in units])
-            cuts = [0, *np.unique(work.searchsorted(work[-1] * np.arange(1, workers) // workers))]
-            with ThreadPoolExecutor(max_workers=workers - 1) as pool:  # and this thread
-                rest = pool.map(run, [units[a:b] for a, b in zip(cuts[1:], cuts[2:] + [None])])
-                run(units[:cuts[1]])
-                list(rest)
+        if workers == 1:
+            list(map(run, which))
         else:
-            run(units)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, which))
         return out
 
     counts = scan(member_code.astype(np.min_scalar_type(len(combos))), range(len(patterns)))

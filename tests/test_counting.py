@@ -140,6 +140,15 @@ def test_verify_identities_at_every_dimension(pg44, d):
             bad[m] -= 1
             bad[m + 1] = bad.get(m + 1, 0) + 1
             assert not verify_identities(type(sp)(bad, d, sp.total), K.k, pg44.n, 4)
+        # one subspace each to the sizes either side keeps the points too,
+        # so only the pair count is off, by 2
+        spread = [m for m, t in sp.by_size.items() if m > 0 and t > 1]
+        assert spread
+        for m in spread:
+            bad = sp.by_size.copy()
+            bad[m] -= 2
+            bad[m - 1], bad[m + 1] = bad.get(m - 1, 0) + 1, bad.get(m + 1, 0) + 1
+            assert not verify_identities(type(sp)(bad, d, sp.total), K.k, pg44.n, 4)
 
 
 def test_congruence_holds():

@@ -12,7 +12,6 @@ the transform's hyperplane counts, against its definition, line by line
 with `Geometry.span`.
 """
 
-import sys
 from functools import lru_cache
 
 import numpy as np
@@ -191,7 +190,7 @@ def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_onc
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_splits_patterns_into_combo_blocks(monkeypatch, p, h, n, d, workers):
     # 64 entries per block: every pattern of more than 64 / theta_d subspaces
-    # is split into blocks of combos, and two workers split some pattern
+    # is split into blocks of combos
     monkeypatch.setattr(kernels, "SCAN_BLOCK", 64)
     g, met_once = _geometry(p, h, n), False
     for seed, density in [(1, 0.05), (2, 0.3), (3, 0.7)]:
@@ -202,24 +201,6 @@ def test_scan_splits_patterns_into_combo_blocks(monkeypatch, p, h, n, d, workers
         np.testing.assert_array_equal(lone, want_lone)
         met_once |= (counts == 1).any()
     assert met_once  # the index pass ran
-
-
-def test_scan_adds_split_patterns_under_thread_switches(monkeypatch):
-    # more workers than cores, one-combo units and a short switch interval:
-    # a lost update of a pattern split between two runs changes its counts
-    monkeypatch.setattr(kernels, "SCAN_BLOCK", 64)
-    g = _geometry(3, 2, 4)  # a line pattern of 9^6 subspaces, one combo a unit
-    mask = _random_mask(g, 5, 0.3)
-    want_counts, want_lone = _scan(g, 1, mask)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (3, 4, 8) * 3:
-            counts, lone = _scan(g, 1, mask, workers)
-            np.testing.assert_array_equal(counts, want_counts)
-            np.testing.assert_array_equal(lone, want_lone)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_one_worker_starts_no_thread_pool(monkeypatch):

@@ -24,6 +24,12 @@ def test_unital_cone_hyperplane_spectrum(pg44):
     assert spectrum(unital_cone(pg44), 3).by_size == {21: 9, 37: 320, 53: 12}
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_spectrum_refuses_fewer_than_one_worker(pg34, workers):
+    with pytest.raises(ValueError):
+        spectrum(hyperoval_cone(pg34), 1, workers=workers)
+
+
 def test_spectrum_lower_dimension(pg34):
     # hyperoval cone against all 357 lines of PG(3,4): counts must total
     # the Gaussian binomial and double-count the set size
