@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import counting, objects, spectra
-from .errors import OrderTooLarge, PgconesError
-from .gf import MAX_ORDER, factor_prime_power, field_new
+from .errors import PgconesError
+from .gf import factor_field_order, factor_prime_power, field_new
 from .pg import Geometry, theta
 
 EXIT_OK = 0
@@ -98,9 +98,7 @@ OBJECTS = {
 
 
 def cmd_construct(args) -> int:
-    if args.q > MAX_ORDER:  # any q over the bound gets its message, naming q, before factoring
-        raise OrderTooLarge(f"p^h = {args.q} exceeds the bound {MAX_ORDER}")
-    g = Geometry(field_new(*factor_prime_power(args.q)), args.n)
+    g = Geometry(field_new(*factor_field_order(args.q)), args.n)
     required, build = OBJECTS[args.object]
     if any(getattr(args, name) is None for name in required):
         raise ValueError(f"{args.object} requires " + " and ".join(f"--{r}" for r in required))

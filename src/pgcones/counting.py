@@ -19,9 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import kernels, objects, spectra
-from .errors import (DegenerateType, EmptyRange, HypothesisViolated,
-                     NonSquareOrder, OrderTooLarge)
-from .gf import MAX_ORDER, factor_prime_power, field_new
+from .errors import DegenerateType, EmptyRange, HypothesisViolated, NonSquareOrder
+from .gf import factor_field_order, field_new
 from .pg import Geometry, check_dimension, gaussian_binomial, theta
 from .spectra import Spectrum
 
@@ -514,9 +513,7 @@ def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:
 
     Returns a report dict; report["ok"] is the overall verdict.
     """
-    if q > MAX_ORDER:  # any q over the bound gets its message, naming q, before factoring
-        raise OrderTooLarge(f"p^h = {q} exceeds the bound {MAX_ORDER}")
-    p, h = factor_prime_power(q)  # before a closed form reads a q that is no field order
+    p, h = factor_field_order(q)  # before a closed form reads a q that is no field order
     check_dimension(n, q)  # before any closed form grows with n
     inst = theorem_instance(theorem_id, n, q, t_or_d)
     th = THEOREMS[theorem_id]

@@ -169,6 +169,13 @@ def factor_prime_power(q: int) -> tuple:
     return lo, h
 
 
+def factor_field_order(q: int) -> tuple:
+    """(p, h) of a field order q; a q over the bound is refused unfactored."""
+    if q > MAX_ORDER:
+        raise OrderTooLarge(f"p^h = {q} exceeds the bound {MAX_ORDER}")
+    return factor_prime_power(q)
+
+
 def subfield(field: Field) -> list:
     """The sqrt(q)-order subfield as a sorted list of element codes.
 

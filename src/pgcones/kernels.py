@@ -5,9 +5,9 @@ spans, for `Geometry.indices_of` to name.  The scan works in code space:
 v in GF(q)^(n+1) has the code sum_i v[i] q^i, `Geometry.code_to_index`
 maps every nonzero code, in any scaling, to its point, and the scan takes
 a mask, as a q-ary tensor by code, through d + 1 value tables, one per
-pivot prefix, a pattern at a time in blocks of combos, one pool task per
-pattern at more than one worker.  Both counts sum the member indices for
-the lone points only where a subspace is met once.
+pivot prefix, a pattern at a time (free slots by column, then row) in
+blocks of combos, one pool task per pattern above one worker.  Both counts
+sum the member indices for lone points only where a subspace is met once.
 The hyperplane count reads no code table and builds no array above q^n;
 `cone_points` returns the annihilator of the hyperplanes off the cone law.
 `rref` and `annihilator` reduce a stack of matrices in one column loop.
@@ -38,11 +38,12 @@ def pivot_patterns(n_cols: int, rows: int):
     """Pivot-column choices for echelon bases of `rows`-row matrices.
 
     Each pattern yields q^(number of free slots) distinct subspaces; summed
-    over patterns this is the Gaussian binomial.  Order is lexicographic,
-    which fixes the global subspace enumeration order.
+    over patterns this is the Gaussian binomial.  The patterns run in
+    lexicographic order, each one's free slots (row, col) by column, then
+    row, which fixes the global subspace enumeration order.
     """
-    return tuple((pivots, tuple((i, col) for i, p in enumerate(pivots)
-                                for col in range(p + 1, n_cols) if col not in pivots))
+    return tuple((pivots, tuple((i, col) for col in range(n_cols) if col not in pivots
+                                for i, p in enumerate(pivots) if p < col))
                  for pivots in combinations(range(n_cols), rows))
 
 
@@ -109,8 +110,8 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
     pool task each; the results are the same.  Only if some size is 1 is a
     second pass made, on the patterns holding a 1, over the member indices,
     0 off the set, whose sum is the lone point there.  Each pattern's sums,
-    counts in the least dtype holding theta_d, go to (row, col) slot order
-    by one transposed write.
+    counts in the least dtype holding theta_d, fill its slice as they come:
+    the takes run its free slots by column, then row, the canonical order.
     """
     patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
     digits = [np.indices((q,) * k).reshape(k, q ** k).T for k in range(max(n_cols - d, d + 2))]
@@ -134,9 +135,7 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
             sums = _scan_pattern((digits[len(cols)] @ pows[cols])[:, None] + at[:, i],
                                  [sum(p < col for p in pivots) for col in cols],
                                  blocks, takes, tensor, q)
-            slots = out[offsets[i]:offsets[i + 1]].reshape((q,) * len(free))
-            slots[...] = sums.reshape(slots.shape).transpose(
-                np.argsort(sorted(range(len(free)), key=lambda j: free[j][::-1])))
+            out[offsets[i]:offsets[i + 1]] = sums
 
         if workers == 1:
             list(map(run, which))

@@ -2,8 +2,10 @@
 the code table of PG(n,q) from a filter of all q^(n+1) vectors, the points
 of a hyperplane from a dot product with every point, every d-subspace from
 the echelon bases of its pivot pattern, in the canonical order of the
-subspace scan, the membership mask of a subspace, and a set of PG(2,q)
-copied into the first coordinates of PG(n,q).
+subspace scan (patterns in lexicographic order, the free slots of each by
+column, then row, as `pivot_patterns` lists them), the membership mask of
+a subspace, and a set of PG(2,q) copied into the first coordinates of
+PG(n,q).
 """
 
 import numpy as np

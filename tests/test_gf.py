@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pgcones import field_new, subfield
-from pgcones.gf import _MODULI, MAX_ORDER, MR_BOUND, _is_prime, factor_prime_power
+from pgcones.gf import (_MODULI, MAX_ORDER, MR_BOUND, _is_prime, factor_field_order,
+                        factor_prime_power)
 from pgcones.errors import NonPrimeCharacteristic, OddDegree, OrderTooLarge
 
 
@@ -96,6 +97,14 @@ def test_factor_prime_power(q, want):
 def test_factor_prime_power_rejects_other_numbers(q):
     with pytest.raises(ValueError):
         factor_prime_power(q)
+
+
+def test_factor_field_order_refuses_an_order_over_the_bound_before_factoring():
+    assert factor_field_order(MAX_ORDER) == (2, 7)
+    # factoring (2^89 - 1)^2 would end in the primality test's ValueError
+    q = (2 ** 89 - 1) ** 2
+    with pytest.raises(OrderTooLarge, match=rf"^p\^h = {q} exceeds the bound {MAX_ORDER}$"):
+        factor_field_order(q)
 
 
 def _factor_or_none(q):

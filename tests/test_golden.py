@@ -1,6 +1,7 @@
 """Golden CLI output: the full stdout and exit code of `verify` for the five
-characterizations at q = 4, and of `feasible-k --format csv` for each
-theorem at its smallest (n, q) that the theorem's hypotheses admit."""
+characterizations at q = 4, of `feasible-k --format csv` for each theorem
+at its smallest (n, q) that the theorem's hypotheses admit, and of
+`spectrum` and `recognize` on two constructed cones."""
 
 import pytest
 
@@ -50,3 +51,239 @@ def test_verify_golden(argv, expected, capsys):
 def test_feasible_k_golden(argv, expected, capsys):
     assert main(["feasible-k", *argv, "--format", "csv"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# the cones `spectrum` and `recognize` read, written by `construct`
+CONES = {
+    "unital": ["--object", "unital-cone", "--n", "4", "--q", "4"],
+    "maxarc": ["--object", "maxarc-cone", "--n", "5", "--q", "4", "--d", "2"],
+}
+
+# (cone, --d or None for the hyperplanes, --format) -> stdout of `spectrum`
+SPECTRUM_GOLDEN = {
+    ("unital", None, "json"): """\
+{
+ "d": 3,
+ "rows": [
+  [
+   21,
+   9
+  ],
+  [
+   37,
+   320
+  ],
+  [
+   53,
+   12
+  ]
+ ],
+ "total": 341,
+ "identities_ok": true
+}
+""",
+    ("unital", None, "csv"): """\
+size,count
+21,9
+37,320
+53,12
+""",
+    ("unital", "1", "json"): """\
+{
+ "d": 1,
+ "rows": [
+  [
+   1,
+   2544
+  ],
+  [
+   3,
+   3072
+  ],
+  [
+   5,
+   181
+  ]
+ ],
+ "total": 5797,
+ "identities_ok": true
+}
+""",
+    ("unital", "1", "csv"): """\
+size,count
+1,2544
+3,3072
+5,181
+""",
+    ("unital", "2", "json"): """\
+{
+ "d": 2,
+ "rows": [
+  [
+   5,
+   732
+  ],
+  [
+   9,
+   4096
+  ],
+  [
+   13,
+   960
+  ],
+  [
+   21,
+   9
+  ]
+ ],
+ "total": 5797,
+ "identities_ok": true
+}
+""",
+    ("unital", "2", "csv"): """\
+size,count
+5,732
+9,4096
+13,960
+21,9
+""",
+    ("maxarc", None, "json"): """\
+{
+ "d": 4,
+ "rows": [
+  [
+   21,
+   6
+  ],
+  [
+   101,
+   1344
+  ],
+  [
+   149,
+   15
+  ]
+ ],
+ "total": 1365,
+ "identities_ok": true
+}
+""",
+    ("maxarc", None, "csv"): """\
+size,count
+21,6
+101,1344
+149,15
+""",
+    ("maxarc", "1", "json"): """\
+{
+ "d": 1,
+ "rows": [
+  [
+   0,
+   24576
+  ],
+  [
+   1,
+   5040
+  ],
+  [
+   2,
+   61440
+  ],
+  [
+   5,
+   2037
+  ]
+ ],
+ "total": 93093,
+ "identities_ok": true
+}
+""",
+    ("maxarc", "1", "csv"): """\
+size,count
+0,24576
+1,5040
+2,61440
+5,2037
+""",
+    ("maxarc", "2", "json"): """\
+{
+ "d": 2,
+ "rows": [
+  [
+   1,
+   32256
+  ],
+  [
+   5,
+   1260
+  ],
+  [
+   6,
+   262144
+  ],
+  [
+   9,
+   80640
+  ],
+  [
+   21,
+   505
+  ]
+ ],
+ "total": 376805,
+ "identities_ok": true
+}
+""",
+    ("maxarc", "2", "csv"): """\
+size,count
+1,32256
+5,1260
+6,262144
+9,80640
+21,505
+""",
+}
+
+RECOGNIZE_GOLDEN = {
+    "unital": """\
+{
+ "k": 149,
+ "vertex_dim": 1,
+ "base_size": 9,
+ "is_cone_over_vertex": true
+}
+""",
+    "maxarc": """\
+{
+ "k": 405,
+ "vertex_dim": 2,
+ "base_size": 6,
+ "is_cone_over_vertex": true
+}
+""",
+
+}
+
+
+def _cone_file(tmp_path, cone):
+    path = tmp_path / f"{cone}.json"
+    assert main(["construct", *CONES[cone], "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("cone,d,fmt", list(SPECTRUM_GOLDEN),
+                         ids=[f"{c}-d{d or 'default'}-{f}" for c, d, f in SPECTRUM_GOLDEN])
+def test_spectrum_golden(cone, d, fmt, tmp_path, capsys):
+    path = _cone_file(tmp_path, cone)
+    capsys.readouterr()
+    assert main(["spectrum", "--file", path, *(["--d", d] if d else []), "--format", fmt]) == 0
+    assert capsys.readouterr().out == SPECTRUM_GOLDEN[cone, d, fmt]
+
+
+@pytest.mark.parametrize("cone", list(RECOGNIZE_GOLDEN))
+def test_recognize_golden(cone, tmp_path, capsys):
+    path = _cone_file(tmp_path, cone)
+    capsys.readouterr()
+    assert main(["recognize", "--file", path]) == 0
+    assert capsys.readouterr().out == RECOGNIZE_GOLDEN[cone]

@@ -48,6 +48,13 @@ def test_pivot_patterns_cover_all_subspaces():
     assert sum(3 ** len(free) for _, free in pats) == gaussian_binomial(4, 2, 3)
 
 
+def test_pivot_patterns_list_free_slots_by_column_then_row():
+    # the patterns in lexicographic order, each one's slots in the scan's order
+    pats = pivot_patterns(4, 2)
+    assert [pivots for pivots, _ in pats] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert dict(pats)[0, 1] == ((0, 2), (1, 2), (0, 3), (1, 3))
+
+
 def test_combo_vectors_are_projective_points():
     combos = combo_vectors(3, 4)
     assert combos.shape == (21, 3)
