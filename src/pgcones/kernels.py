@@ -8,7 +8,10 @@ a mask, as a q-ary tensor by code, through d + 1 value tables, one per
 pivot prefix, a pattern at a time (free slots by column, then row) in
 blocks of combos, one pool task per pattern above one worker.  Both counts
 sum the member indices for lone points only where a subspace is met once.
-The hyperplane count reads no code table and builds no array above q^n;
+The hyperplane count reads no code table and builds no array above q^n.
+Each count runs a plan of all it needs besides the point set, a
+`ScanPlan` or a `TransformPlan`, which a Geometry builds the first time a
+query needs it and keeps, one per d; no kernel keeps a plan itself.
 `cone_points` returns the annihilator of the hyperplanes off the cone law.
 `rref` and `annihilator` reduce a stack of matrices in one column loop.
 """
@@ -82,60 +85,80 @@ def span_vectors(bases, add, mul):
 SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a block
 
 
-def _scan_pattern(index, rows, blocks, takes, tensor, q):
+class ScanPlan:
+    """What a scan of the d-subspaces of PG(n_cols - 1, q) needs besides
+    the point set, built once.  Per pivot pattern: `index`, the code of its
+    pivot and leading values at every value of its free columns and every
+    combo c, and its blocks of combos (lo, hi, takes), one take per free
+    column.  The rows free in a column are those of the pivots before it,
+    so a value table per prefix, V_m[c, x] = sum_(r<m) c_r x_r, gives the
+    takes of every pattern; the take of m rows puts value v of combo c at
+    v b + c, b = hi - lo, and equal blocks share it.  The counts come in
+    `dtype`, the least holding theta_d, and pattern i fills `offsets[i]`
+    to `offsets[i + 1]` of the canonical order."""
+
+    def __init__(self, n_cols, d, q, add, mul, code_to_index):
+        patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
+        digits = [np.indices((q,) * k).reshape(k, q ** k).T for k in range(max(n_cols - d, d + 2))]
+        values = [field_dots(combos[:, :m], digits[m], add, mul) for m in range(1, d + 2)]
+        pows = q ** np.arange(n_cols, dtype=np.int64)
+        at = combos.astype(np.int64) @ pows[[list(pivots) for pivots, _ in patterns]].T
+        sizes = [q ** len(free) for _, free in patterns]
+        self.shape, self.code_to_index = (n_cols, d, q), code_to_index
+        self.dtype, self.offsets = np.min_scalar_type(len(combos)), np.cumsum([0] + sizes)
+
+        @cache
+        def take(m, lo, hi):
+            return (values[m - 1][lo:hi] * np.intp(hi - lo) + np.arange(hi - lo)[:, None]).ravel()
+
+        self.patterns = []
+        for (pivots, free), size, codes in zip(patterns, sizes, at.T):
+            cols, step = sorted({col for _, col in free}), max(1, SCAN_BLOCK // size)
+            rows = [sum(p < col for p in pivots) for col in cols]
+            bounds = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
+            blocks = [(lo, hi, [take(m, lo, hi) for m in rows]) for lo, hi in bounds]
+            self.patterns.append(((digits[len(cols)] @ pows[cols])[:, None] + codes, blocks))
+
+
+def _scan_pattern(index, blocks, tensor, q):
     """The sums, in its dtype, of a member tensor over the q^nf subspaces of
-    one pattern, by free column, and the combos c of its (lo, hi) `blocks`.
-    The point sum_r c_r B_r is c_r at pivot p_r, 0 before p_0 and, at free
-    column k after m = `rows[k]` pivots, sum_(r<m) c_r times its digits:
-    `index[:, c]` codes the first two, then per free column, last first, one
-    `take` along its axis merged with the combos' puts its m digit axes in."""
+    one pattern of a `ScanPlan`, by free column.  The point sum_r c_r B_r
+    is c_r at pivot p_r, 0 before p_0 and, at free column k after m
+    pivots, sum_(r<m) c_r times its digits: `index[:, c]` codes the first
+    two, then per free column, last first, one `take` along its axis merged
+    with the combos' puts its m digit axes in."""
     sums = 0
-    for lo, hi in blocks:
+    for lo, hi, takes in blocks:
         t = tensor[index[:, lo:hi]]  # free columns, combo
-        for k in reversed(range(len(rows))):  # the column at every combo and digits
-            t = t.reshape(q ** k, q * (hi - lo), -1).take(takes(rows[k], lo, hi), axis=1)
+        for k in reversed(range(len(takes))):  # the column at every combo and digits
+            t = t.reshape(q ** k, q * (hi - lo), -1).take(takes[k], axis=1)
         sums = sums + t.reshape(hi - lo, -1).sum(axis=0, dtype=tensor.dtype)
     return sums
 
 
-def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
-                               code_to_index, member, workers: int = 1, lone=False):
-    """Intersection size of `member` with every d-subspace, and with `lone`
-    the lone member point where that size is 1 (-1 elsewhere; None without
-    `lone`), as int64 arrays over the canonical subspace order.
+def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lone=False):
+    """Intersection size of `member` with every d-subspace, in the plan's
+    dtype, and with `lone` the lone member point where that size is 1 as
+    int64 (-1 elsewhere; None without `lone`), over the canonical subspace
+    order.  `plan` is the `ScanPlan` of (n_cols, d, q), checked.
 
-    The rows free in a column are those of the pivots before it, so a value
-    table per prefix, sum_(r<m) c_r x_r, serves every pattern.  A pattern
-    runs in blocks of combos; patterns run inline at one worker, else one
-    pool task each; the results are the same.  Only if some size is 1 is a
-    second pass made, on the patterns holding a 1, over the member indices,
-    0 off the set, whose sum is the lone point there.  Each pattern's sums,
-    counts in the least dtype holding theta_d, fill its slice as they come:
-    the takes run its free slots by column, then row, the canonical order.
+    Patterns run inline at one worker, else one pool task each; the results
+    are the same.  Only if some size is 1 is a second pass made, on the
+    patterns holding a 1, over the member indices, 0 off the set, whose sum
+    is the lone point there.  Each pattern's sums fill its slice as they
+    come: the takes run its free slots by column, then row, the canonical
+    order.
     """
-    patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
-    digits = [np.indices((q,) * k).reshape(k, q ** k).T for k in range(max(n_cols - d, d + 2))]
-    values = [field_dots(combos[:, :m], digits[m], add, mul) for m in range(1, d + 2)]
-    at = combos.astype(np.int64) @ pows[[list(pivots) for pivots, _ in patterns]].T
-    sizes = [q ** len(free) for _, free in patterns]
-    offsets = np.cumsum([0] + sizes)
-    member_code = np.asarray(member)[code_to_index]  # only the zero code, never built, is -1
-
-    @cache
-    def takes(m, lo, hi):  # value v of combo c at v b + c, b = hi - lo
-        return (values[m - 1][lo:hi] * np.intp(hi - lo) + np.arange(hi - lo)[:, None]).ravel()
+    if plan.shape != (n_cols, d, q):
+        raise ValueError(f"a scan plan of (n_cols, d, q) = {plan.shape}, not {(n_cols, d, q)}")
+    offsets = plan.offsets
+    member_code = np.asarray(member)[plan.code_to_index]  # only the zero code, never built, is -1
 
     def scan(tensor, which):
-        out = np.empty(offsets[-1], dtype=np.int64)  # read only at the patterns of `which`
+        out = np.empty(offsets[-1], dtype=tensor.dtype)  # read only at the patterns of `which`
 
         def run(i):  # each pattern writes its own slice
-            pivots, free = patterns[i]
-            cols, step = sorted({col for _, col in free}), max(1, SCAN_BLOCK // sizes[i])
-            blocks = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
-            sums = _scan_pattern((digits[len(cols)] @ pows[cols])[:, None] + at[:, i],
-                                 [sum(p < col for p in pivots) for col in cols],
-                                 blocks, takes, tensor, q)
-            out[offsets[i]:offsets[i + 1]] = sums
+            out[offsets[i]:offsets[i + 1]] = _scan_pattern(*plan.patterns[i], tensor, q)
 
         if workers == 1:
             list(map(run, which))
@@ -144,11 +167,11 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
                 list(pool.map(run, which))
         return out
 
-    counts = scan(member_code.astype(np.min_scalar_type(len(combos))), range(len(patterns)))
+    counts = scan(member_code.astype(plan.dtype), range(len(plan.patterns)))
     if not lone or not (counts == 1).any():
-        return counts, (np.full_like(counts, -1) if lone else None)
+        return counts, (np.full(len(counts), -1, dtype=np.int64) if lone else None)
     # on the patterns holding a 1; int64 as in its sums, up to theta_d theta_n
-    indices = scan(np.multiply(member_code, code_to_index, dtype=np.int64),
+    indices = scan(np.multiply(member_code, plan.code_to_index, dtype=np.int64),
                    np.flatnonzero(np.logical_or.reduceat(counts == 1, offsets[:-1])))
     return counts, np.where(counts == 1, indices, -1)
 
@@ -157,19 +180,35 @@ def subspace_intersection_scan(n_cols, d, q, add, mul, pows,
 # hyperplane intersection counts, one transform per level of PG(n,q)
 # ---------------------------------------------------------------------------
 
-@cache
-def _transform_modulus(points: int, p: int) -> tuple:
-    """The least prime ell = 1 (mod p) above `points` in which 2 has an omega
-    = 2^((ell-1)/p) of order p, and the powers omega^j, j < p."""
-    ell = points + 1 + (-points) % p  # = 1 (mod p), above every result
-    while not (_is_prime(ell) and pow(2, (ell - 1) // p, ell) != 1):
-        ell += p
-    return ell, tuple(pow(2, (ell - 1) // p * j, ell) for j in range(p))
+class TransformPlan:
+    """What a hyperplane count over a point matrix of `shape` (points, n+1)
+    needs besides the point set, built once: the least prime `ell` = 1
+    (mod p) above the points in which 2 has an omega = 2^((ell-1)/p) of
+    order p, `w`[x, y] = omega^c(x y), the `scale` omega^c(s / mu), the
+    codes of s b per level and q^-1 mod ell.  A stage sums q products below
+    ell^2 in int64, so q ell^2 >= 2^63 is refused here."""
+
+    def __init__(self, shape, mul, inv, p):
+        (points, n_cols), q = shape, len(mul)
+        ell = points + 1 + (-points) % p  # = 1 (mod p), above every result
+        while not (_is_prime(ell) and pow(2, (ell - 1) // p, ell) != 1):
+            ell += p
+        if q * ell * ell >= 1 << 63:
+            raise GeometryTooLarge(f"{points} points overflow the transform modulus {ell}")
+        omega = pow(2, (ell - 1) // p, ell)
+        self.shape, self.q, self.ell, self.q_inv = shape, q, ell, pow(q, -1, ell)
+        self.w = np.array([pow(omega, j, ell) for j in range(p)], dtype=np.int64)[mul % p]
+        self.scale, s = self.w[inv][:, 1:], np.arange(1, q)[:, None]  # 1 at mu = 0
+        self.codes, sy = [s], np.zeros((q - 1, 1), dtype=np.int64)  # per level, the codes of s b
+        for m in range(1, n_cols - 1):  # s (0, b) = (0, s b), s (1, y) = (s, s y)
+            sy = (sy[:, :, None] * q + mul[1:, None, :]).reshape(q - 1, -1)  # y in GF(q)^m
+            self.codes.append(np.concatenate([self.codes[-1], s * q ** m + sy], axis=1))
 
 
-def hyperplane_intersection_counts(points, member, mul, inv, p, lone=False):
+def hyperplane_intersection_counts(points, member, plan, lone=False):
     """Per-hyperplane |H ∩ member|, and with `lone` the lone member where
-    the count is 1 (-1 elsewhere; None without `lone`).
+    the count is 1 (-1 elsewhere; None without `lone`), as int64.  `plan`
+    is the `TransformPlan` of the shape of `points`, checked.
 
     For f, 1 on the nonzero vectors of the k members, and c(y) the constant
     coefficient of y, f^(a) = sum_v f(v) omega^c(a.v) is q N(h) - k at the
@@ -179,20 +218,13 @@ def hyperplane_intersection_counts(points, member, mul, inv, p, lone=False):
     being f^ on PG(m-1), G the m-stage transform of y -> f(1, y) on GF(q)^m.
     Only if some count is 1 are the member indices summed the same way.
     """
-    q, member = len(mul), np.asarray(member)
-    ell, powers = _transform_modulus(member.size, p)
-    if q * ell * ell >= 1 << 63:  # a stage sums q products below ell^2 in int64
-        raise GeometryTooLarge(f"{member.size} points overflow the transform modulus {ell}")
-    w = np.array(powers, dtype=np.int64)[mul % p]
-    scale, s = w[inv][:, 1:], np.arange(1, q)[:, None]  # omega^c(s / mu), 1 at mu = 0
-    codes, sy = [s], np.zeros((q - 1, 1), dtype=np.int64)  # per level, the codes of s b
-    for m in range(1, points.shape[1] - 1):  # s (0, b) = (0, s b), s (1, y) = (s, s y)
-        sy = (sy[:, :, None] * q + mul[1:, None, :]).reshape(q - 1, -1)  # y in GF(q)^m
-        codes.append(np.concatenate([codes[-1], s * q ** m + sy], axis=1))
+    if plan.shape != points.shape:
+        raise ValueError(f"a transform plan of {plan.shape} points, not {points.shape}")
+    q, ell, w, member = plan.q, plan.ell, plan.w, np.asarray(member)
 
     def per_hyperplane(values, bound):
         out, below = np.append(-values[0] % ell, values[1:]), int(values[0])  # f^ = -f on PG(0)
-        for m, at in enumerate(codes, 1):  # below: the sum of f over PG(m-1)
+        for m, at in enumerate(plan.codes, 1):  # below: the sum of f over PG(m-1)
             lo = at.shape[1]  # PG(m-1) is the first lo rows, AG(m) the q^m rows (1, y)
             g, top = values[lo:lo + q ** m], bound
             for _ in range(m):  # reduced mod ell only where int64 could overflow
@@ -200,10 +232,10 @@ def hyperplane_intersection_counts(points, member, mul, inv, p, lone=False):
                     g, top = g % ell, ell
                 g, top = (g.reshape(-1, q) @ w).T.ravel(), q * (ell - 1) * top
             u, h, g0 = g[at] % ell, out[:lo], int(g[0])  # U[s, b] = G(s b); G(0) sums f
-            r = (h + scale @ u) % ell  # at (0, b) for mu = 0, else at (1, mu b)
+            r = (h + plan.scale @ u) % ell  # at (0, b) for mu = 0, else at (1, mu b)
             h[:], out[lo:lo + q ** m][at] = r[0], r[1:]
             out[lo], below = ((q - 1) * below - g0) % ell, below + g0  # (1, 0); omega^c sums to 0
-        return (below % ell + out) * pow(q, -1, ell) % ell
+        return (below % ell + out) * plan.q_inv % ell
 
     counts = per_hyperplane(member.astype(np.int64), 2)
     if not lone or not (counts == 1).any():

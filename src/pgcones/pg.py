@@ -64,7 +64,9 @@ class Subspace:
 
 
 class Geometry:
-    """Fully enumerated PG(n,q) over a table-backed field."""
+    """Fully enumerated PG(n,q) over a table-backed field.  It keeps, with
+    the points and the code table, the plan of each intersection count
+    asked of it, one per d, built at the first query (`count_plan`)."""
 
     def __init__(self, field: Field, n: int):
         if n < 2:
@@ -78,6 +80,7 @@ class Geometry:
         self.n = n
         self.q = q
         self.num_points = npts
+        self._plans = {}  # d -> the kernel plan of `count_plan`
 
         self.points = kernels.combo_vectors(n + 1, q)  # normalized, lex order
         # code sum_i v[i] q^i of every nonzero vector v -> index of its point.  Led by t
@@ -93,6 +96,19 @@ class Geometry:
             for a in reversed(range(m)):
                 block = (over_t * q ** a).reshape((q,) + (1,) * (m - 1 - a) + (q - 1,)) + block
             cube[(slice(None),) * m + (slice(1, None),) + (0,) * (n - m)] = block
+
+    def count_plan(self, d: int):
+        """The plan of the intersection counts of a point set with every
+        d-subspace: a `kernels.TransformPlan` at d = n-1, else a
+        `kernels.ScanPlan`.  It depends on the geometry alone, so it is
+        built the first time it is asked for and kept."""
+        if d not in self._plans:
+            f = self.field
+            self._plans[d] = (kernels.TransformPlan(self.points.shape, f.mul, f.inv, f.p)
+                              if d == self.n - 1 else
+                              kernels.ScanPlan(self.n + 1, d, self.q, f.add, f.mul,
+                                               self.code_to_index))
+        return self._plans[d]
 
     # -- coordinate helpers -------------------------------------------------
 

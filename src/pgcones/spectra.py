@@ -12,7 +12,7 @@ from .errors import GeometryTooLarge, NotBlocking, WrongDimension
 from .objects import PointSet, cone, pointset_from_indices
 from .pg import Geometry, Subspace, gaussian_binomial, theta
 
-MAX_SUBSPACES = 1 << 25  # the int64 counts of a d < n-1 scan: 256 MiB at the bound
+MAX_SUBSPACES = 1 << 25  # the counts of a d < n-1 scan: 32 MiB of uint8 at the bound
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,34 @@ class ConeRecognition:
 
 def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
     """Intersection counts of K with every d-subspace and, if asked, the lone
-    point of K on each one met once (-1 elsewhere; None unless asked).  A
-    scan over more than MAX_SUBSPACES subspaces is refused before it starts."""
+    point of K on each one met once (-1 elsewhere; None unless asked), from
+    the geometry's plan for d.  A scan over more than MAX_SUBSPACES
+    subspaces is refused before its plan is built."""
     g = K.geometry
     if not 0 <= d <= g.n - 1:
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
-        return kernels.hyperplane_intersection_counts(
-            g.points, K.mask, g.field.mul, g.field.inv, g.field.p, lone)
+        return kernels.hyperplane_intersection_counts(g.points, K.mask, g.count_plan(d), lone)
     subspaces = gaussian_binomial(g.n + 1, d + 1, g.q)
     if subspaces > MAX_SUBSPACES:
         raise GeometryTooLarge(f"{subspaces} {d}-subspaces exceed the scan bound {MAX_SUBSPACES}")
-    return kernels.subspace_intersection_scan(
-        g.n + 1, d, g.q, g.field.add, g.field.mul,
-        g.pows, g.code_to_index, K.mask, workers, lone)
+    return kernels.subspace_intersection_scan(g.n + 1, d, g.q, g.count_plan(d), K.mask,
+                                              workers, lone)
 
 
 def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
-    """The spectrum tallied from the intersection counts of every d-subspace."""
-    tally = np.bincount(counts)  # the counts lie in 0..theta_d: no sort
+    """The spectrum tallied from the intersection counts of every d-subspace,
+    which lie in 0..theta_d: no sort.  uint8 counts are tallied two at a
+    time, each uint16 pair adding to the tally of both its bytes, whatever
+    the byte order: a cone's counts come in long runs of one value, whose
+    increments wait on one another, and pairs halve them."""
+    if counts.dtype == np.uint8:
+        pairs = np.bincount(counts[:len(counts) & ~1].view(np.uint16), minlength=1 << 16)
+        pairs = pairs.reshape(256, 256)
+        tally = pairs.sum(axis=0) + pairs.sum(axis=1)
+        tally[counts[len(counts) & ~1:]] += 1  # the odd last count
+    else:
+        tally = np.bincount(counts)
     return Spectrum(by_size={int(s): int(tally[s]) for s in np.flatnonzero(tally)},
                     d=d, total=gaussian_binomial(g.n + 1, d + 1, g.q))
 
@@ -109,6 +118,15 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
 # cone recognition
 # ---------------------------------------------------------------------------
 
+def _pivot_columns(g: Geometry, S: Subspace) -> np.ndarray:
+    """The pivot columns of the reduced basis of S, ascending: the leading
+    coordinates of its points.  A vector of S leads at the pivot of the
+    first reduced row in its combination, and each reduced row leads at its
+    own pivot."""
+    leads = np.argmax(g.points[S.point_indices] != 0, axis=1)
+    return np.flatnonzero(np.bincount(leads, minlength=g.n + 1))
+
+
 def recognize_cone(K: PointSet) -> ConeRecognition:
     """Detect the maximal vertex of K and test whether K is a cone over it.
 
@@ -132,7 +150,7 @@ def recognize_cone(K: PointSet) -> ConeRecognition:
     f = g.field
     vertex = g.subspace_from_basis(
         kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv, f.neg))
-    pivots = np.argmax(g.rref(vertex.basis) != 0, axis=1)
+    pivots = _pivot_columns(g, vertex)
     base = PointSet(g, K.mask & (g.points[:, pivots] == 0).all(axis=1))
     is_cone = vertex.dim >= 0 and cone(g, vertex, base) == K
     return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=is_cone, counts=counts)

@@ -12,6 +12,8 @@ the transform's hyperplane counts, against its definition, line by line
 with `Geometry.span`.
 """
 
+import gc
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -19,10 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgcones import field_new, geometry_new, kernels
+from pgcones import field_new, geometry_new, kernels, theta
 from pgcones.errors import GeometryTooLarge
 
 from pgcones.kernels import (
+    ScanPlan,
+    TransformPlan,
     combo_vectors,
     cone_points,
     field_dots,
@@ -35,11 +39,6 @@ from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_in
 from pgcones.spectra import _counts, pencil_counts
 
 from oracles import hyperplane_point_indices, subspace_mask, subspaces_iter
-
-
-def _field_args(g):
-    f = g.field
-    return f.add, f.mul, g.pows, g.code_to_index
 
 
 def test_pivot_patterns_cover_all_subspaces():
@@ -66,12 +65,9 @@ def test_combo_vectors_are_projective_points():
 
 
 def test_worker_chunking_is_deterministic(pg34):
-    K = hyperoval_cone(pg34)
-    add, mul, pows, c2i = _field_args(pg34)
-    ref = subspace_intersection_scan(4, 1, 4, add, mul, pows,
-                                     c2i, K.mask, workers=1, lone=True)
-    alt = subspace_intersection_scan(4, 1, 4, add, mul, pows,
-                                     c2i, K.mask, workers=4, lone=True)
+    K, plan = hyperoval_cone(pg34), pg34.count_plan(1)
+    ref = subspace_intersection_scan(4, 1, 4, plan, K.mask, workers=1, lone=True)
+    alt = subspace_intersection_scan(4, 1, 4, plan, K.mask, workers=4, lone=True)
     np.testing.assert_array_equal(ref[0], alt[0])
     np.testing.assert_array_equal(ref[1], alt[1])
 
@@ -135,8 +131,16 @@ def _random_mask(g, seed, density):
     return np.random.default_rng(seed).random(g.num_points) < density
 
 
+def _scan_plan(g, d):
+    """The geometry's own plan below d = n-1; at d = n-1, where the
+    geometry plans the transform, a scan plan built here."""
+    if d < g.n - 1:
+        return g.count_plan(d)
+    return ScanPlan(g.n + 1, d, g.q, g.field.add, g.field.mul, g.code_to_index)
+
+
 def _scan(g, d, mask, workers=1, lone=True):
-    return subspace_intersection_scan(g.n + 1, d, g.q, *_field_args(g), mask,
+    return subspace_intersection_scan(g.n + 1, d, g.q, _scan_plan(g, d), mask,
                                       workers=workers, lone=lone)
 
 
@@ -157,11 +161,11 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
     want_counts, want_lone = _brute_counts(_subspace_points(p, h, n, d), mask)
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(lone, want_lone)
-    assert counts.dtype == lone.dtype == np.int64
+    assert counts.dtype == np.min_scalar_type(theta(d, g.q)) and lone.dtype == np.int64
     # without lone points the scan sums one tensor and gives the same counts
     alone, none = _scan(g, d, mask, workers, lone=False)
     np.testing.assert_array_equal(alone, counts)
-    assert alone.dtype == np.int64 and none is None
+    assert alone.dtype == counts.dtype and none is None
 
 
 @pytest.mark.parametrize("met_once", [False, True])
@@ -197,9 +201,11 @@ def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_onc
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_splits_patterns_into_combo_blocks(monkeypatch, p, h, n, d, workers):
     # 64 entries per block: every pattern of more than 64 / theta_d subspaces
-    # is split into blocks of combos
+    # is split into blocks of combos.  The geometry is built after the patch,
+    # so no plan made at the default block size is reused.
     monkeypatch.setattr(kernels, "SCAN_BLOCK", 64)
-    g, met_once = _geometry(p, h, n), False
+    g, met_once = geometry_new(field_new(p, h), n), False
+    assert any(len(blocks) > 1 for _, blocks in g.count_plan(d).patterns)
     for seed, density in [(1, 0.05), (2, 0.3), (3, 0.7)]:
         mask = _random_mask(g, seed, density)
         counts, lone = _scan(g, d, mask, workers)
@@ -240,7 +246,7 @@ def test_hyperplane_points_rows_match_dot_product_rows(geometry):
 def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
-    args = (g.points, mask, g.field.mul, g.field.inv, g.field.p)
+    args = (g.points, mask, g.count_plan(g.n - 1))
     counts, lone = hyperplane_intersection_counts(*args, lone=True)
     want_counts, want_lone = [], []
     for row in _rows_of(g):
@@ -281,7 +287,7 @@ def test_hyperplane_counts_reduce_only_before_an_overflow():
                            for chunk in np.array_split(sample, 6)])  # 50 rows at a time
     for density in (0.00005, 0.02, 0.3):
         mask = rng.random(g.num_points) < density
-        counts, lone = hyperplane_intersection_counts(g.points, mask, f.mul, f.inv, f.p,
+        counts, lone = hyperplane_intersection_counts(g.points, mask, g.count_plan(g.n - 1),
                                                       lone=True)
         assert counts.dtype == lone.dtype == np.int64
         on = rows & mask
@@ -311,7 +317,7 @@ def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
     few_mask[few] = True
     for mask in (np.zeros(g.num_points, dtype=bool), np.ones(g.num_points, dtype=bool),
                  few_mask, rng.random(g.num_points) < 0.3):
-        counts, lone = hyperplane_intersection_counts(g.points, mask, f.mul, f.inv, f.p,
+        counts, lone = hyperplane_intersection_counts(g.points, mask, g.count_plan(g.n - 1),
                                                       lone=True)
         assert counts.dtype == lone.dtype == np.int64
         on = rows & mask
@@ -321,12 +327,34 @@ def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
 
 
 def test_hyperplane_count_refuses_a_modulus_that_overflows():
-    # 2^31 points, as a zero-stride view: the least prime = 1 (mod 2) above
-    # them squared, times q, overflows the int64 of a transform stage
-    g = _geometry(2, 1, 2)
-    member = np.broadcast_to(False, (2 ** 31,))
+    # 2^31 points of PG(2,2) coordinates: the least prime = 1 (mod 2) above
+    # them squared, times q, overflows the int64 of a transform stage, and
+    # the plan refuses it
+    f = _geometry(2, 1, 2).field
     with pytest.raises(GeometryTooLarge, match="overflow"):
-        hyperplane_intersection_counts(g.points, member, g.field.mul, g.field.inv, g.field.p)
+        TransformPlan((2 ** 31, 3), f.mul, f.inv, f.p)
+
+
+def test_a_geometry_keeps_its_plans_and_frees_them_with_it():
+    # lines, planes, then lines again on one geometry, against a fresh one
+    # per query; a plan for another shape is refused
+    mask = unital_cone(_geometry(2, 2, 4)).mask
+    g = geometry_new(field_new(2, 2), 4)
+    for d in (1, 2, 1):
+        counts, lone = _counts(pointset_from_indices(g, np.flatnonzero(mask)), d, lone=True)
+        fresh = geometry_new(field_new(2, 2), 4)
+        want = _counts(pointset_from_indices(fresh, np.flatnonzero(mask)), d, lone=True)
+        np.testing.assert_array_equal(counts, want[0])
+        np.testing.assert_array_equal(lone, want[1])
+    assert g.count_plan(1) is g.count_plan(1) and g.count_plan(3) is g.count_plan(3)
+    with pytest.raises(ValueError, match="plan"):
+        subspace_intersection_scan(5, 2, 4, g.count_plan(1), mask)
+    with pytest.raises(ValueError, match="plan"):
+        hyperplane_intersection_counts(g.points[1:], mask[1:], g.count_plan(3))
+    refs = [weakref.ref(x) for x in (g, g.count_plan(1), g.count_plan(2), g.count_plan(3))]
+    del g
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
 
 
 def _cone_points_by_definition(K):
@@ -367,7 +395,7 @@ def _conic_cone(g, r):
 def _cone_points(g, mask):
     """`cone_points` of a membership mask, from its hyperplane counts."""
     f = g.field
-    counts, _ = hyperplane_intersection_counts(g.points, mask, f.mul, f.inv, f.p)
+    counts, _ = hyperplane_intersection_counts(g.points, mask, g.count_plan(g.n - 1))
     return g.subspace_from_basis(cone_points(mask, counts, g.points, f.add, f.mul, f.inv,
                                                f.neg)).point_indices
 

@@ -17,7 +17,7 @@ import pytest
 
 from pgcones import field_new, geometry_new, kernels
 from pgcones.objects import PointSet, cone, pointset_from_indices, unital_cone
-from pgcones.spectra import recognize_cone
+from pgcones.spectra import _pivot_columns, recognize_cone
 
 from oracles import subspace_mask
 
@@ -86,6 +86,25 @@ def test_rref_matches_the_reference(p, h, n):
         np.testing.assert_array_equal(got, ref)  # the reduced form is unique
         # the same row space: the input rows add nothing to the output rows
         assert _reference_rref(g, np.vstack([got, m])).shape[0] == got.shape[0]
+
+
+@pytest.mark.parametrize("p,h,n", [(2, 1, 4), (3, 1, 3), (2, 2, 4), (5, 1, 3), (3, 2, 3)])
+def test_pivot_columns_are_the_leading_coordinates_of_the_points(p, h, n):
+    # seeded spans of 0 to n+1 random points, the empty one among them,
+    # with their reduced bases, and the annihilators of the nonempty ones,
+    # whose bases are not reduced
+    g = _geometry(p, h, n)
+    f = g.field
+    rng = np.random.default_rng(10 * g.q + n)
+    for _ in range(5):
+        for size in range(n + 2):
+            S = g.span(rng.choice(g.num_points, size, replace=False))
+            subspaces = [S] if size == 0 else [S, g.subspace_from_basis(
+                kernels.annihilator(S.basis, f.add, f.mul, f.inv, f.neg))]
+            for T in subspaces:
+                want = np.argmax(g.rref(T.basis) != 0, axis=1)
+                np.testing.assert_array_equal(_pivot_columns(g, T), want)
+                assert len(want) == T.dim + 1
 
 
 def _random_stack(g, rng, b, rows):

@@ -7,7 +7,7 @@ from pgcones import (PointSet, cone, essential_points, hermitian_unital,
                      spectrum, unital_cone)
 from pgcones.errors import NotBlocking, WrongDimension
 from pgcones.objects import axis_vertex
-from pgcones.spectra import _counts
+from pgcones.spectra import _counts, spectrum_of_counts
 from oracles import hyperplane_point_indices, subspaces_iter
 
 
@@ -38,6 +38,30 @@ def test_spectrum_lower_dimension(pg34):
     assert sum(sp.by_size.values()) == sp.total == 357
     lines_through_point = 21  # gaussian_binomial(3,1,4) in the quotient
     assert sum(m * t for m, t in sp.by_size.items()) == K.k * lines_through_point
+
+
+@pytest.mark.parametrize("dtype,top,size", [(np.uint8, 255, 0), (np.uint8, 255, 1),
+                                            (np.uint8, 21, 10_000), (np.uint8, 255, 10_001),
+                                            (np.uint16, 273, 10_000), (np.uint16, 273, 10_001)])
+def test_spectrum_tally_matches_bincount(pg34, dtype, top, size):
+    # runs of one value, as the counts of a cone come; uint8 counts are
+    # tallied in pairs, of even and odd length, uint16 ones (q = 16 planes,
+    # theta_2 = 273) one at a time
+    rng = np.random.default_rng(size)
+    counts = np.repeat(rng.integers(0, top + 1, size), rng.integers(1, 50, size))[:size]
+    counts = counts.astype(dtype)
+    want = np.bincount(counts)
+    got = spectrum_of_counts(pg34, counts, 1).by_size
+    assert got == {int(s): int(want[s]) for s in np.flatnonzero(want)}
+
+
+def test_spectrum_tally_of_a_scan_matches_bincount(pg54):
+    # the 376 805 plane counts of a cone of PG(5,4), uint8 of odd length
+    counts, _ = _counts(maxarc_cone(pg54, 2), 2)
+    assert counts.dtype == np.uint8 and len(counts) % 2 == 1
+    want = np.bincount(counts)
+    assert spectrum_of_counts(pg54, counts, 2).by_size == {
+        int(s): int(want[s]) for s in np.flatnonzero(want)}
 
 
 def test_is_blocking(pg34):
