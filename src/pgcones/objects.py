@@ -82,8 +82,7 @@ def cone(geometry: Geometry, vertex: Subspace, base: PointSet) -> PointSet:
     ts = np.arange(1, geometry.q, dtype=np.int16)
     # interior[v, b, t] = V_v + t * B_b, covering each joining line
     interior = fld.add[vpts[:, None, None, :], fld.mul[ts[None, None, :, None], bpts[None, :, None, :]]]
-    idx = geometry.indices_of(interior)
-    mask[idx] = True
+    mask[geometry.indices_of(interior)] = True
     return PointSet(geometry, mask)
 
 

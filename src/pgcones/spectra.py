@@ -9,7 +9,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GeometryTooLarge, NotBlocking, WrongDimension
-from .objects import PointSet, cone, pointset_from_indices
+from .objects import PointSet, cone
 from .pg import Geometry, Subspace, gaussian_binomial, theta
 
 MAX_SUBSPACES = 1 << 25  # the counts of a d < n-1 scan: 32 MiB of uint8 at the bound
@@ -50,8 +50,7 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
         return kernels.hyperplane_intersection_counts(g.points, K.mask, g.count_plan(d), lone)
-    subspaces = gaussian_binomial(g.n + 1, d + 1, g.q)
-    if subspaces > MAX_SUBSPACES:
+    if (subspaces := gaussian_binomial(g.n + 1, d + 1, g.q)) > MAX_SUBSPACES:
         raise GeometryTooLarge(f"{subspaces} {d}-subspaces exceed the scan bound {MAX_SUBSPACES}")
     return kernels.subspace_intersection_scan(g.n + 1, d, g.q, g.count_plan(d), K.mask,
                                               workers, lone)
@@ -59,17 +58,19 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
 
 def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
     """The spectrum tallied from the intersection counts of every d-subspace,
-    which lie in 0..theta_d: no sort.  uint8 counts are tallied two at a
-    time, each uint16 pair adding to the tally of both its bytes, whatever
-    the byte order: a cone's counts come in long runs of one value, whose
-    increments wait on one another, and pairs halve them."""
-    if counts.dtype == np.uint8:
+    which lie in 0..theta_d: no sort.  A cone's counts come in long runs of
+    one value, whose `bincount` increments wait on one another, so uint8
+    counts below 16 are tallied by one comparison per value, larger ones
+    in uint16 pairs, each adding to the tally of both its bytes."""
+    if counts.dtype != np.uint8:
+        tally = np.bincount(counts)
+    elif (top := int(counts.max(initial=0))) < 16:
+        tally = np.array([np.count_nonzero(counts == v) for v in range(top + 1)])
+    else:
         pairs = np.bincount(counts[:len(counts) & ~1].view(np.uint16), minlength=1 << 16)
         pairs = pairs.reshape(256, 256)
         tally = pairs.sum(axis=0) + pairs.sum(axis=1)
         tally[counts[len(counts) & ~1:]] += 1  # the odd last count
-    else:
-        tally = np.bincount(counts)
     return Spectrum(by_size={int(s): int(tally[s]) for s in np.flatnonzero(tally)},
                     d=d, total=gaussian_binomial(g.n + 1, d + 1, g.q))
 
@@ -81,8 +82,7 @@ def spectrum(K: PointSet, d: int, workers: int = 1) -> Spectrum:
 
 def is_blocking(K: PointSet, d: int) -> bool:
     """True iff every d-subspace meets K."""
-    counts, _ = _counts(K, d)
-    return bool(counts.min() > 0)
+    return bool(_counts(K, d)[0].min() > 0)
 
 
 def essential_points(K: PointSet, d: int) -> PointSet:
@@ -94,8 +94,9 @@ def essential_points(K: PointSet, d: int) -> PointSet:
     counts, lone = _counts(K, d, lone=True)
     if counts.min() == 0:
         raise NotBlocking(f"K does not block every {d}-subspace")
-    ess = np.unique(lone[lone >= 0])
-    return pointset_from_indices(K.geometry, ess)
+    ess = np.zeros(len(K.mask), dtype=bool)
+    ess[lone[lone >= 0]] = True
+    return PointSet(K.geometry, ess)
 
 
 def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:

@@ -200,12 +200,16 @@ def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_onc
 @pytest.mark.parametrize("p,h,n,d", [(2, 2, 3, 1), (3, 2, 3, 1), (3, 1, 4, 2)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_splits_patterns_into_combo_blocks(monkeypatch, p, h, n, d, workers):
-    # 64 entries per block: every pattern of more than 64 / theta_d subspaces
+    # 32 entries per block: every pattern of more than 32 / theta_d subspaces
     # is split into blocks of combos.  The geometry is built after the patch,
-    # so no plan made at the default block size is reused.
-    monkeypatch.setattr(kernels, "SCAN_BLOCK", 64)
+    # so no plan made at the default block size is reused.  Some pattern
+    # adds several one-combo blocks to its first, and some a block of
+    # several combos, so every write of `_scan_pattern` runs.
+    monkeypatch.setattr(kernels, "SCAN_BLOCK", 32)
     g, met_once = geometry_new(field_new(p, h), n), False
-    assert any(len(blocks) > 1 for _, blocks in g.count_plan(d).patterns)
+    sizes = [[hi - lo for lo, hi, _ in blocks] for _, blocks in g.count_plan(d).patterns]
+    assert any(len(b) > 2 and b[1:] == [1] * (len(b) - 1) for b in sizes)
+    assert any(max(b[1:], default=0) > 1 for b in sizes)
     for seed, density in [(1, 0.05), (2, 0.3), (3, 0.7)]:
         mask = _random_mask(g, seed, density)
         counts, lone = _scan(g, d, mask, workers)

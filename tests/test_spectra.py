@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from textwrap import dedent
+
 import numpy as np
 import pytest
 
+import pgcones
 from pgcones import (PointSet, cone, essential_points, hermitian_unital,
                      hyperoval, hyperoval_cone, is_blocking, maxarc_cone,
                      pencil_counts, pointset_from_indices, recognize_cone,
@@ -53,6 +60,30 @@ def test_spectrum_tally_matches_bincount(pg34, dtype, top, size):
     want = np.bincount(counts)
     got = spectrum_of_counts(pg34, counts, 1).by_size
     assert got == {int(s): int(want[s]) for s in np.flatnonzero(want)}
+
+
+@pytest.mark.parametrize("top", [0, 5, 15, 16])
+@pytest.mark.parametrize("size", [0, 1, 1000, 1001])
+def test_spectrum_compare_tally_matches_bincount(monkeypatch, pg34, top, size):
+    # uint8 counts below 16 are tallied by one comparison per value up to
+    # their maximum; a maximum of 16 takes the pair tally, with no comparison
+    rng = np.random.default_rng(size + top)
+    counts = np.repeat(rng.integers(0, top + 1, size), rng.integers(1, 50, size))[:size]
+    counts = counts.astype(np.uint8)
+    counts[:1] = top  # the maximum is top
+    calls, count_nonzero = [], np.count_nonzero
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return count_nonzero(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counted)
+    got = spectrum_of_counts(pg34, counts, 1).by_size
+    monkeypatch.undo()
+    want = np.bincount(counts)
+    assert got == {int(s): int(want[s]) for s in np.flatnonzero(want)}
+    most = int(counts.max(initial=0))  # 0 for no counts
+    assert len(calls) == (most + 1 if most < 16 else 0)
 
 
 def test_spectrum_tally_of_a_scan_matches_bincount(pg54):
@@ -117,6 +148,28 @@ def test_essential_points_of_a_line_in_space(pg34):
     # planes that meet it there alone, named by the index transform
     line = pointset_from_indices(pg34, pg34.span([0, 1]).point_indices)
     assert essential_points(line, 2) == line
+
+
+def test_essential_points_import_no_masked_arrays():
+    # `np.unique` would import numpy.ma, about 1.5 MB of RSS; a fresh
+    # interpreter shows whether a spectrum or an essential set pulls it in
+    code = dedent("""
+        import sys
+        from pgcones import (PointSet, essential_points, field_new, geometry_new,
+                             hyperoval_cone, spectrum)
+        g = geometry_new(field_new(2, 2), 3)
+        plane, K = PointSet(g, g.points[:, 0] == 0), hyperoval_cone(g)
+        assert spectrum(K, 2).by_size == {1: 6, 6: 64, 9: 15}
+        assert essential_points(K, 2).k == 1
+        assert spectrum(plane, 1).by_size == {1: 336, 5: 21}
+        assert essential_points(plane, 1) == plane
+        print("numpy.ma" in sys.modules)
+    """)
+    src = str(Path(pgcones.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_essential_points_not_blocking(plane4):
