@@ -9,7 +9,8 @@ pivot prefix, a pattern at a time (free slots by column, then row) in
 blocks of combos, one pool task per pattern above one worker, each
 writing its sums in place.  Both counts sum the member indices for lone
 points only where a subspace is met once.  The hyperplane count reads no
-code table, builds no array above q^n and takes residues by floor division.
+code table, builds no array above q^n, runs its products in float64
+through BLAS, exact below 2^53, and takes residues by floor division.
 Each count runs a plan of all it needs besides the point set, a
 `ScanPlan` or a `TransformPlan`, which a Geometry builds the first time a
 query needs it and keeps, one per d; no kernel keeps a plan itself.
@@ -183,24 +184,43 @@ def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lon
 # hyperplane intersection counts, one transform per level of PG(n,q)
 # ---------------------------------------------------------------------------
 
+# OpenBLAS runs a product of at most 65 536 x 4 multiply-adds on the calling thread
+BLAS_ONE_THREAD = 1 << 18
+
+
+def _product(a, b):
+    """a @ b in float64 through BLAS, in column blocks of at most
+    BLAS_ONE_THREAD multiply-adds: on 2 vCPUs, a product handed to a second
+    BLAS thread took up to 90 times as long (7.8 ms against 85 us in blocks
+    for a 9 x 9 by 9 x 6561 one)."""
+    step = max(1, BLAS_ONE_THREAD // a.size)
+    if b.shape[1] <= step:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]))
+    for lo in range(0, b.shape[1], step):
+        np.matmul(a, b[:, lo:lo + step], out=out[:, lo:lo + step])
+    return out
+
+
 class TransformPlan:
     """What a hyperplane count over a point matrix of `shape` (points, n+1)
     needs besides the point set, built once: the least prime `ell` = 1
     (mod p) above the points in which 2 has an omega = 2^((ell-1)/p) of
-    order p, `w`[x, y] = omega^c(x y), the `scale` omega^c(s / mu), the
-    codes of s b per level and q^-1 mod ell.  A stage sums q products below
-    ell^2 in int64, so q ell^2 >= 2^63 is refused here."""
+    order p, `w`[x, y] = omega^c(x y), the `scale` omega^c(s / mu), both
+    float64 for BLAS, the codes of s b per level and q^-1 mod ell.  A stage
+    sums q products below ell^2, exact in float64 below 2^53, so q ell^2 >=
+    2^53 is refused here."""
 
     def __init__(self, shape, mul, inv, p):
         (points, n_cols), q = shape, len(mul)
         ell = points + 1 + (-points) % p  # = 1 (mod p), above every result
         while not (_is_prime(ell) and pow(2, (ell - 1) // p, ell) != 1):
             ell += p
-        if q * ell * ell >= 1 << 63:
+        if q * ell * ell >= 1 << 53:
             raise GeometryTooLarge(f"{points} points overflow the transform modulus {ell}")
         omega = pow(2, (ell - 1) // p, ell)
         self.shape, self.q, self.ell, self.q_inv = shape, q, ell, pow(q, -1, ell)
-        self.w = np.array([pow(omega, j, ell) for j in range(p)], dtype=np.int64)[mul % p]
+        self.w = np.array([pow(omega, j, ell) for j in range(p)], dtype=np.float64)[mul % p]
         self.scale, s = self.w[inv][:, 1:], np.arange(1, q)[:, None]  # 1 at mu = 0
         self.codes, sy = [s], np.zeros((q - 1, 1), dtype=np.int64)  # per level, the codes of s b
         for m in range(1, n_cols - 1):  # s (0, b) = (0, s b), s (1, y) = (s, s y)
@@ -225,25 +245,29 @@ def hyperplane_intersection_counts(points, member, plan, lone=False):
         raise ValueError(f"a transform plan of {plan.shape} points, not {points.shape}")
     q, ell, w, member = plan.q, plan.ell, plan.w, np.asarray(member)
 
-    def mod(x):  # the residues of `%`, which numpy takes about twice as slowly
+    def mod(x):  # the int64 residues of `%`, which numpy takes about twice as slowly
+        x = x.astype(np.int64, copy=False)
         return x - x // ell * ell
 
-    def per_hyperplane(values, bound):
+    def per_hyperplane(values, bound):  # w = w^T, so w g^T = (g w)^T
+        values = values.astype(np.float64)  # 0/1 or point indices, all exact
         out, below = np.append(-values[0] % ell, values[1:]), int(values[0])  # f^ = -f on PG(0)
         for m, at in enumerate(plan.codes, 1):  # below: the sum of f over PG(m-1)
             lo = at.shape[1]  # PG(m-1) is the first lo rows, AG(m) the q^m rows (1, y)
             g, top = values[lo:lo + q ** m], bound
-            for _ in range(m):  # reduced mod ell only where int64 could overflow
-                if q * (ell - 1) * top >= 1 << 63:
+            for _ in range(m):  # exact: reduced mod ell only where a sum could reach 2^53
+                if q * (ell - 1) * top >= 1 << 53:
                     g, top = mod(g), ell
-                g, top = (g.reshape(-1, q) @ w).T.ravel(), q * (ell - 1) * top
-            u, h, g0 = mod(g[at]), out[:lo], int(g[0])  # U[s, b] = G(s b); G(0) sums f
-            r = mod(h + plan.scale @ u)  # at (0, b) for mu = 0, else at (1, mu b)
+                g, top = _product(w, g.reshape(-1, q).T).ravel(), q * (ell - 1) * top  # (g w)^T
+            u, h, g0 = g[at], out[:lo], int(g[0])  # U[s, b] = G(s b); G(0) sums f
+            if (q - 1) * (ell - 1) * top >= 1 << 53:  # else the scale product is exact as is
+                u = mod(u)
+            r = mod(h + _product(plan.scale, u))  # at (0, b) for mu = 0, else at (1, mu b)
             h[:], out[lo:lo + q ** m][at] = r[0], r[1:]
             out[lo], below = ((q - 1) * below - g0) % ell, below + g0  # (1, 0); omega^c sums to 0
         return mod((below % ell + out) * plan.q_inv)
 
-    counts = per_hyperplane(member.astype(np.int64), 2)
+    counts = per_hyperplane(member, 2)
     if not lone or not (counts == 1).any():
         return counts, (np.full_like(counts, -1) if lone else None)
     indices = per_hyperplane(np.where(member, np.arange(member.size), 0), member.size)

@@ -48,8 +48,10 @@ class PointSet:
 
 
 def pointset_from_indices(geometry: Geometry, indices) -> PointSet:
+    if not isinstance(indices, np.ndarray):  # a list, set, range or generator
+        indices = list(indices)
     mask = np.zeros(geometry.num_points, dtype=bool)
-    mask[np.asarray(list(indices), dtype=np.int64)] = True
+    mask[np.asarray(indices, dtype=np.int64)] = True
     return PointSet(geometry, mask)
 
 
@@ -82,7 +84,8 @@ def cone(geometry: Geometry, vertex: Subspace, base: PointSet) -> PointSet:
     ts = np.arange(1, geometry.q, dtype=np.int16)
     # interior[v, b, t] = V_v + t * B_b, covering each joining line
     interior = fld.add[vpts[:, None, None, :], fld.mul[ts[None, None, :, None], bpts[None, :, None, :]]]
-    mask[geometry.indices_of(interior)] = True
+    idx = geometry.indices_of(interior)
+    mask[idx] = True
     return PointSet(geometry, mask)
 
 

@@ -76,7 +76,10 @@ class Geometry:
         npts = theta(n, q)
         if npts > MAX_POINTS:
             raise GeometryTooLarge(f"theta_{n}({q}) = {npts} exceeds the bound {MAX_POINTS}")
-        self.field, self.n, self.q, self.num_points = field, n, q, npts
+        self.field = field
+        self.n = n
+        self.q = q
+        self.num_points = npts
         self._plans = {}  # d -> the kernel plan of `count_plan`
 
         self.points = kernels.combo_vectors(n + 1, q)  # normalized, lex order

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GeometryTooLarge, NotBlocking, WrongDimension
-from .objects import PointSet, cone
+from .objects import PointSet, cone, pointset_from_indices
 from .pg import Geometry, Subspace, gaussian_binomial, theta
 
 MAX_SUBSPACES = 1 << 25  # the counts of a d < n-1 scan: 32 MiB of uint8 at the bound
@@ -50,7 +50,8 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
         return kernels.hyperplane_intersection_counts(g.points, K.mask, g.count_plan(d), lone)
-    if (subspaces := gaussian_binomial(g.n + 1, d + 1, g.q)) > MAX_SUBSPACES:
+    subspaces = gaussian_binomial(g.n + 1, d + 1, g.q)
+    if subspaces > MAX_SUBSPACES:
         raise GeometryTooLarge(f"{subspaces} {d}-subspaces exceed the scan bound {MAX_SUBSPACES}")
     return kernels.subspace_intersection_scan(g.n + 1, d, g.q, g.count_plan(d), K.mask,
                                               workers, lone)
@@ -59,12 +60,14 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
 def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
     """The spectrum tallied from the intersection counts of every d-subspace,
     which lie in 0..theta_d: no sort.  A cone's counts come in long runs of
-    one value, whose `bincount` increments wait on one another, so uint8
-    counts below 16 are tallied by one comparison per value, larger ones
-    in uint16 pairs, each adding to the tally of both its bytes."""
+    one value, whose `bincount` increments wait on one another.  uint8
+    counts up to 10 are tallied by one comparison per value, which has no
+    such wait and, over up to 11 values, costs about what pairs do where
+    there are no runs; larger ones in uint16 pairs, each adding to the tally
+    of both its bytes, whatever the byte order."""
     if counts.dtype != np.uint8:
         tally = np.bincount(counts)
-    elif (top := int(counts.max(initial=0))) < 16:
+    elif (top := int(counts.max(initial=0))) <= 10:
         tally = np.array([np.count_nonzero(counts == v) for v in range(top + 1)])
     else:
         pairs = np.bincount(counts[:len(counts) & ~1].view(np.uint16), minlength=1 << 16)
@@ -82,7 +85,8 @@ def spectrum(K: PointSet, d: int, workers: int = 1) -> Spectrum:
 
 def is_blocking(K: PointSet, d: int) -> bool:
     """True iff every d-subspace meets K."""
-    return bool(_counts(K, d)[0].min() > 0)
+    counts, _ = _counts(K, d)
+    return bool(counts.min() > 0)
 
 
 def essential_points(K: PointSet, d: int) -> PointSet:
@@ -94,9 +98,7 @@ def essential_points(K: PointSet, d: int) -> PointSet:
     counts, lone = _counts(K, d, lone=True)
     if counts.min() == 0:
         raise NotBlocking(f"K does not block every {d}-subspace")
-    ess = np.zeros(len(K.mask), dtype=bool)
-    ess[lone[lone >= 0]] = True
-    return PointSet(K.geometry, ess)
+    return pointset_from_indices(K.geometry, lone[lone >= 0])
 
 
 def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:

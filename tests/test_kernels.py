@@ -273,13 +273,14 @@ def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
 def test_hyperplane_counts_reduce_only_before_an_overflow():
     # PG(8,4) has 87 381 points and the transform modulus ell = 87 403, so
     # each stage multiplies the bound on its values by q (ell-1) = 349 608,
-    # about 2^18.4.  Level m = 1..8 runs m stages over its 4^m values.  The
-    # indicator, below 2, stays below 2^19.4, 2^37.8 and 2^56.2 over three
-    # stages; a fourth could reach 2^74.7 >= 2^63, so it is reduced first,
-    # down to ell (2^16.4), which two stages take to 2^71.7 again:
-    # reductions before stages 4, 6 and 8 of the levels that have them.  The
-    # indices, below 87 381, are reduced before stages 3, 5 and 7.  Each
-    # level's transform is reduced once more where it is gathered.  At
+    # about 2^18.4.  Level m = 1..8 runs m stages over its 4^m values, exact
+    # in float64 below 2^53.  The indicator, below 2, stays below 2^19.4 and
+    # 2^37.8 over two stages; a third could reach 2^56.2 >= 2^53, so it is
+    # reduced first, down to ell (2^16.4), which one stage takes to 2^34.8
+    # and a second would take to 2^53.2: reductions before every stage from
+    # the third.  The indices, below 87 381, are reduced before every stage
+    # from the second.  Where a level is gathered, its transform is reduced
+    # before the scale product if q-1 terms could reach 2^53, and after it.  At
     # density 0.00005 the set has a few points, some hyperplane meets it
     # once, and the index transform runs; the two denser sets meet every
     # sampled hyperplane often.
@@ -305,8 +306,9 @@ def test_hyperplane_counts_reduce_only_before_an_overflow():
                          ids=["PG(3,27)", "PG(3,25)", "PG(4,16)", "PG(2,128)", "PG(5,9)"])
 def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
     # PG(5,9) has 66 430 points and ell = 66 463, q (ell-1) about 2^19.2:
-    # the indicator reaches 2^58.6 after three stages, so levels 4 and 5
-    # reduce before their fourth, at odd p.  The sample holds hyperplanes
+    # the indicator reaches 2^39.4 after two stages and a third could reach
+    # 2^58.6 >= 2^53, so levels 3 to 5 reduce before each stage from their
+    # third, at odd p.  The sample holds hyperplanes
     # that meet the three-point set once, so the index transform runs.
     g = _geometry(p, h, n)
     f = g.field
@@ -331,12 +333,15 @@ def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
 
 
 def test_hyperplane_count_refuses_a_modulus_that_overflows():
-    # 2^31 points of PG(2,2) coordinates: the least prime = 1 (mod 2) above
-    # them squared, times q, overflows the int64 of a transform stage, and
-    # the plan refuses it
+    # 2^26 or 2^31 points of PG(2,2) coordinates: the least prime = 1 (mod
+    # 2) above them squared, times q, passes the 2^53 below which a float64
+    # transform stage is exact, and the plan refuses it; at 2^25 points it
+    # stays below, about 2^51
     f = _geometry(2, 1, 2).field
-    with pytest.raises(GeometryTooLarge, match="overflow"):
-        TransformPlan((2 ** 31, 3), f.mul, f.inv, f.p)
+    assert TransformPlan((2 ** 25, 3), f.mul, f.inv, f.p).ell < 2 ** 26
+    for points in (2 ** 26, 2 ** 31):
+        with pytest.raises(GeometryTooLarge, match="overflow"):
+            TransformPlan((points, 3), f.mul, f.inv, f.p)
 
 
 def test_a_geometry_keeps_its_plans_and_frees_them_with_it():

@@ -103,6 +103,15 @@ def test_planar_bases_of_any_space_embed_the_plane_sets(n, q):
         np.testing.assert_array_equal(got.mask, embed_in_first_coords(g, build(plane)).mask)
 
 
+def test_pointset_from_indices_takes_any_iterable(pg34):
+    # an index array is used as it is; anything else is listed first
+    want = pointset_from_indices(pg34, [0, 5, 5, 84])
+    assert want.k == 3
+    for indices in (np.array([84, 0, 5, 0]), {0, 5, 84}, (i for i in (5, 84, 0))):
+        assert pointset_from_indices(pg34, indices) == want
+    assert pointset_from_indices(pg34, np.array([], dtype=np.int64)).k == 0
+
+
 def test_cone_empty_vertex_is_identity(pg34):
     base = pointset_from_indices(pg34, [0, 1, 5])
     assert cone(pg34, pg34.span([]), base) == base

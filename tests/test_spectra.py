@@ -62,13 +62,18 @@ def test_spectrum_tally_matches_bincount(pg34, dtype, top, size):
     assert got == {int(s): int(want[s]) for s in np.flatnonzero(want)}
 
 
-@pytest.mark.parametrize("top", [0, 5, 15, 16])
+@pytest.mark.parametrize("top", [0, 5, 10, 11, 15])
+@pytest.mark.parametrize("runs", [True, False])
 @pytest.mark.parametrize("size", [0, 1, 1000, 1001])
-def test_spectrum_compare_tally_matches_bincount(monkeypatch, pg34, top, size):
-    # uint8 counts below 16 are tallied by one comparison per value up to
-    # their maximum; a maximum of 16 takes the pair tally, with no comparison
+def test_spectrum_compare_tally_matches_bincount(monkeypatch, pg34, top, runs, size):
+    # uint8 counts up to 10 are tallied by one comparison per value up to
+    # their maximum, in runs as a cone's counts come or without runs as a
+    # random set's may; a maximum of 11 or more takes the pair tally, with
+    # no comparison
     rng = np.random.default_rng(size + top)
-    counts = np.repeat(rng.integers(0, top + 1, size), rng.integers(1, 50, size))[:size]
+    counts = rng.integers(0, top + 1, size)
+    if runs:
+        counts = np.repeat(counts, rng.integers(1, 50, size))[:size]
     counts = counts.astype(np.uint8)
     counts[:1] = top  # the maximum is top
     calls, count_nonzero = [], np.count_nonzero
@@ -83,7 +88,7 @@ def test_spectrum_compare_tally_matches_bincount(monkeypatch, pg34, top, size):
     want = np.bincount(counts)
     assert got == {int(s): int(want[s]) for s in np.flatnonzero(want)}
     most = int(counts.max(initial=0))  # 0 for no counts
-    assert len(calls) == (most + 1 if most < 16 else 0)
+    assert len(calls) == (most + 1 if most <= 10 else 0)
 
 
 def test_spectrum_tally_of_a_scan_matches_bincount(pg54):
