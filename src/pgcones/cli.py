@@ -70,7 +70,7 @@ def read_pointset(path) -> objects.PointSet:
             raise ValueError(f"invalid coordinate vector {vec}")
         if not any(vec):
             raise ValueError(f"invalid coordinate vector {vec} (zero vector)")
-        i = g.point_index(vec)
+        i = int(g.indices_of(vec))
         if i in idx:
             raise ValueError(f"duplicate point {vec} (same point as {idx[i]})")
         idx[i] = vec

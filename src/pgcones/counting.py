@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels, objects, spectra
 from .errors import DegenerateType, EmptyRange, HypothesisViolated, NonSquareOrder
 from .gf import factor_field_order, field_new
-from .pg import Geometry, check_dimension, gaussian_binomial, theta
+from .pg import Geometry, charge, gaussian_binomial, theta
 from .spectra import Spectrum
 
 
@@ -485,10 +485,10 @@ def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     for lo in range(0, a_planes.size, step):
         block = kernels.field_dots(g.points[a_planes[lo:lo + step]], members, add, mul) == 0
         for h, trace, key in zip(a_planes[lo:lo + step], block, np.packbits(block, axis=1)):
-            traces.setdefault(key.tobytes(), (h, trace))
-    hs, masks = map(np.array, zip(*traces.values()))  # each trace has a points
-    reduced, ranks = kernels.rref(members[np.nonzero(masks)[1].reshape(len(hs), inst.a)],
-                                  add, mul, inv, neg)
+            if key.tobytes() not in traces:  # its a members, not a view that keeps the block
+                traces[key.tobytes()] = h, np.flatnonzero(trace)
+    hs, on = map(np.array, zip(*traces.values()))
+    reduced, ranks = kernels.rref(members[on], add, mul, inv, neg)
     fills = np.array([theta(r - 1, q) == inst.a for r in ranks.tolist()])
     failures = [f"K ∩ h spans dimension {r - 1} at an a-hyperplane h, not a subspace"
                 f" of a={inst.a} points" for r in ranks[~fills].tolist()]
@@ -514,7 +514,7 @@ def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:
     Returns a report dict; report["ok"] is the overall verdict.
     """
     p, h = factor_field_order(q)  # before a closed form reads a q that is no field order
-    check_dimension(n, q)  # before any closed form grows with n
+    charge(n, q)  # before any closed form grows with n
     inst = theorem_instance(theorem_id, n, q, t_or_d)
     th = THEOREMS[theorem_id]
     K = th.cone(Geometry(field_new(p, h), n), inst)

@@ -1,19 +1,19 @@
 """Hot numeric kernels, one numpy implementation each, on the raw arrays
 of a Geometry: field tables (add/mul/inv/neg), the point coordinate matrix
 and membership masks.  `span_vectors` lists the vectors of a stack of
-spans, for `Geometry.indices_of` to name.  The scan works in code space:
-v in GF(q)^(n+1) has the code sum_i v[i] q^i, `Geometry.code_to_index`
-maps every nonzero code, in any scaling, to its point, and the scan takes
-a mask, as a q-ary tensor by code, through d + 1 value tables, one per
-pivot prefix, a pattern at a time (free slots by column, then row) in
-blocks of combos, one pool task per pattern above one worker, each
-writing its sums in place.  Both counts sum the member indices for lone
-points only where a subspace is met once.  The hyperplane count reads no
-code table, builds no array above q^n, runs its products in float64
-through BLAS, exact below 2^53, and takes residues by floor division.
-Each count runs a plan of all it needs besides the point set, a
-`ScanPlan` or a `TransformPlan`, which a Geometry builds the first time a
-query needs it and keeps, one per d; no kernel keeps a plan itself.
+spans, for `Geometry.indices_of` to name.  The scan alone works in code
+space: v in GF(q)^(n+1) has the code sum_i v[i] q^i, its plan's
+`code_table` maps every nonzero code, in any scaling, to its point, and
+the scan takes a mask, as a q-ary tensor by code, through d + 1 value
+tables, one per pivot prefix, a pattern at a time (free slots by column,
+then row) in blocks of combos, one pool task per pattern above one
+worker, each writing its sums in place.  Both counts sum the member
+indices for lone points only where a subspace is met once.  The
+hyperplane count reads no code table, builds no array above q^n, runs its
+products in float64 through BLAS, exact below 2^53, and takes residues by
+floor division.  Each count runs a plan of all it needs besides the point
+set, a `ScanPlan` or a `TransformPlan`, which a Geometry builds the first
+time a query needs it and keeps, one per d; no kernel keeps a plan itself.
 `cone_points` returns the annihilator of the hyperplanes off the cone law.
 `rref` and `annihilator` reduce a stack of matrices in one column loop.
 """
@@ -87,6 +87,23 @@ def span_vectors(bases, add, mul):
 SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a block
 
 
+def code_table(n, q, mul, inv):
+    """The point of every vector v of GF(q)^(n+1) by its code sum_i v[i] q^i,
+    in int32 as theta_n < 2^31, -1 at 0; one block per leading coordinate."""
+    # led by t at n - m, then y, v is the point theta_(m-1) + sum_j (y_j / t) q^(n-j): in the
+    # cube of codes, axis a holding coordinate n - a, an outer sum over axes 0..m-1
+    table = np.empty(q ** (n + 1), dtype=np.int32)
+    table[0] = -1
+    cube = table.reshape((q,) * (n + 1))
+    over_t = mul[:, inv[1:]].astype(np.int32)  # [y, t - 1] = y / t
+    for m in range(n + 1):
+        block = np.full(q - 1, (q ** m - 1) // (q - 1), dtype=np.int32)  # over t on axis m
+        for a in reversed(range(m)):
+            block = (over_t * q ** a).reshape((q,) + (1,) * (m - 1 - a) + (q - 1,)) + block
+        cube[(slice(None),) * m + (slice(1, None),) + (0,) * (n - m)] = block
+    return table
+
+
 class ScanPlan:
     """What a scan of the d-subspaces of PG(n_cols - 1, q) needs besides
     the point set, built once.  Per pivot pattern: `index`, the code of its
@@ -97,16 +114,18 @@ class ScanPlan:
     takes of every pattern; the take of m rows puts value v of combo c at
     v b + c, b = hi - lo, and equal blocks share it.  The counts come in
     `dtype`, the least holding theta_d, and pattern i fills `offsets[i]`
-    to `offsets[i + 1]` of the canonical order."""
+    to `offsets[i + 1]` of the canonical order.  The plan holds the
+    `code_table` of the geometry, built from `mul` and `inv`, through which
+    the scan reads a mask by code."""
 
-    def __init__(self, n_cols, d, q, add, mul, code_to_index):
+    def __init__(self, n_cols, d, q, add, mul, inv):
         patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
         digits = [np.indices((q,) * k).reshape(k, q ** k).T for k in range(max(n_cols - d, d + 2))]
         values = [field_dots(combos[:, :m], digits[m], add, mul) for m in range(1, d + 2)]
         pows = q ** np.arange(n_cols, dtype=np.int64)
         at = combos.astype(np.int64) @ pows[[list(pivots) for pivots, _ in patterns]].T
         sizes = [q ** len(free) for _, free in patterns]
-        self.shape, self.code_to_index = (n_cols, d, q), code_to_index
+        self.shape, self.code_to_index = (n_cols, d, q), code_table(n_cols - 1, q, mul, inv)
         self.dtype, self.offsets = np.min_scalar_type(len(combos)), np.cumsum([0] + sizes)
 
         @cache
@@ -209,7 +228,7 @@ class TransformPlan:
     order p, `w`[x, y] = omega^c(x y), the `scale` omega^c(s / mu), both
     float64 for BLAS, the codes of s b per level and q^-1 mod ell.  A stage
     sums q products below ell^2, exact in float64 below 2^53, so q ell^2 >=
-    2^53 is refused here."""
+    2^53 is refused here; no geometry `pg.charge` admits reaches it."""
 
     def __init__(self, shape, mul, inv, p):
         (points, n_cols), q = shape, len(mul)

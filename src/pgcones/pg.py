@@ -1,22 +1,22 @@
-"""PG(n,q): normalized point enumeration, the code table, subspaces.
+"""PG(n,q): normalized point enumeration, point indices, subspaces and
+the byte budget.
 
 Points are homogeneous coordinate vectors of length n+1 with the first
-nonzero coordinate scaled to 1, listed in lexicographic order; hyperplane
-h is {x : sum_c P_h[c] x[c] = 0}, P_h the coordinates of point h.  The
-code table maps each of the q^(n+1) vectors to its point, in int32 as
-theta_n < 2^31.  Both are built block by block, one block per leading
-coordinate as PG(m) = PG(m-1) ∪ AG(m), with no list of all q^(n+1)
-vectors.  MAX_POINTS bounds the table before anything is allocated, and
-with it the transforms of the hyperplane count, which hold at most q^n
-values; an n too large for it is refused before theta_n(q) is computed.
-A subspace is given by a basis and its points, the sorted indices of
-`kernels.span_vectors` of the basis; a basis from `span` is reduced, one
-from `kernels.annihilator` is not.
+nonzero coordinate scaled to 1, listed in lexicographic order, built block
+by block, one block per leading coordinate as PG(m) = PG(m-1) ∪ AG(m);
+hyperplane h is {x : sum_c P_h[c] x[c] = 0}, P_h the coordinates of point
+h.  `Geometry.indices_of` names the point of a vector by arithmetic.
+`charge` holds what a geometry, and a d < n-1 scan of it, would allocate
+against MAX_BYTES before anything is allocated.  A subspace is given by a
+basis and its points, the sorted indices of `kernels.span_vectors` of the
+basis; a basis from `span` is reduced, one from `kernels.annihilator` is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
+from math import comb
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from . import kernels
 from .errors import GeometryTooLarge, WrongDimension
 from .gf import Field
 
-MAX_POINTS = 100_000
+MAX_BYTES = 3 << 29  # 1.5 GiB, what a geometry with its verification or one scan may allocate
+INDEX_CHUNK = 1 << 13  # vectors `Geometry.indices_of` names at a time
 
 
 def theta(m: int, q: int) -> int:
@@ -46,11 +47,47 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return num // den
 
 
-def check_dimension(n: int, q: int):
-    """Refuse an n for which PG(n,q) has over MAX_POINTS points at any
-    q >= 2, without computing theta_n(q): theta_n(q) > 2^n."""
-    if n >= MAX_POINTS.bit_length():
-        raise GeometryTooLarge(f"theta_{n}({q}) > 2^{n} exceeds the bound {MAX_POINTS}")
+def charge(n: int, q: int, d: int | None = None) -> int:
+    """The bytes a verification in PG(n,q) allocates, and with d < n-1 a scan
+    of its d-subspaces and lone points, charged before any is allocated:
+    GeometryTooLarge over MAX_BYTES, and before theta_n > 2^n is computed
+    from n >= MAX_BYTES.bit_length().  A point costs its int16 coordinates,
+    three more point matrices (cone vectors, pencil traces) and 12 words
+    (transform codes, stages, counts); 32 MiB cover fixed-size blocks.  A
+    scan adds per code the int32 table and member and int64 index tensors;
+    per subspace counts, index sums and lone points; per row count m and
+    block size theta_d q^m intp takes, and 3 words for the value tables;
+    the codes of the patterns; the digits of their free columns."""
+    if n >= MAX_BYTES.bit_length():
+        raise GeometryTooLarge(f"PG({n},{q}) needs over 2^{n} bytes, which exceeds the bound"
+                               f" of {MAX_BYTES} bytes")
+    if n < 2:
+        return 0
+    need = theta(n, q) * (8 * (n + 1) + 96) + (1 << 25)
+    scan = ""
+    if d is not None and d < n - 1:
+        td = theta(d, q)
+        size = np.min_scalar_type(td).itemsize  # of a count
+        span = (d + 1) * (n - d - 1)  # a column after m pivots has m to m + span free slots
+        sizes = [len({min(td, max(1, kernels.SCAN_BLOCK // q ** f))
+                      for f in range(m, m + span + 1)}) for m in range(1, d + 2)]
+        need += 8 * td * (sum(q ** m * (k + 3) for m, k in enumerate(sizes, 1)) + comb(n + 1, d + 1)
+                          + sum(comb(n - p, d) * q ** (n - p - d) for p in range(n - d + 1)))
+        need += 8 * sum(k * q ** k for k in range(max(n + 1 - d, d + 2)))
+        need += q ** (n + 1) * (13 + size) + gaussian_binomial(n + 1, d + 1, q) * (20 + size)
+        scan = f" with its {d}-subspaces"
+    if need > MAX_BYTES:
+        raise GeometryTooLarge(f"PG({n},{q}) needs {need} bytes{scan}, which exceeds the bound"
+                               f" of {MAX_BYTES} bytes")
+    return need
+
+
+@cache
+def _lead_weights(n: int, q: int):
+    """The weights q^(n-j) of the columns of a vector of PG(n,q) and, per
+    leading column i, theta_(n-i-1) - q^(n-i), for `Geometry.indices_of`."""
+    weights = q ** np.arange(n, -1, -1, dtype=np.int64)
+    return weights, (weights - 1) // (q - 1) - weights
 
 
 @dataclass(frozen=True)
@@ -65,64 +102,53 @@ class Subspace:
 
 class Geometry:
     """Fully enumerated PG(n,q) over a table-backed field.  It keeps, with
-    the points and the code table, the plan of each intersection count
-    asked of it, one per d, built at the first query (`count_plan`)."""
+    its points, the plan of each intersection count asked of it, one per d,
+    built at the first query (`count_plan`)."""
 
     def __init__(self, field: Field, n: int):
         if n < 2:
             raise WrongDimension(f"projective dimension must be >= 2, got {n}")
         q = field.q
-        check_dimension(n, q)
-        npts = theta(n, q)
-        if npts > MAX_POINTS:
-            raise GeometryTooLarge(f"theta_{n}({q}) = {npts} exceeds the bound {MAX_POINTS}")
+        charge(n, q)
         self.field = field
         self.n = n
         self.q = q
-        self.num_points = npts
+        self.num_points = theta(n, q)
         self._plans = {}  # d -> the kernel plan of `count_plan`
 
         self.points = kernels.combo_vectors(n + 1, q)  # normalized, lex order
-        # code sum_i v[i] q^i of every nonzero vector v -> index of its point.  Led by t
-        # at n - m, then y, v is the point theta_(m-1) + sum_j (y_j / t) q^(n-j): in the
-        # cube of codes, axis a holding coordinate n - a, an outer sum over axes 0..m-1
-        self.pows = q ** np.arange(n + 1, dtype=np.int64)
-        self.code_to_index = np.empty(q ** (n + 1), dtype=np.int32)  # theta_n < 2^31
-        self.code_to_index[0] = -1
-        cube = self.code_to_index.reshape((q,) * (n + 1))
-        over_t = field.mul[:, field.inv[1:]].astype(np.int32)  # [y, t - 1] = y / t
-        for m in range(n + 1):
-            block = np.full(q - 1, theta(m - 1, q), dtype=np.int32)  # over t on axis m
-            for a in reversed(range(m)):
-                block = (over_t * q ** a).reshape((q,) + (1,) * (m - 1 - a) + (q - 1,)) + block
-            cube[(slice(None),) * m + (slice(1, None),) + (0,) * (n - m)] = block
 
     def count_plan(self, d: int):
         """The plan of the intersection counts of a point set with every
         d-subspace: a `kernels.TransformPlan` at d = n-1, else a
         `kernels.ScanPlan`.  It depends on the geometry alone, so it is
-        built the first time it is asked for and kept."""
+        built the first time it is asked for and kept, a scan's once it
+        is charged."""
         if d not in self._plans:
             f = self.field
+            charge(self.n, self.q, d)
             self._plans[d] = (kernels.TransformPlan(self.points.shape, f.mul, f.inv, f.p)
                               if d == self.n - 1 else
-                              kernels.ScanPlan(self.n + 1, d, self.q, f.add, f.mul,
-                                               self.code_to_index))
+                              kernels.ScanPlan(self.n + 1, d, self.q, f.add, f.mul, f.inv))
         return self._plans[d]
 
     # -- coordinate helpers -------------------------------------------------
 
     def indices_of(self, vectors) -> np.ndarray:
         """Point indices of coordinate vectors (the last axis), in any
-        scaling; -1 for the zero vector."""
-        return self.code_to_index[np.asarray(vectors, dtype=np.int64) @ self.pows]
-
-    def point_index(self, vector) -> int:
-        """Index of the projective point with the given coordinates."""
-        idx = int(self.indices_of(vector))
-        if idx < 0:
-            raise ValueError("the zero vector is not a projective point")
-        return idx
+        scaling, in int32; -1 for the zero vector.  Led by t at column i, v
+        is the point theta_(n-i-1) + sum_(j>i) (v_j / t) q^(n-j), named
+        INDEX_CHUNK vectors at a time, so no temporary grows with them."""
+        vectors, f = np.asarray(vectors), self.field
+        v, shape = vectors.reshape(-1, self.n + 1), vectors.shape[:-1]
+        if len(v) > INDEX_CHUNK:
+            return np.concatenate([self.indices_of(v[lo:lo + INDEX_CHUNK])
+                                   for lo in range(0, len(v), INDEX_CHUNK)]).reshape(shape)
+        weights, offsets = _lead_weights(self.n, self.q)
+        lead = (v != 0).argmax(axis=1)
+        t = v[np.arange(len(v)), lead]
+        named = f.mul.take(f.inv[t][:, None] * self.q + v) @ weights + offsets[lead]
+        return np.where(t == 0, -1, named).astype(np.int32).reshape(shape)
 
     def rref(self, vectors: np.ndarray) -> np.ndarray:
         """Reduced row echelon form over the field; returns the nonzero rows."""

@@ -8,11 +8,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .errors import GeometryTooLarge, NotBlocking, WrongDimension
+from .errors import NotBlocking, WrongDimension
 from .objects import PointSet, cone, pointset_from_indices
 from .pg import Geometry, Subspace, gaussian_binomial, theta
-
-MAX_SUBSPACES = 1 << 25  # the counts of a d < n-1 scan: 32 MiB of uint8 at the bound
 
 
 @dataclass(frozen=True)
@@ -43,16 +41,12 @@ class ConeRecognition:
 def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
     """Intersection counts of K with every d-subspace and, if asked, the lone
     point of K on each one met once (-1 elsewhere; None unless asked), from
-    the geometry's plan for d.  A scan over more than MAX_SUBSPACES
-    subspaces is refused before its plan is built."""
+    the geometry's plan for d, which charges a scan before it is built."""
     g = K.geometry
     if not 0 <= d <= g.n - 1:
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == g.n - 1:
         return kernels.hyperplane_intersection_counts(g.points, K.mask, g.count_plan(d), lone)
-    subspaces = gaussian_binomial(g.n + 1, d + 1, g.q)
-    if subspaces > MAX_SUBSPACES:
-        raise GeometryTooLarge(f"{subspaces} {d}-subspaces exceed the scan bound {MAX_SUBSPACES}")
     return kernels.subspace_intersection_scan(g.n + 1, d, g.q, g.count_plan(d), K.mask,
                                               workers, lone)
 

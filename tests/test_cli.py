@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -374,20 +375,26 @@ def test_construct_refuses_an_order_over_the_bound_before_factoring(capsys):
     assert captured.err == "error: p^h = 1000000000000000003 exceeds the bound 128\n"
 
 
-def test_verify_over_the_table_bound_exits_2(capsys):
-    # PG(9,4) has 349 525 points, over the point bound that sizes the code
-    # table of a geometry: refused before it is allocated
-    assert main(["verify", "--theorem", "unital", "--n", "9", "--q", "4"]) == 2
+def test_verify_over_the_byte_budget_exits_2(capsys):
+    # PG(4,64) has 17 043 521 points and needs more bytes than MAX_BYTES:
+    # refused before anything is allocated
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--theorem", "unital", "--n", "4", "--q", "64"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
-    assert "exceeds the bound 100000" in captured.err
+    assert captured.err == ("error: PG(4,64) needs 2351473288 bytes, which exceeds the bound"
+                            " of 1610612736 bytes\n")
 
 
-@pytest.mark.parametrize("p,n,d,subspaces", [(2, 9, 4, 109221651), (3, 8, 3, 6174066262)],
+@pytest.mark.parametrize("p,n,d,need", [(2, 9, 4, 2328971175), (3, 8, 3, 129696664552)],
                          ids=["PG(9,2)-d4", "PG(8,3)-d3"])
-def test_spectrum_over_the_scan_bound_exits_2(tmp_path, capsys, p, n, d, subspaces):
-    # a one-point file whose d-subspaces are counted before any is scanned
+def test_spectrum_over_the_scan_bound_exits_2(tmp_path, capsys, p, n, d, need):
+    # a one-point file whose d-subspace scan is charged before it is planned
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"p": p, "h": 1, "n": n, "object": "junk", "size": 1,
                                 "points": [[1] + [0] * n]}))
@@ -396,5 +403,5 @@ def test_spectrum_over_the_scan_bound_exits_2(tmp_path, capsys, p, n, d, subspac
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {subspaces} {d}-subspaces exceed the scan bound"
-                            f" {1 << 25}\n")
+    assert captured.err == (f"error: PG({n},{p}) needs {need} bytes with its {d}-subspaces,"
+                            f" which exceeds the bound of 1610612736 bytes\n")

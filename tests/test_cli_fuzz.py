@@ -95,9 +95,9 @@ def test_point_files_keep_the_exit_code_contract(doc, command, text):
 
 # flag -> values drawn for it, the valid ones more often than the others
 FLAG_VALUES = {
-    # now and then an n from 17, over the point bound at every q, up to 10^7
+    # now and then an n from 22, over the byte budget at every q, up to 10^7
     "--n": st.sampled_from([2, 3, 4] * 3 + [-1, 0, 1] + [None] * 3).flatmap(
-        lambda n: st.integers(17, 10 ** 7) if n is None else st.just(n)).map(str),
+        lambda n: st.integers(22, 10 ** 7) if n is None else st.just(n)).map(str),
     "--q": st.sampled_from([2, 3, 4, 5, 7, 8, 9] * 3 + [-1, 0, 1, 6]).map(str),
     # now and then a t or d from anywhere within 10^9 either way
     "--t": st.sampled_from([1, 2] * 3 + [-1, 0, 3, None]).flatmap(

@@ -136,7 +136,7 @@ def _scan_plan(g, d):
     geometry plans the transform, a scan plan built here."""
     if d < g.n - 1:
         return g.count_plan(d)
-    return ScanPlan(g.n + 1, d, g.q, g.field.add, g.field.mul, g.code_to_index)
+    return ScanPlan(g.n + 1, d, g.q, g.field.add, g.field.mul, g.field.inv)
 
 
 def _scan(g, d, mask, workers=1, lone=True):
@@ -397,7 +397,7 @@ def _conic_cone(g, r):
     on = np.flatnonzero(mul[y, z] == mul[x, x])
     pad = np.zeros((len(on), g.n + 1), dtype=np.int16)
     pad[:, :3] = plane.points[on]
-    base = pointset_from_indices(g, [g.point_index(v) for v in pad])
+    base = pointset_from_indices(g, [int(g.indices_of(v)) for v in pad])
     return cone(g, axis_vertex(g, r), base), axis_vertex(g, r)
 
 

@@ -141,7 +141,7 @@ def test_cone_closure(pg34):
                 continue
             for t in range(1, fld.q):
                 vec = fld.add[g.points[p], fld.mul[t, g.points[q_idx]]]
-                assert K.mask[g.point_index(vec)]
+                assert K.mask[int(g.indices_of(vec))]
 
 
 def test_cone_vertex_base_not_disjoint(pg34):

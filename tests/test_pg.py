@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pgcones import field_new, gaussian_binomial, geometry_new, theta
-from pgcones.errors import GeometryTooLarge
-from pgcones.gf import factor_prime_power
-from pgcones.kernels import annihilator
+from pgcones import (essential_points, field_new, gaussian_binomial, geometry_new,
+                     pointset_from_indices, run_verification, spectrum, theta)
+from pgcones.errors import GeometryTooLarge, NotBlocking
+from pgcones.gf import _is_prime, factor_prime_power
+from pgcones.kernels import annihilator, code_table
+from pgcones.pg import MAX_BYTES, charge
 
 from oracles import hyperplane_point_indices, points_and_codes, subspaces_iter
 
@@ -66,14 +68,22 @@ PRIME_POWERS = sorted(p ** h for p in PRIMES for h in range(1, 8) if p ** h <= 1
 @pytest.mark.parametrize("q,n", [(q, 2) for q in PRIME_POWERS]
                          + [(27, 3), (9, 4), (9, 5), (4, 8), (2, 15)])
 def test_points_and_code_table_match_the_filter_of_all_vectors(q, n):
-    # built block by block, per leading coordinate, against the list of all
-    # q^(n+1) vectors filtered to first nonzero 1 and scaled by each t != 0
+    # against the list of all q^(n+1) vectors filtered to first nonzero 1
+    # and scaled by each t != 0: the points, built block by block, the point
+    # `indices_of` names for every vector, zero and every scaling (over more
+    # than one chunk from q^(n+1) = 27^3 on), and the scan's code table
     f = field_new(*factor_prime_power(q))
     g = geometry_new(f, n)
     points, codes = points_and_codes(f, n)
-    assert g.points.dtype == points.dtype and g.code_to_index.dtype == np.int32
+    assert g.points.dtype == points.dtype
     np.testing.assert_array_equal(g.points, points)
-    np.testing.assert_array_equal(g.code_to_index, codes)
+    vectors = np.indices((q,) * (n + 1), dtype=np.int16).reshape(n + 1, -1).T
+    named = g.indices_of(vectors)
+    assert named.dtype == np.int32
+    np.testing.assert_array_equal(named, codes[vectors.astype(np.int64) @ q ** np.arange(n + 1)])
+    table = code_table(n, q, f.mul, f.inv)
+    assert table.dtype == np.int32
+    np.testing.assert_array_equal(table, codes)
 
 
 def test_points_normalized_unique(pg34):
@@ -127,27 +137,97 @@ def test_subspaces_iter_line_count_pg44(pg44):
 
 
 def test_geometry_too_large():
-    # MAX_POINTS is 100 000: PG(8,4) has 87 381 points, PG(16,2) 131 071
-    assert geometry_new(field_new(2, 2), 8).num_points == 87381
-    with pytest.raises(GeometryTooLarge, match="131071 exceeds the bound 100000"):
-        geometry_new(field_new(2, 1), 16)
+    # MAX_BYTES is 1.5 GiB: PG(16,2), 131 071 points, is charged 61 MiB, and
+    # PG(21,2) 1.09 GiB, while PG(22,2) would need 2.2 GiB
+    assert geometry_new(field_new(2, 1), 16).num_points == 131071
+    assert charge(21, 2) == 1174404848 <= MAX_BYTES
+    with pytest.raises(GeometryTooLarge, match=r"^PG\(22,2\) needs 2382364392 bytes, which"
+                                               r" exceeds the bound of 1610612736 bytes$"):
+        geometry_new(field_new(2, 1), 22)
 
 
-@pytest.mark.parametrize("p,h,n", [(2, 2, 9), (2, 1, 16), (3, 1, 11)],
-                         ids=["PG(9,4)", "PG(16,2)", "PG(11,3)"])
-def test_table_bound_raises_before_allocating(p, h, n):
-    # each is over MAX_POINTS, the bound that sizes the code table of
-    # q^(n+1) entries (1-8 MB here), and is refused before it is allocated
+@pytest.mark.parametrize("p,h,n", [(2, 2, 12), (2, 1, 22), (3, 1, 15), (2, 6, 4), (2, 5, 5),
+                                   (2, 1, 26), (2, 1, 10 ** 7)],
+                         ids=["PG(12,4)", "PG(22,2)", "PG(15,3)", "PG(4,64)", "PG(5,32)",
+                              "PG(26,2)", "PG(10^7,2)"])
+def test_budget_refuses_before_allocating(p, h, n):
+    # each needs more than MAX_BYTES, and is refused before anything is
+    # allocated; PG(10^7,2) before theta_n is computed, as theta_n > 2^n
     f = field_new(p, h)
     tracemalloc.start()
     try:
-        with pytest.raises(GeometryTooLarge, match="exceeds the bound 100000"):
+        with pytest.raises(GeometryTooLarge, match="bytes, which exceeds the bound of 1610612736"):
             geometry_new(f, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
+
+def test_budget_admits_every_geometry_and_scan_of_the_old_bounds():
+    # the bounds the budget replaced: 100 000 points, 2^25 subspaces a scan
+    for q in PRIME_POWERS:
+        n = 2
+        while theta(n, q) <= 100_000:
+            assert charge(n, q) <= MAX_BYTES
+            for d in range(n - 1):
+                if gaussian_binomial(n + 1, d + 1, q) <= 1 << 25:
+                    assert charge(n, q, d) <= MAX_BYTES
+            n += 1
+
+
+def _admitted(n, q):
+    try:
+        charge(n, q)
+    except GeometryTooLarge:
+        return False
+    return True
+
+
+def test_budget_keeps_the_transform_exact():
+    # at the largest theta_n the budget admits at each q, the transform's
+    # modulus, the least prime ell = 1 (mod p) above the points in which 2
+    # has an element of order p, keeps q ell^2 below 2^53, where its float64
+    # stages are exact
+    for q in PRIME_POWERS:
+        n = 2
+        while _admitted(n + 1, q):
+            n += 1
+        p, ell = factor_prime_power(q)[0], theta(n, q) + 1
+        while not (ell % p == 1 and _is_prime(ell) and pow(2, (ell - 1) // p, ell) != 1):
+            ell += 1
+        assert q * ell * ell < 1 << 53
+
+
+def _peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("theorem,n,q", [("hyperoval3", 3, 16), ("unital", 4, 9),
+                                         ("hyperovalN", 9, 2)])
+def test_budget_charges_a_verification_its_peak(theorem, n, q):
+    assert _peak(lambda: run_verification(theorem, n, q)) <= charge(n, q)
+
+
+@pytest.mark.parametrize("p,h,n,d", [(2, 2, 5, 2), (3, 2, 4, 1), (2, 1, 8, 3)],
+                         ids=["PG(5,4)-planes", "PG(4,9)-lines", "PG(8,2)-d3"])
+def test_budget_charges_a_scan_its_peak(p, h, n, d):
+    # a geometry, the spectrum and the essential points of a random set,
+    # which has lone points on some d-subspaces and misses others
+    def run():
+        g = geometry_new(field_new(p, h), n)
+        on = np.random.default_rng(n).random(g.num_points) < 0.3
+        K = pointset_from_indices(g, np.flatnonzero(on))
+        spectrum(K, d)
+        with pytest.raises(NotBlocking):
+            essential_points(K, d)
+
+    assert _peak(run) <= charge(n, p ** h, d)
 
 
 @pytest.mark.parametrize("p,h,n", [(2, 1, 4), (3, 1, 3), (2, 2, 4), (5, 1, 3), (2, 3, 3),
