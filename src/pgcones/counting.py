@@ -2,23 +2,22 @@
 the hyperplane counts, the coprime-residue congruence, Baer-cone sizes,
 feasibility screens and endpoint sign checks, together with `THEOREMS`,
 one record of facts per characterization, and `run_verification`, which
-checks one instance end to end on its canonical cone.
+checks one instance end to end on its canonical cone, its pencil law
+read off the hyperplane counts by `spectra.pencil_law_failures`.
 
 The counting is integer/rational arithmetic; floating point is never
-used, so every sign and divisibility decision is exact.
+used, so every sign and divisibility decision is exact.  The closed-form
+counts are computed in integers, with one Fraction per count.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Callable
 
-import numpy as np
-
-from . import kernels, objects, spectra
+from . import objects, spectra
 from .errors import DegenerateType, EmptyRange, HypothesisViolated, NonSquareOrder
 from .gf import factor_field_order, field_new
 from .pg import Geometry, charge, gaussian_binomial, theta
@@ -94,18 +93,16 @@ def c_rs(r: int, s: int, q: int):
 
 def t_closed_form(params: TypeParameters, k) -> tuple:
     """The three rational hyperplane counts solving the double-counting
-    system at the given set size; exact Fractions."""
+    system at the given set size; exact Fractions, one per count, over
+    integers where a, b, c and k are."""
     a, b, c, n, q = params.a, params.b, params.c, params.n, params.q
     th_n, th_n1, th_n2 = theta(n, q), theta(n - 1, q), theta(n - 2, q)
-    k = Fraction(k)
 
     def quad(x, y):
         # count of hyperplanes meeting in the third size, given the other two x,y
         return k * k * th_n2 - k * (th_n2 + (x + y - 1) * th_n1) + x * y * th_n
-    t_a = quad(b, c) / ((b - a) * (c - a))
-    t_b = quad(a, c) / ((c - b) * (a - b))
-    t_c = quad(a, b) / ((a - c) * (b - c))
-    return (t_a, t_b, t_c)
+    return (Fraction(quad(b, c), (b - a) * (c - a)), Fraction(quad(a, c), (c - b) * (a - b)),
+            Fraction(quad(a, b), (a - c) * (b - c)))
 
 
 def verify_identities(spectrum: Spectrum, k: int, n: int, q: int) -> bool:
@@ -457,53 +454,13 @@ def _congruence_failures(th: Theorem, inst: TheoremInstance, k: int) -> list:
     return failures
 
 
-DOT_CELLS = 1 << 20  # field dot products in one gather of the pencil law
-
-
 def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
-    """The pencil law: at each a-hyperplane h, one per distinct K ∩ h, K ∩ h
-    fills its span, and each axis, an (n-2)-space A with K ∩ h in A in h,
-    lies on u_a a-hyperplanes and q+1-u_a c-hyperplanes; with no
-    a-hyperplane it fails.  No point of a hyperplane or axis is listed: the
-    traces, a points each, are row-reduced in one stacked reduction, and
-    K ∩ h fills its span exactly when its rank r has theta_(r-1) = a.  Those
-    that do share r, so one stacked annihilator gives each its dual D, of
-    n+1-r rows.  The hyperplanes through A are a dual line through h in D.
-    With U completing h to a basis (U, h) of D, its `kernels.span_vectors`
-    are h, then per point x of <U> the q points x + s h, s in GF(q), of <x, h>
-    but h: one line when D has 2 rows, q+1 when it has 3, each a profile."""
+    """The failures of the pencil law, `spectra.pencil_law_failures`, at the
+    theorem's type and u_a; none where the theorem gives no u_a."""
     if th.pencil_u_a is None:
         return []
-    g, q = K.geometry, inst.q
-    add, mul, inv, neg = g.field.add, g.field.mul, g.field.inv, g.field.neg
-    u_a = th.pencil_u_a(q, inst.t_or_d)
-    expected = {inst.a: u_a, inst.c: q + 1 - u_a}
-    a_planes = np.nonzero(counts == inst.a)[0]
-    if a_planes.size == 0:
-        return [f"no hyperplane meets K in a={inst.a} points to give the axes"]
-    members, traces, step = g.points[K.indices], {}, max(1, DOT_CELLS // K.k)
-    for lo in range(0, a_planes.size, step):
-        block = kernels.field_dots(g.points[a_planes[lo:lo + step]], members, add, mul) == 0
-        for h, trace, key in zip(a_planes[lo:lo + step], block, np.packbits(block, axis=1)):
-            if key.tobytes() not in traces:  # its a members, not a view that keeps the block
-                traces[key.tobytes()] = h, np.flatnonzero(trace)
-    hs, on = map(np.array, zip(*traces.values()))
-    reduced, ranks = kernels.rref(members[on], add, mul, inv, neg)
-    fills = np.array([theta(r - 1, q) == inst.a for r in ranks.tolist()])
-    failures = [f"K ∩ h spans dimension {r - 1} at an a-hyperplane h, not a subspace"
-                f" of a={inst.a} points" for r in ranks[~fills].tolist()]
-    if not fills.any():
-        return failures
-    rank = ranks[fills][0]  # theta(rank - 1) = a
-    h, dual = g.points[hs[fills]], kernels.annihilator(reduced[fills, :rank], add, mul, inv, neg)
-    # as in `kernels.annihilator`, h is the sum of h[f] times the row whose last nonzero column is f
-    last = g.n - np.argmax(dual[:, :, ::-1] != 0, axis=2)
-    drop = np.argmax(np.take_along_axis(h, last, axis=1) != 0, axis=1)[:, None]
-    basis = np.concatenate([dual[np.arange(dual.shape[1]) != drop].reshape(len(h), -1, g.n + 1),
-                            h[:, None]], axis=1)
-    lines = counts[g.indices_of(kernels.span_vectors(basis, add, mul)[:, 1:])].reshape(-1, q)
-    profiles = (dict(sorted(Counter(line.tolist() + [inst.a]).items())) for line in lines)
-    return failures + [f"axis profile {u} != {expected}" for u in profiles if u != expected]
+    return spectra.pencil_law_failures(K, counts, inst.a, inst.c,
+                                       th.pencil_u_a(inst.q, inst.t_or_d))
 
 
 def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:

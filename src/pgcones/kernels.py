@@ -15,7 +15,9 @@ floor division.  Each count runs a plan of all it needs besides the point
 set, a `ScanPlan` or a `TransformPlan`, which a Geometry builds the first
 time a query needs it and keeps, one per d; no kernel keeps a plan itself.
 `cone_points` returns the annihilator of the hyperplanes off the cone law.
-`rref` and `annihilator` reduce a stack of matrices in one column loop.
+`rref` reduces a stack of matrices in one column loop; `annihilator` is
+`rref` then `dual_of_reduced`, which a caller holding reduced bases calls
+alone.
 """
 
 from __future__ import annotations
@@ -70,14 +72,24 @@ def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
 def span_vectors(bases, add, mul):
     """The vectors sum_r c_r B_r of each basis B of a stack (..., R, C), one
     per row c of `combo_vectors(R, q)` in its order: shape (..., theta_(R-1),
-    C).  The sums go through the flat addition table, as in `field_dots`."""
+    C).  Those led by c_i = 1, the block at theta_(m-1), m = R-1-i, are B_i
+    plus W_m, the combinations of the m rows after it in the lex order of
+    their coefficients: W_0 is 0, and W_(m+1) is t B_(R-1-m) + W_m for t in
+    GF(q) in turn.  So each vector costs one sum through the flat addition
+    table, as in `field_dots`, not one per row."""
     bases = np.asarray(bases)
     *stack, R, C = bases.shape
-    combos = combo_vectors(R, len(add))
-    acc = np.zeros((*stack, len(combos), C), dtype=add.dtype)
-    for r in range(R):
-        acc = add.ravel().take(acc * len(add) + mul[combos[:, r, None], bases[..., r, None, :]])
-    return acc
+    q, flat_add = len(add), add.ravel()
+    out = np.empty((*stack, (q ** R - 1) // (q - 1), C), dtype=add.dtype)
+    w = np.zeros((*stack, 1, C), dtype=add.dtype)  # W_m
+    for m in range(R):
+        row = bases[..., R - 1 - m, None, :]
+        lo = (q ** m - 1) // (q - 1)  # theta_(m-1)
+        out[..., lo:lo + q ** m, :] = flat_add.take(row * q + w)
+        if m < R - 1:
+            w = flat_add.take(mul[np.arange(q)[:, None, None], row[..., None, :, :]] * q
+                              + w[..., None, :, :]).reshape(*stack, q ** (m + 1), C)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +353,28 @@ def rref(rows, add, mul, inv, neg):
 
 def annihilator(rows, add, mul, inv, neg):
     """A basis, not echelonized, of the a with a . x = 0 for every row x, per
-    matrix of a stack (..., R, C) of one rank.  In the square of the reduced
-    rows, row p the one with pivot p and 0 where p is free, each free column
-    f gives e_f minus column f: 1 at f and minus that column at the pivots,
-    0 at those after f as a reduced row is 0 before its pivot.  So f is the
-    row's last nonzero column, and each a is sum_f a[f] times the row."""
+    matrix of a stack (..., R, C) of one rank: the `dual_of_reduced` of
+    its `rref`."""
     reduced, ranks = rref(rows, add, mul, inv, neg)
-    *stack, R, C = reduced.shape
-    basis = reduced.reshape(prod(stack), R, C)[:, :int(ranks.max(initial=0))]
+    return dual_of_reduced(reduced[..., :int(ranks.max(initial=0)), :], add, neg)
+
+
+def dual_of_reduced(basis, add, neg):
+    """A basis, not echelonized, of the a with a . x = 0 for every row x, per
+    reduced basis of a stack (..., R, C), its R rows in pivot order as
+    `rref` leaves them.  In the square of the reduced rows, row p the one
+    with pivot p and 0 where p is free, each free column f gives e_f minus
+    column f: 1 at f and minus that column at the pivots, 0 at those after
+    f as a reduced row is 0 before its pivot.  So f is the row's last
+    nonzero column, and each a is sum_f a[f] times the row."""
+    basis = np.asarray(basis)
+    *stack, R, C = basis.shape
+    basis = basis.reshape(prod(stack), R, C)
     b, square = np.arange(len(basis))[:, None], np.zeros((len(basis), C, C), dtype=np.int16)
     square[b, np.argmax(basis != 0, axis=2)] = basis
     free = np.nonzero(np.diagonal(square, axis1=1, axis2=2) == 0)[1].reshape(len(basis), -1)
     dual = add[np.eye(C, dtype=np.int16), neg[square]].transpose(0, 2, 1)[b, free]
-    return dual.reshape(*stack, C - basis.shape[1], C)
+    return dual.reshape(*stack, C - R, C)
 
 
 def cone_points(member, counts, points, add, mul, inv, neg):

@@ -73,11 +73,14 @@ def cone(geometry: Geometry, vertex: Subspace, base: PointSet) -> PointSet:
     if base_idx.size == 0:
         return PointSet(geometry, mask)
     fld, bpts = geometry.field, geometry.points[base_idx]
-    # one reduction of a stack: the base, and the vertex basis with it
-    pair = np.stack([np.vstack([0 * vertex.basis, bpts]), np.vstack([vertex.basis, bpts])])
-    base_rank, joint_rank = kernels.rref(pair, fld.add, fld.mul, fld.inv, fld.neg)[1]
-    if joint_rank != base_rank + len(vertex.basis):
-        raise VertexBaseNotDisjoint("vertex and base span share a point")
+    # a base 0 at the pivot columns of the vertex spans a space meeting it in 0
+    # alone, as every nonzero vector of the vertex leads at one of them
+    if bpts[:, geometry.pivot_columns(vertex)].any():
+        # one reduction of a stack: the base, and the vertex basis with it
+        pair = np.stack([np.vstack([0 * vertex.basis, bpts]), np.vstack([vertex.basis, bpts])])
+        base_rank, joint_rank = kernels.rref(pair, fld.add, fld.mul, fld.inv, fld.neg)[1]
+        if joint_rank != base_rank + len(vertex.basis):
+            raise VertexBaseNotDisjoint("vertex and base span share a point")
     mask[base_idx] = True
 
     vpts = geometry.points[vertex.point_indices]

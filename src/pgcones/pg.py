@@ -156,6 +156,16 @@ class Geometry:
         reduced, rank = kernels.rref(np.reshape(vectors, (-1, self.n + 1)), f.add, f.mul, f.inv, f.neg)
         return reduced[:rank]
 
+    def pivot_columns(self, S: Subspace) -> np.ndarray:
+        """The pivot columns of the reduced basis of S, ascending: the leading
+        columns of its points, as a vector of S leads at the pivot of the
+        first reduced row in its combination, and each reduced row leads at
+        its own pivot.  Point p leads at column n - m, where theta_(m-1) <=
+        p < theta_m, m being the number of theta_j, j < n, at most p."""
+        bounds = [theta(m, self.q) for m in range(self.n)]
+        leads = self.n - np.searchsorted(bounds, S.point_indices, side="right")
+        return np.flatnonzero(np.bincount(leads, minlength=self.n + 1))
+
     def span(self, point_indices) -> Subspace:
         """Smallest subspace containing the given points (possibly empty)."""
         idx = np.asarray(list(point_indices), dtype=np.int64)

@@ -1,9 +1,11 @@
-"""Intersection spectra, blocking tests, pencil counts, cone recognition."""
+"""Intersection spectra, blocking tests, pencil counts, the pencil law of
+`verify`, cone recognition."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 
 import numpy as np
 
@@ -112,17 +114,167 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
 
 
 # ---------------------------------------------------------------------------
-# cone recognition
+# the pencil law, read off the hyperplane counts
 # ---------------------------------------------------------------------------
 
-def _pivot_columns(g: Geometry, S: Subspace) -> np.ndarray:
-    """The pivot columns of the reduced basis of S, ascending: the leading
-    coordinates of its points.  A vector of S leads at the pivot of the
-    first reduced row in its combination, and each reduced row leads at its
-    own pivot."""
-    leads = np.argmax(g.points[S.point_indices] != 0, axis=1)
-    return np.flatnonzero(np.bincount(leads, minlength=g.n + 1))
+DOT_CELLS = 1 << 20  # field dot products in one gather of the pencil law
 
+
+def _member_order(k: int) -> np.ndarray:
+    """The member positions 0..k-1 in steps of a fixed stride coprime to k,
+    near k/phi, so that a run of the order spreads over the whole set."""
+    stride = max(1, round(k * 0.6180339887))
+    while gcd(stride, k) != 1:
+        stride += 1
+    return np.arange(k) * stride % k
+
+
+def _samples(g, planes, members, r: int, a: int):
+    """Per hyperplane of `planes`, the reduced span of members met on it and
+    its rank, in rounds until the rank reaches r: the members, in their
+    order, in blocks doubling from 2(n+1) k/a, which an a-hyperplane meets
+    in about 2(n+1) of its members, up to DOT_CELLS.  Each round adds the
+    first n+1 members a hyperplane meets in the block to its reduced rows,
+    in one stacked `kernels.rref`; the hyperplanes are dotted with the block
+    DOT_CELLS products at a time.  Rows (planes, r, n+1); a rank above r
+    leaves its first r reduced rows."""
+    f, cols, k = g.field, g.n + 1, len(members)
+    rows, ranks = np.zeros((len(planes), r, cols), dtype=np.int16), np.zeros(len(planes), int)
+    active, lo = np.arange(len(planes)), 0
+    size = min(DOT_CELLS, -(-2 * cols * k // a))
+    while active.size and lo < k:
+        block, met = g.points[members[lo:lo + size]], np.zeros((active.size, cols, cols), np.int16)
+        step = max(1, DOT_CELLS // len(block))
+        for c in range(0, active.size, step):
+            on = kernels.field_dots(g.points[planes[active[c:c + step]]], block, f.add, f.mul) == 0
+            seen = np.cumsum(on, axis=1, dtype=np.int32)
+            p, m = np.nonzero(on & (seen <= cols))
+            met[c + p, seen[p, m] - 1] = block[m]
+        reduced, ranks[active] = kernels.rref(np.concatenate([rows[active], met], axis=1),
+                                              f.add, f.mul, f.inv, f.neg)
+        rows[active] = reduced[:, :r]
+        active, lo, size = active[ranks[active] < r], lo + size, min(DOT_CELLS, 2 * size)
+    return rows, ranks
+
+
+def _inside(K, bases) -> np.ndarray:
+    """Whether the span of each basis of a stack lies in K, its points named
+    a few spans at a time."""
+    g, (_, rows, cols) = K.geometry, bases.shape
+    step = max(1, DOT_CELLS // (theta(rows - 1, g.q) * cols))  # coordinates named at a time
+    return np.concatenate([
+        K.mask[g.indices_of(kernels.span_vectors(bases[lo:lo + step], g.field.add, g.field.mul))]
+        .all(axis=1) for lo in range(0, len(bases), step)])
+
+
+def _sampled_traces(K, a_planes, r: int, a: int):
+    """The a-hyperplanes whose trace is confirmed from r of its members, as
+    {reduced basis bytes: (first a-hyperplane, reduced basis)}, and those
+    left to the full trace, ascending.  The first a-hyperplane is sampled
+    alone, then the rest in one batch, as several can share one trace:
+    each batch's distinct spans are checked against K, then every later
+    hyperplane holding a confirmed one has it as its trace, with no sample."""
+    g, f = K.geometry, K.geometry.field
+    members, traces, left, pending, size = K.indices[_member_order(K.k)], {}, [], a_planes, 1
+    while pending.size:
+        batch, pending = pending[:size], pending[size:]
+        rows, ranks = _samples(g, batch, members, r, a)
+        left += batch[ranks != r].tolist()
+        spans = {}  # per distinct span of a rank-r sample, the batch positions holding it
+        for i in np.flatnonzero(ranks == r):
+            spans.setdefault(rows[i].tobytes(), []).append(i)
+        firsts = np.array([held[0] for held in spans.values()], dtype=int)
+        inside = _inside(K, rows[firsts]) if spans else np.zeros(0, dtype=bool)
+        for i, held, ok in zip(firsts, spans.values(), inside):
+            if ok:
+                traces[rows[i].tobytes()] = batch[i], rows[i]
+            else:
+                left += batch[held].tolist()
+        confirmed = rows[firsts[inside]].reshape(-1, g.n + 1)
+        if confirmed.size and pending.size:
+            step = max(1, DOT_CELLS // len(confirmed))
+            own = np.concatenate([(kernels.field_dots(g.points[pending[lo:lo + step]], confirmed,
+                                                      f.add, f.mul) == 0)
+                                  .reshape(-1, len(confirmed) // r, r).all(axis=2).any(axis=1)
+                                  for lo in range(0, pending.size, step)])
+            pending = pending[~own]
+        size = pending.size
+    return traces, np.array(sorted(left), dtype=a_planes.dtype)
+
+
+def _full_traces(K, planes, a: int):
+    """For a-hyperplanes whose trace no sample confirmed, K ∩ h from the
+    dot products of h with every member, one h per distinct K ∩ h, all
+    row-reduced in one stacked reduction: the failures of the traces that
+    do not fill their span, and the others as in `_sampled_traces`.  K ∩ h
+    fills its span exactly when its rank r has theta_(r-1) = a."""
+    if planes.size == 0:
+        return [], {}
+    g, f = K.geometry, K.geometry.field
+    members, traces, step = g.points[K.indices], {}, max(1, DOT_CELLS // K.k)
+    for lo in range(0, planes.size, step):
+        block = kernels.field_dots(g.points[planes[lo:lo + step]], members, f.add, f.mul) == 0
+        for h, trace, key in zip(planes[lo:lo + step], block, np.packbits(block, axis=1)):
+            if key.tobytes() not in traces:  # its a members, not a view that keeps the block
+                traces[key.tobytes()] = h, np.flatnonzero(trace)
+    hs, on = map(np.array, zip(*traces.values()))
+    reduced, ranks = kernels.rref(members[on], f.add, f.mul, f.inv, f.neg)
+    failures = [f"K ∩ h spans dimension {r - 1} at an a-hyperplane h, not a subspace"
+                f" of a={a} points" for r in ranks.tolist() if theta(r - 1, g.q) != a]
+    return failures, {basis[:r].tobytes(): (h, basis[:r]) for h, basis, r
+                      in zip(hs, reduced, ranks.tolist()) if theta(r - 1, g.q) == a}
+
+
+def pencil_law_failures(K: PointSet, counts: np.ndarray, a: int, c: int, u_a: int) -> list:
+    """The failures of the pencil law of K, given its hyperplane counts and
+    the sizes a < c: at each a-hyperplane h, one per distinct K ∩ h, K ∩ h
+    fills its span, and each axis, an (n-2)-space A with K ∩ h in A in h,
+    lies on u_a a-hyperplanes and q+1-u_a c-hyperplanes; with no
+    a-hyperplane it fails.  No point of a hyperplane or axis is listed.
+
+    With a = theta_(r-1), K ∩ h is the span of r independent members B on h
+    exactly when every point of span(B) is in K, as both have a points.
+    `_sampled_traces` finds B from a few members per hyperplane, one at
+    a = 1, and a hyperplane it cannot confirm, where the law fails or the
+    sample falls short, goes to `_full_traces`, which writes every failure
+    of a trace, in the order of the traces' first a-hyperplanes; then come
+    those of the profiles, in the same order.  The reduced basis of each
+    trace gives its dual D, of n+1-r rows, by `kernels.dual_of_reduced`.
+    The hyperplanes through A are a dual line through h in D.  With U
+    completing h to a basis (U, h) of D, its `kernels.span_vectors` are h,
+    then per point x of <U> the q points x + s h, s in GF(q), of <x, h> but
+    h: one line when D has 2 rows, q+1 when it has 3, each a profile: its a
+    and c tallies are compared, and a Counter built only where they fail."""
+    g, q = K.geometry, K.geometry.q
+    a_planes = np.flatnonzero(counts == a)
+    if a_planes.size == 0:
+        return [f"no hyperplane meets K in a={a} points to give the axes"]
+    r = next((r for r in range(1, g.n + 1) if theta(r - 1, q) == a), None)
+    traces, left = _sampled_traces(K, a_planes, r, a) if r else ({}, a_planes)
+    failures, full = _full_traces(K, left, a)
+    if not traces and not full:
+        return failures
+    hs, reduced = map(np.array, zip(*sorted([*traces.values(), *full.values()],
+                                            key=lambda trace: trace[0])))
+    add, mul, neg = g.field.add, g.field.mul, g.field.neg
+    h, dual = g.points[hs], kernels.dual_of_reduced(reduced, add, neg)
+    # as in `kernels.dual_of_reduced`, h is the sum of h[f] times the row whose last
+    # nonzero column is f
+    last = g.n - np.argmax(dual[:, :, ::-1] != 0, axis=2)
+    drop = np.argmax(np.take_along_axis(h, last, axis=1) != 0, axis=1)[:, None]
+    basis = np.concatenate([dual[np.arange(dual.shape[1]) != drop].reshape(len(h), -1, g.n + 1),
+                            h[:, None]], axis=1)
+    lines = counts[g.indices_of(kernels.span_vectors(basis, add, mul)[:, 1:])].reshape(-1, q)
+    bad = lines[((lines == a).sum(axis=1) != u_a - 1)
+                | ((lines == c).sum(axis=1) != q + 1 - u_a)]
+    expected = {a: u_a, c: q + 1 - u_a}
+    return failures + [f"axis profile {dict(sorted(Counter(line.tolist() + [a]).items()))}"
+                       f" != {expected}" for line in bad]
+
+
+# ---------------------------------------------------------------------------
+# cone recognition
+# ---------------------------------------------------------------------------
 
 def recognize_cone(K: PointSet) -> ConeRecognition:
     """Detect the maximal vertex of K and test whether K is a cone over it.
@@ -147,7 +299,7 @@ def recognize_cone(K: PointSet) -> ConeRecognition:
     f = g.field
     vertex = g.subspace_from_basis(
         kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv, f.neg))
-    pivots = _pivot_columns(g, vertex)
+    pivots = g.pivot_columns(vertex)
     base = PointSet(g, K.mask & (g.points[:, pivots] == 0).all(axis=1))
     is_cone = vertex.dim >= 0 and cone(g, vertex, base) == K
     return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=is_cone, counts=counts)

@@ -4,14 +4,20 @@ of a hyperplane from a dot product with every point, every d-subspace from
 the echelon bases of its pivot pattern, in the canonical order of the
 subspace scan (patterns in lexicographic order, the free slots of each by
 column, then row, as `pivot_patterns` lists them), the membership mask of
-a subspace, and a set of PG(2,q) copied into the first coordinates of
-PG(n,q).
+a subspace, a set of PG(2,q) copied into the first coordinates of PG(n,q),
+the vectors of a span one coefficient row at a time, a textbook
+Gauss-Jordan elimination, and the pencil law from the full trace of every
+a-hyperplane.
 """
+
+from collections import Counter
 
 import numpy as np
 
-from pgcones.kernels import pivot_patterns
+from pgcones import kernels
+from pgcones.kernels import combo_vectors, pivot_patterns
 from pgcones.objects import pointset_from_indices
+from pgcones.pg import theta
 
 
 def points_and_codes(field, n):
@@ -84,3 +90,76 @@ def embed_in_first_coords(g, plane_set):
     padded = np.zeros((vecs.shape[0], g.n + 1), dtype=np.int16)
     padded[:, : small.n + 1] = vecs
     return pointset_from_indices(g, g.indices_of(padded))
+
+
+def reference_rref(g, vectors):
+    """Gauss-Jordan elimination, one Python integer at a time."""
+    add, mul, inv, neg = (g.field.add, g.field.mul, g.field.inv, g.field.neg)
+    rows = [[int(c) for c in v] for v in vectors]
+    rank = 0
+    for col in range(g.n + 1):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        s = int(inv[rows[rank][col]])
+        rows[rank] = [int(mul[s, c]) for c in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = int(neg[rows[i][col]])
+                rows[i] = [int(add[a, mul[f, b]]) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return np.array(rows[:rank], dtype=np.int16).reshape(rank, g.n + 1)
+
+
+def pencil_failures_full_trace(th, inst, K, counts):
+    """The failures of the pencil law, in order, from the full trace of every
+    a-hyperplane: K ∩ h from the dot products of h with every member, one h
+    per distinct K ∩ h, all row-reduced in one stacked reduction; the traces
+    of rank r with theta_(r-1) = a give their duals by `annihilator`, whose
+    dual lines through h are the profiles.  The failures of the traces come
+    first, then those of the profiles, each in the order of the traces'
+    first a-hyperplanes."""
+    if th.pencil_u_a is None:
+        return []
+    g, q = K.geometry, inst.q
+    add, mul, inv, neg = g.field.add, g.field.mul, g.field.inv, g.field.neg
+    u_a = th.pencil_u_a(q, inst.t_or_d)
+    expected = {inst.a: u_a, inst.c: q + 1 - u_a}
+    a_planes = np.nonzero(counts == inst.a)[0]
+    if a_planes.size == 0:
+        return [f"no hyperplane meets K in a={inst.a} points to give the axes"]
+    members, traces, step = g.points[K.indices], {}, max(1, (1 << 20) // K.k)
+    for lo in range(0, a_planes.size, step):
+        block = kernels.field_dots(g.points[a_planes[lo:lo + step]], members, add, mul) == 0
+        for h, trace, key in zip(a_planes[lo:lo + step], block, np.packbits(block, axis=1)):
+            if key.tobytes() not in traces:
+                traces[key.tobytes()] = h, np.flatnonzero(trace)
+    hs, on = map(np.array, zip(*traces.values()))
+    reduced, ranks = kernels.rref(members[on], add, mul, inv, neg)
+    fills = np.array([theta(r - 1, q) == inst.a for r in ranks.tolist()])
+    failures = [f"K ∩ h spans dimension {r - 1} at an a-hyperplane h, not a subspace"
+                f" of a={inst.a} points" for r in ranks[~fills].tolist()]
+    if not fills.any():
+        return failures
+    rank = ranks[fills][0]
+    h, dual = g.points[hs[fills]], kernels.annihilator(reduced[fills, :rank], add, mul, inv, neg)
+    last = g.n - np.argmax(dual[:, :, ::-1] != 0, axis=2)
+    drop = np.argmax(np.take_along_axis(h, last, axis=1) != 0, axis=1)[:, None]
+    basis = np.concatenate([dual[np.arange(dual.shape[1]) != drop].reshape(len(h), -1, g.n + 1),
+                            h[:, None]], axis=1)
+    lines = counts[g.indices_of(kernels.span_vectors(basis, add, mul)[:, 1:])].reshape(-1, q)
+    profiles = (dict(sorted(Counter(line.tolist() + [inst.a]).items())) for line in lines)
+    return failures + [f"axis profile {u} != {expected}" for u in profiles if u != expected]
+
+
+def span_vectors_by_rows(bases, add, mul):
+    """The vectors sum_r c_r B_r of each basis of a stack (..., R, C), per
+    row c of `combo_vectors(R, q)`, summed one coefficient row r at a time."""
+    bases = np.asarray(bases)
+    *stack, R, C = bases.shape
+    combos = combo_vectors(R, len(add))
+    acc = np.zeros((*stack, len(combos), C), dtype=add.dtype)
+    for r in range(R):
+        acc = add[acc, mul[combos[:, r, None], bases[..., r, None, :]]]
+    return acc

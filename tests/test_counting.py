@@ -36,13 +36,13 @@ from pgcones.errors import (
     HypothesisViolated,
     NonSquareOrder,
 )
-from pgcones import counting
+from pgcones import spectra
 from pgcones.counting import THEOREMS, _pencil_failures
 from pgcones.gf import factor_prime_power
 from pgcones.objects import hyperoval_cone
 from pgcones.spectra import _counts
 
-from oracles import hyperplane_point_indices, subspace_mask
+from oracles import hyperplane_point_indices, pencil_failures_full_trace, subspace_mask
 
 
 HYP3_Q4 = TypeParameters(1, 6, 9, 3, 4)
@@ -107,6 +107,39 @@ def test_t_closed_form_identities_always_hold(a, db, dc, n, q, k):
     assert sum(ts) == theta(n, q)
     assert sum(m * t for m, t in zip(sizes, ts)) == k * theta(n - 1, q)
     assert sum(m * (m - 1) * t for m, t in zip(sizes, ts)) == k * (k - 1) * theta(n - 2, q)
+
+
+def _t_closed_form_in_fractions(params, k):
+    """The three counts with every term a Fraction, k first."""
+    a, b, c, n, q = params.a, params.b, params.c, params.n, params.q
+    th_n, th_n1, th_n2 = theta(n, q), theta(n - 1, q), theta(n - 2, q)
+    k = Fraction(k)
+
+    def quad(x, y):
+        return k * k * th_n2 - k * (th_n2 + (x + y - 1) * th_n1) + x * y * th_n
+    return (quad(b, c) / ((b - a) * (c - a)), quad(a, c) / ((c - b) * (a - b)),
+            quad(a, b) / ((a - c) * (b - c)))
+
+
+@pytest.mark.parametrize("theorem_id,n,q,x", [
+    ("baer", 4, 16, 2), ("baer", 5, 16, 2), ("baer", 6, 16, 3), ("baer", 4, 9, 1),
+    ("baer", 6, 4, 1), ("unital", 4, 4, None), ("unital", 5, 9, None), ("hyperoval3", 3, 8, None),
+    ("hyperovalN", 4, 2, None), ("hyperovalN", 5, 8, None), ("maxarc", 5, 8, 4),
+    ("maxarc", 6, 4, 2)])
+def test_t_closed_form_equals_the_fraction_form(theorem_id, n, q, x):
+    # integer arithmetic with one Fraction per count gives the values of the
+    # form with every term a Fraction, on the theorem's type, rational for
+    # the degenerate Baer types, at the screen's sizes from c, the theorem's
+    # k, the sign-check endpoints and rational sizes
+    th = THEOREMS[theorem_id]
+    abc, k = th.abc(n, q, x), th.k(n, q, x)
+    params = TypeParameters(*abc, n, q)
+    sizes = [*range(int(abc[2]), int(abc[2]) + 40), k, Fraction(2 * k + 1, 2), Fraction(-3, 7)]
+    sizes += [size(n, q, x, abc, k) for _, _, _, size in th.endpoints]
+    for size in (size for size in sizes if size is not None):
+        got = t_closed_form(params, size)
+        assert got == _t_closed_form_in_fractions(params, size)
+        assert all(isinstance(t, Fraction) for t in got)
 
 
 def test_verify_identities_on_real_spectrum(pg34):
@@ -388,7 +421,7 @@ def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, d
     got = _pencil_failures(th, inst, K, counts)
     assert sorted(got) == _pencil_law_by_brute_force(th, inst, K, counts)
     assert bool(got) == bool(damage)
-    monkeypatch.setattr(counting, "DOT_CELLS", 1)
+    monkeypatch.setattr(spectra, "DOT_CELLS", 1)
     assert _pencil_failures(th, inst, K, counts) == got
 
 
@@ -431,6 +464,73 @@ def test_pencil_failures_match_brute_force_on_damaged_sets(theorem_id, n, q, x):
     if inst.a == 1:  # one point is always a subspace
         kinds.remove("not a subspace")
     assert kinds <= seen
+
+
+@pytest.mark.parametrize("theorem_id,n,q,x", [
+    ("unital", 4, 9, None), ("unital", 4, 16, None), ("hyperovalN", 4, 8, None),
+    ("hyperovalN", 5, 4, None), ("maxarc", 5, 8, 2), ("maxarc", 5, 8, 4), ("hyperoval3", 3, 16, None)])
+def test_pencil_failures_match_the_full_trace_in_order(theorem_id, n, q, x):
+    # the traces confirmed from r members, and the full traces where none
+    # is, give the failures, in order, of the law read off every full trace:
+    # the cone and 30 seeded damaged sets per instance, 8 in PG(4,16);
+    # hyperoval3, where a = 1, samples one member per trace
+    th, inst, K = _canonical_cone(theorem_id, n, q, x)
+    counts = _counts(K, n - 1)[0]
+    assert _pencil_failures(th, inst, K, counts) == []
+    assert pencil_failures_full_trace(th, inst, K, counts) == []
+    a_planes = np.flatnonzero(counts == inst.a)
+    rng = np.random.default_rng(sum(map(ord, theorem_id)) + 100 * n + q + 1)
+    for _ in range(8 if q == 16 and n == 4 else 30):
+        D = _damaged(K, a_planes, rng)
+        counts = _counts(D, n - 1)[0]
+        want = pencil_failures_full_trace(th, inst, D, counts)
+        assert _pencil_failures(th, inst, D, counts) == want
+
+
+@pytest.mark.parametrize("fallback", ["below rank r", "above rank r", "span leaves K"])
+def test_pencil_failures_fall_back_to_the_full_trace(monkeypatch, fallback):
+    # member orders built against an a-hyperplane h of the PG(4,4) unital
+    # cone, where a = 21 and r = 3, and K ∩ h is the plane joining the vertex
+    # line V to a point P; the first block holds 71 of the 149 members:
+    # - below rank r: the 5 points of a line L through P first, then the
+    #   rest of K ∩ h, all in the first block, where h meets L's points
+    #   first, so that its sample stays at rank 2 after all members;
+    # - above rank r: a point of K ∩ h off V and P moved to a point y of h
+    #   off K, y, P and V first: the sample has rank 4;
+    # - span leaves K: the same set, P and V first and y last: the sample
+    #   spans K ∩ h as it was, which holds the moved point.
+    # h goes to the full trace, and the failures, in order, are its own.
+    th, inst, K = _canonical_cone("unital", 4, 4, None)
+    g, counts = K.geometry, _counts(K, 3)[0]
+    h = np.flatnonzero(counts == inst.a)[-1]
+    row = hyperplane_point_indices(g, h)
+    trace, vertex = row[K.mask[row]], recognize_cone(K).vertex.point_indices
+    P = np.setdiff1d(trace, vertex)[0]
+    D, last = K, []
+    if fallback == "below rank r":
+        line = g.span([P, vertex[0]]).point_indices
+        first = [*line, *np.setdiff1d(trace, line)]
+    else:
+        mask, y = K.mask.copy(), row[~K.mask[row]][0]
+        mask[np.setdiff1d(trace, [*vertex, P])[0]], mask[y] = False, True
+        D = pointset_from_indices(g, np.flatnonzero(mask))
+        first, last = ([y, P, *vertex], []) if fallback == "above rank r" else ([P, *vertex], [y])
+        counts = _counts(D, 3)[0]
+    assert counts[h] == inst.a
+    first, last = np.searchsorted(D.indices, first), np.searchsorted(D.indices, last)
+    order = np.concatenate([first, np.setdiff1d(np.arange(D.k), [*first, *last]), last])
+    rows, ranks = spectra._samples(g, np.array([h]), D.indices[order], 3, inst.a)
+    assert ranks[0] == {"below rank r": 2, "above rank r": 4, "span leaves K": 3}[fallback]
+    if fallback == "span leaves K":
+        assert not spectra._inside(D, rows).any()
+    monkeypatch.setattr(spectra, "_member_order", lambda k: order)
+    full, planes = spectra._full_traces, []
+    monkeypatch.setattr(spectra, "_full_traces",
+                        lambda K, left, a: planes.extend(left.tolist()) or full(K, left, a))
+    got = _pencil_failures(THEOREMS["unital"], inst, D, counts)
+    assert h in planes
+    assert got == pencil_failures_full_trace(THEOREMS["unital"], inst, D, counts)
+    assert bool(got) == (D is not K)
 
 
 @pytest.mark.parametrize("theorem_id,n,x", [("unital", 4, None), ("hyperoval3", 3, None),

@@ -32,13 +32,14 @@ from pgcones.kernels import (
     field_dots,
     hyperplane_intersection_counts,
     pivot_patterns,
+    span_vectors,
     subspace_intersection_scan,
 )
 from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_indices,
                              unital_cone)
 from pgcones.spectra import _counts, pencil_counts
 
-from oracles import hyperplane_point_indices, subspace_mask, subspaces_iter
+from oracles import hyperplane_point_indices, span_vectors_by_rows, subspace_mask, subspaces_iter
 
 
 def test_pivot_patterns_cover_all_subspaces():
@@ -62,6 +63,21 @@ def test_combo_vectors_are_projective_points():
         nz = row[row != 0]
         assert nz[0] == 1
     assert len({tuple(r) for r in combos}) == 21
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)])
+def test_span_vectors_match_the_sums_by_coefficient_row(p, h):
+    # stacks of seeded random matrices, zero and dependent rows among them,
+    # of 0 to 5 rows and several stack shapes, odd characteristic included
+    f = field_new(p, h)
+    rng = np.random.default_rng(10 * f.q + p)
+    for shape in [(), (1,), (3,), (2, 2)]:
+        for R in range(6 if f.q <= 4 else 4):
+            bases = rng.integers(0, f.q, size=(*shape, R, 4)).astype(np.int16)
+            bases[..., rng.random(R) < 0.2, :] = 0
+            got = span_vectors(bases, f.add, f.mul)
+            assert got.dtype == f.add.dtype and got.shape == (*shape, theta(R - 1, f.q), 4)
+            np.testing.assert_array_equal(got, span_vectors_by_rows(bases, f.add, f.mul))
 
 
 def test_worker_chunking_is_deterministic(pg34):

@@ -7,9 +7,10 @@ from pgcones import (PointSet, baer_cone, baer_subgeometry, cone,
                      pointset_from_indices, spectrum, theta, unital_cone)
 from pgcones.errors import (DegreeNotDividingOrder, OddDegree, OddOrder,
                             VertexBaseNotDisjoint, WrongDimension)
+from pgcones import kernels
 from pgcones.gf import factor_prime_power
 from pgcones.objects import axis_vertex
-from oracles import embed_in_first_coords
+from oracles import embed_in_first_coords, reference_rref
 
 
 def line_spectrum(ps):
@@ -149,6 +150,49 @@ def test_cone_vertex_base_not_disjoint(pg34):
     bad_base = pointset_from_indices(pg34, list(v.point_indices))
     with pytest.raises(VertexBaseNotDisjoint):
         cone(pg34, v, bad_base)
+
+
+@pytest.mark.parametrize("p,h,n", [(2, 2, 4), (3, 1, 4), (5, 1, 3)])
+def test_cone_reduces_only_a_base_on_the_pivots_and_agrees_with_the_rank_oracle(
+        monkeypatch, p, h, n):
+    # seeded vertices, reduced (`span`) or from an annihilator, with bases of
+    # three kinds: points 0 at the vertex's pivot columns, random points, and
+    # a vertex point with random points; `cone` refuses a base exactly when
+    # the Gauss-Jordan ranks of the vertex and the base do not add up, takes
+    # a row reduction exactly when the base is nonzero at some pivot, and a
+    # cone it builds has |base| q^(r+1) + theta_r points
+    g = geometry_new(field_new(p, h), n)
+    f, rng, seen = g.field, np.random.default_rng(100 * g.q + n), set()
+    calls, rref = [], kernels.rref
+    monkeypatch.setattr(kernels, "rref", lambda *args: calls.append(1) or rref(*args))
+    for trial in range(60):
+        pts = rng.choice(g.num_points, rng.integers(1, n), replace=False)
+        vertex = g.span(pts) if trial % 2 else g.subspace_from_basis(
+            kernels.annihilator(g.points[rng.choice(g.num_points, n - len(pts) + 1, replace=False)],
+                                f.add, f.mul, f.inv, f.neg))
+        pivots = np.argmax(reference_rref(g, vertex.basis) != 0, axis=1)
+        kind = trial % 3
+        pool = (np.flatnonzero((g.points[:, pivots] == 0).all(axis=1)) if kind == 0
+                else np.arange(g.num_points))
+        chosen = rng.choice(pool, min(len(pool), rng.integers(1, 4)), replace=False)
+        if kind == 2:
+            chosen = np.append(chosen, rng.choice(vertex.point_indices))
+        base = pointset_from_indices(g, chosen)
+        b = g.points[base.indices]
+        disjoint = (len(reference_rref(g, np.vstack([vertex.basis, b])))
+                    == len(vertex.basis) + len(reference_rref(g, b)))
+        off_pivots = not b[:, pivots].any()
+        calls.clear()
+        if disjoint:
+            K = cone(g, vertex, base)
+            assert K.k == base.k * g.q ** (vertex.dim + 1) + theta(vertex.dim, g.q)
+        else:
+            with pytest.raises(VertexBaseNotDisjoint):
+                cone(g, vertex, base)
+        assert bool(calls) == (not off_pivots)
+        seen.add((off_pivots, disjoint, trial % 2))
+    assert {(True, True, 0), (True, True, 1), (False, True, 0), (False, True, 1),
+            (False, False, 0), (False, False, 1)} <= seen
 
 
 def test_baer_cone_sizes(pg34, pg44):

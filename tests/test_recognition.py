@@ -17,34 +17,14 @@ import pytest
 
 from pgcones import field_new, geometry_new, kernels
 from pgcones.objects import PointSet, cone, pointset_from_indices, unital_cone
-from pgcones.spectra import _pivot_columns, recognize_cone
+from pgcones.spectra import recognize_cone
 
-from oracles import subspace_mask
+from oracles import reference_rref, subspace_mask
 
 
 @lru_cache(maxsize=None)
 def _geometry(p, h, n):
     return geometry_new(field_new(p, h), n)
-
-
-def _reference_rref(g, vectors):
-    """Gauss-Jordan elimination, one Python integer at a time."""
-    add, mul, inv, neg = (g.field.add, g.field.mul, g.field.inv, g.field.neg)
-    rows = [[int(c) for c in v] for v in vectors]
-    rank = 0
-    for col in range(g.n + 1):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        s = int(inv[rows[rank][col]])
-        rows[rank] = [int(mul[s, c]) for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = int(neg[rows[i][col]])
-                rows[i] = [int(add[a, mul[f, b]]) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return np.array(rows[:rank], dtype=np.int16).reshape(rank, g.n + 1)
 
 
 def _assert_reduced_echelon(m):
@@ -80,12 +60,12 @@ def test_rref_matches_the_reference(p, h, n):
     for _ in range(40):
         m = _random_matrix(g, rng)
         got = g.rref(m)
-        ref = _reference_rref(g, m)
+        ref = reference_rref(g, m)
         assert got.dtype == np.int16 and got.shape == (ref.shape[0], g.n + 1)
         _assert_reduced_echelon(got)
         np.testing.assert_array_equal(got, ref)  # the reduced form is unique
         # the same row space: the input rows add nothing to the output rows
-        assert _reference_rref(g, np.vstack([got, m])).shape[0] == got.shape[0]
+        assert reference_rref(g, np.vstack([got, m])).shape[0] == got.shape[0]
 
 
 @pytest.mark.parametrize("p,h,n", [(2, 1, 4), (3, 1, 3), (2, 2, 4), (5, 1, 3), (3, 2, 3)])
@@ -103,7 +83,7 @@ def test_pivot_columns_are_the_leading_coordinates_of_the_points(p, h, n):
                 kernels.annihilator(S.basis, f.add, f.mul, f.inv, f.neg))]
             for T in subspaces:
                 want = np.argmax(g.rref(T.basis) != 0, axis=1)
-                np.testing.assert_array_equal(_pivot_columns(g, T), want)
+                np.testing.assert_array_equal(g.pivot_columns(T), want)
                 assert len(want) == T.dim + 1
 
 
@@ -138,7 +118,7 @@ def test_stacked_rref_matches_the_reference_per_matrix(p, h):
         assert ranks.shape == stack.shape[:1]
         pivots = np.zeros((len(stack), g.n + 1), dtype=bool)
         for m, got, rank, at in zip(stack, reduced, ranks, pivots):
-            ref = _reference_rref(g, m)
+            ref = reference_rref(g, m)
             assert rank == ref.shape[0]
             np.testing.assert_array_equal(got[:rank], ref)
             assert not got[rank:].any()
@@ -161,7 +141,7 @@ def _reference_complement(g, vertex):
         if len(chosen) == target:
             break
         cand = np.vstack([vertex.basis, g.points[chosen + [i]]])
-        if _reference_rref(g, cand).shape[0] == cand.shape[0]:
+        if reference_rref(g, cand).shape[0] == cand.shape[0]:
             chosen.append(i)
     return g.span(chosen)
 
