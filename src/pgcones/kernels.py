@@ -7,14 +7,16 @@ space: v in GF(q)^(n+1) has the code sum_i v[i] q^i, its plan's
 the scan takes a mask, as a q-ary tensor by code, through d + 1 value
 tables, one per pivot prefix, a pattern at a time (free slots by column,
 then row) in blocks of combos, one pool task per pattern above one
-worker, each writing its sums in place.  Both counts sum the member
-indices for lone points only where a subspace is met once.  The
+worker (the pool is imported only then), each writing its sums in place.
+Both counts sum the member indices for lone points only where a subspace
+is met once; the scan sums them in uint32 and returns them in int32.  The
 hyperplane count reads no code table, builds no array above q^n, runs its
 products in float64 through BLAS, exact below 2^53, and takes residues by
 floor division.  Each count runs a plan of all it needs besides the point
 set, a `ScanPlan` or a `TransformPlan`, which a Geometry builds the first
 time a query needs it and keeps, one per d; no kernel keeps a plan itself.
-`cone_points` returns the annihilator of the hyperplanes off the cone law.
+`cone_points` returns the annihilator of the hyperplanes off the cone law,
+reducing only a spanning subset of them, in at most n+1 rounds.
 `rref` reduces a stack of matrices in one column loop; `annihilator` is
 `rref` then `dual_of_reduced`, which a caller holding reduced bases calls
 alone.
@@ -22,7 +24,6 @@ alone.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from itertools import combinations
 from math import prod
@@ -132,9 +133,10 @@ class ScanPlan:
 
     def __init__(self, n_cols, d, q, add, mul, inv):
         patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
-        digits = [np.indices((q,) * k).reshape(k, q ** k).T for k in range(max(n_cols - d, d + 2))]
-        values = [field_dots(combos[:, :m], digits[m], add, mul) for m in range(1, d + 2)]
+        values = [field_dots(combos[:, :m], np.indices((q,) * m).reshape(m, -1).T, add, mul)
+                  for m in range(1, d + 2)]
         pows = q ** np.arange(n_cols, dtype=np.int64)
+        place = pows[:, None] * np.arange(q)  # value x in column c has the code x q^c
         at = combos.astype(np.int64) @ pows[[list(pivots) for pivots, _ in patterns]].T
         sizes = [q ** len(free) for _, free in patterns]
         self.shape, self.code_to_index = (n_cols, d, q), code_table(n_cols - 1, q, mul, inv)
@@ -150,7 +152,10 @@ class ScanPlan:
             rows = [sum(p < col for p in pivots) for col in cols]
             bounds = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
             blocks = [(lo, hi, [take(m, lo, hi) for m in rows]) for lo, hi in bounds]
-            self.patterns.append(((digits[len(cols)] @ pows[cols])[:, None] + codes, blocks))
+            index = np.zeros(1, dtype=np.int64)  # the codes of the free columns' values
+            for col in cols:  # in lex order, the first column slowest
+                index = np.add.outer(index, place[col]).ravel()
+            self.patterns.append((index[:, None] + codes, blocks))
 
 
 def _scan_pattern(out, index, blocks, tensor, q):
@@ -160,29 +165,44 @@ def _scan_pattern(out, index, blocks, tensor, q):
     c_r B_r is c_r at pivot p_r, 0 before p_0 and, at free column k after m
     pivots, sum_(r<m) c_r times its digits: `index[:, c]` codes the first
     two, then per free column, last first, one `take` along its axis merged
-    with the combos' puts its m digit axes in."""
+    with the combos' puts its m digit axes in.  A one-combo block's last
+    take, whose rows are the slices of `out` by the first column's digits,
+    runs SCAN_BLOCK entries at a time straight into `out`, so that no array
+    of the pattern's size is built beside it."""
     for lo, hi, takes in blocks:
         t = tensor[index[:, lo:hi]]  # free columns, combo
-        for k in reversed(range(len(takes))):  # the column at every combo and digits
+        last = int(hi - lo == 1 and len(takes) > 0)  # the take left to the rows below
+        for k in reversed(range(last, len(takes))):  # the column at every combo and digits
             t = t.reshape(q ** k, q * (hi - lo), -1).take(takes[k], axis=1)
+        if last:
+            t, rows = t.reshape(q, -1), out.reshape(len(takes[0]), -1)
+            step = max(1, SCAN_BLOCK // rows.shape[1])
+            for r in range(0, len(rows), step):
+                if lo == 0:  # "clip", unlike "raise", writes to `out` unbuffered
+                    t.take(takes[0][r:r + step], axis=0, out=rows[r:r + step], mode="clip")
+                else:
+                    rows[r:r + step] += t.take(takes[0][r:r + step], axis=0)
+            continue
         t = t.reshape(hi - lo, -1)
         if lo == 0:
             np.sum(t, axis=0, dtype=out.dtype, out=out)
-        else:  # a one-combo block adds its one row
-            np.add(out, t[0] if hi - lo == 1 else t.sum(axis=0, dtype=out.dtype), out=out)
+        else:
+            np.add(out, t.sum(axis=0, dtype=out.dtype), out=out)
 
 
 def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lone=False):
     """Intersection size of `member` with every d-subspace, in the plan's
     dtype, and with `lone` the lone member point where that size is 1 as
-    int64 (-1 elsewhere; None without `lone`), over the canonical subspace
+    int32 (-1 elsewhere; None without `lone`), over the canonical subspace
     order.  `plan` is the `ScanPlan` of (n_cols, d, q), checked.
 
     Patterns run inline at one worker, else one pool task each; the results
     are the same.  Only if some size is 1 is a second pass made, on the
     patterns holding a 1, over the member indices, 0 off the set, whose sum
-    is the lone point there.  Each pattern writes its own slice, whose
-    canonical order is the order its takes run its free slots in.
+    is the lone point there: uint32 sums, which wrap mod 2^32 but are exact
+    where they are read, then set to -1 in place off the counts of 1.  Each
+    pattern writes its own slice, whose canonical order is the order its
+    takes run its free slots in.
     """
     if plan.shape != (n_cols, d, q):
         raise ValueError(f"a scan plan of (n_cols, d, q) = {plan.shape}, not {(n_cols, d, q)}")
@@ -197,18 +217,22 @@ def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lon
 
         if workers == 1:
             list(map(run, which))
-        else:
+        else:  # imported here, so that a one-worker run never loads the pool
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run, which))
         return out
 
     counts = scan(member_code.astype(plan.dtype), range(len(plan.patterns)))
     if not lone or not (counts == 1).any():
-        return counts, (np.full(len(counts), -1, dtype=np.int64) if lone else None)
-    # on the patterns holding a 1; int64 as in its sums, up to theta_d theta_n
-    indices = scan(np.multiply(member_code, plan.code_to_index, dtype=np.int64),
-                   np.flatnonzero(np.logical_or.reduceat(counts == 1, offsets[:-1])))
-    return counts, np.where(counts == 1, indices, -1)
+        return counts, (np.full(len(counts), -1, dtype=np.int32) if lone else None)
+    # on the patterns holding a 1, in uint32: a sum wraps mod 2^32, but where a subspace
+    # holds one member it is that member's index, below theta_n < 2^31, and only there is
+    # it read
+    sums = scan(np.where(member_code, plan.code_to_index, 0).view(np.uint32),
+                np.flatnonzero(np.logical_or.reduceat(counts == 1, offsets[:-1]))).view(np.int32)
+    sums[counts != 1] = -1  # in place, with no copy of the sums
+    return counts, sums
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +333,9 @@ def hyperplane_intersection_counts(points, member, plan, lone=False):
 # dot products, row reduction, annihilators and the cone points
 # ---------------------------------------------------------------------------
 
+DOT_CELLS = 1 << 20  # field dot products in one gather of the pencil law or `cone_points`
+
+
 def field_dots(rows, vectors, add, mul):
     """The field dot products of every row with every vector, shape
     (len(rows), len(vectors)), one outer product per coordinate; the sum
@@ -387,6 +414,28 @@ def cone_points(member, counts, points, add, mul, inv, neg):
     hyperplane h it is q N(h) - k + 1.  Then 0 + tP is in S, so P is a
     member, and the line PQ, P and the Q + tP, stays in the set.  So the
     cone points are the annihilator of the hyperplanes with q N(h) != k - 1.
+
+    That is the dual of the span of a subset of those rows.  2(n+1) of them,
+    spread over all, as the first points in lex order lie in a small
+    subspace, are reduced.  Then the rows are checked against the dual,
+    DOT_CELLS field dot products at a time, and the first block holding
+    rows off it adds up to n+1 of them to the reduced ones for the next
+    round.  The rank rises every round, so at most n+1 rounds follow, and
+    the last, whose rows are all on the dual or whose rank is n+1, gives
+    `annihilator` of them all, as a reduced basis is unique.
     """
-    off = points[len(mul) * counts != np.asarray(member).sum() - 1]
-    return annihilator(off, add, mul, inv, neg)
+    q, cols = len(mul), points.shape[1]
+    off = np.flatnonzero(q * counts != np.count_nonzero(member) - 1)
+    rows = points[off[::max(1, len(off) // (2 * cols))][:2 * cols]]
+    lo, step = 0, max(1, DOT_CELLS // cols)
+    while rows is not None:
+        reduced, rank = rref(rows, add, mul, inv, neg)
+        dual, rows = dual_of_reduced(reduced[:rank], add, neg), None
+        while rank < cols and lo < len(off) and rows is None:  # rows before lo are on the dual
+            block = points[off[lo:lo + step]]
+            outside = block[(field_dots(block, dual, add, mul) != 0).any(axis=1)]
+            if len(outside):  # the block is read again in the next round
+                rows = np.concatenate([reduced[:rank], outside[:cols]])
+            else:
+                lo += step
+    return dual

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NotBlocking, WrongDimension
-from .objects import PointSet, cone, pointset_from_indices
+from .objects import PointSet, cone
 from .pg import Geometry, Subspace, gaussian_binomial, theta
 
 
@@ -53,6 +53,19 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
                                               workers, lone)
 
 
+TALLY_CHUNK = 1 << 15  # counts per `bincount`, which copies them to intp
+
+
+def _tally(values, top: int) -> np.ndarray:
+    """`bincount` of values in 0..top, one TALLY_CHUNK at a time, so that
+    its intp copy is one chunk's, the later chunks' tallies added in place
+    to the first's."""
+    tally = np.bincount(values[:TALLY_CHUNK], minlength=top + 1)
+    for lo in range(TALLY_CHUNK, len(values), TALLY_CHUNK):
+        tally += np.bincount(values[lo:lo + TALLY_CHUNK], minlength=top + 1)
+    return tally
+
+
 def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
     """The spectrum tallied from the intersection counts of every d-subspace,
     which lie in 0..theta_d: no sort.  A cone's counts come in long runs of
@@ -60,15 +73,17 @@ def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
     counts up to 10 are tallied by one comparison per value, which has no
     such wait and, over up to 11 values, costs about what pairs do where
     there are no runs; larger ones in uint16 pairs, each adding to the tally
-    of both its bytes, whatever the byte order."""
+    of both its bytes, whatever the byte order, the pair tally sized by the
+    largest count.  Every `bincount` runs in chunks (`_tally`)."""
+    top = int(counts.max(initial=0))
     if counts.dtype != np.uint8:
-        tally = np.bincount(counts)
-    elif (top := int(counts.max(initial=0))) <= 10:
+        tally = _tally(counts, top)
+    elif top <= 10:
         tally = np.array([np.count_nonzero(counts == v) for v in range(top + 1)])
-    else:
-        pairs = np.bincount(counts[:len(counts) & ~1].view(np.uint16), minlength=1 << 16)
-        pairs = pairs.reshape(256, 256)
-        tally = pairs.sum(axis=0) + pairs.sum(axis=1)
+    else:  # a pair of counts up to top is below 256 (top + 1)
+        pairs = _tally(counts[:len(counts) & ~1].view(np.uint16), 256 * top + 255)
+        pairs = pairs.reshape(top + 1, 256)
+        tally = pairs.sum(axis=0)[:top + 1] + pairs.sum(axis=1)
         tally[counts[len(counts) & ~1:]] += 1  # the odd last count
     return Spectrum(by_size={int(s): int(tally[s]) for s in np.flatnonzero(tally)},
                     d=d, total=gaussian_binomial(g.n + 1, d + 1, g.q))
@@ -89,12 +104,16 @@ def essential_points(K: PointSet, d: int) -> PointSet:
     """Points whose removal unblocks some d-subspace.
 
     A point is essential exactly when some d-subspace meets K in that
-    point alone.  Raises NotBlocking if K is not a d-blocking set.
+    point alone.  Raises NotBlocking if K is not a d-blocking set.  The
+    lone points are marked straight from the lone array, whose -1 marks an
+    extra last entry, so no list of them is built.
     """
     counts, lone = _counts(K, d, lone=True)
     if counts.min() == 0:
         raise NotBlocking(f"K does not block every {d}-subspace")
-    return pointset_from_indices(K.geometry, lone[lone >= 0])
+    marked = np.zeros(K.geometry.num_points + 1, dtype=bool)  # -1, no lone point, marks the last
+    marked[lone] = True
+    return PointSet(K.geometry, marked[:-1].copy())
 
 
 def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
@@ -117,9 +136,6 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
 # the pencil law, read off the hyperplane counts
 # ---------------------------------------------------------------------------
 
-DOT_CELLS = 1 << 20  # field dot products in one gather of the pencil law
-
-
 def _member_order(k: int) -> np.ndarray:
     """The member positions 0..k-1 in steps of a fixed stride coprime to k,
     near k/phi, so that a run of the order spreads over the whole set."""
@@ -133,18 +149,18 @@ def _samples(g, planes, members, r: int, a: int):
     """Per hyperplane of `planes`, the reduced span of members met on it and
     its rank, in rounds until the rank reaches r: the members, in their
     order, in blocks doubling from 2(n+1) k/a, which an a-hyperplane meets
-    in about 2(n+1) of its members, up to DOT_CELLS.  Each round adds the
-    first n+1 members a hyperplane meets in the block to its reduced rows,
-    in one stacked `kernels.rref`; the hyperplanes are dotted with the block
-    DOT_CELLS products at a time.  Rows (planes, r, n+1); a rank above r
-    leaves its first r reduced rows."""
+    in about 2(n+1) of its members, up to `kernels.DOT_CELLS`.  Each round
+    adds the first n+1 members a hyperplane meets in the block to its
+    reduced rows, in one stacked `kernels.rref`; the hyperplanes are dotted
+    with the block DOT_CELLS products at a time.  Rows (planes, r, n+1); a
+    rank above r leaves its first r reduced rows."""
     f, cols, k = g.field, g.n + 1, len(members)
     rows, ranks = np.zeros((len(planes), r, cols), dtype=np.int16), np.zeros(len(planes), int)
     active, lo = np.arange(len(planes)), 0
-    size = min(DOT_CELLS, -(-2 * cols * k // a))
+    size = min(kernels.DOT_CELLS, -(-2 * cols * k // a))
     while active.size and lo < k:
         block, met = g.points[members[lo:lo + size]], np.zeros((active.size, cols, cols), np.int16)
-        step = max(1, DOT_CELLS // len(block))
+        step = max(1, kernels.DOT_CELLS // len(block))
         for c in range(0, active.size, step):
             on = kernels.field_dots(g.points[planes[active[c:c + step]]], block, f.add, f.mul) == 0
             seen = np.cumsum(on, axis=1, dtype=np.int32)
@@ -153,7 +169,7 @@ def _samples(g, planes, members, r: int, a: int):
         reduced, ranks[active] = kernels.rref(np.concatenate([rows[active], met], axis=1),
                                               f.add, f.mul, f.inv, f.neg)
         rows[active] = reduced[:, :r]
-        active, lo, size = active[ranks[active] < r], lo + size, min(DOT_CELLS, 2 * size)
+        active, lo, size = active[ranks[active] < r], lo + size, min(kernels.DOT_CELLS, 2 * size)
     return rows, ranks
 
 
@@ -161,7 +177,7 @@ def _inside(K, bases) -> np.ndarray:
     """Whether the span of each basis of a stack lies in K, its points named
     a few spans at a time."""
     g, (_, rows, cols) = K.geometry, bases.shape
-    step = max(1, DOT_CELLS // (theta(rows - 1, g.q) * cols))  # coordinates named at a time
+    step = max(1, kernels.DOT_CELLS // (theta(rows - 1, g.q) * cols))  # coordinates named at a time
     return np.concatenate([
         K.mask[g.indices_of(kernels.span_vectors(bases[lo:lo + step], g.field.add, g.field.mul))]
         .all(axis=1) for lo in range(0, len(bases), step)])
@@ -192,7 +208,7 @@ def _sampled_traces(K, a_planes, r: int, a: int):
                 left += batch[held].tolist()
         confirmed = rows[firsts[inside]].reshape(-1, g.n + 1)
         if confirmed.size and pending.size:
-            step = max(1, DOT_CELLS // len(confirmed))
+            step = max(1, kernels.DOT_CELLS // len(confirmed))
             own = np.concatenate([(kernels.field_dots(g.points[pending[lo:lo + step]], confirmed,
                                                       f.add, f.mul) == 0)
                                   .reshape(-1, len(confirmed) // r, r).all(axis=2).any(axis=1)
@@ -211,7 +227,7 @@ def _full_traces(K, planes, a: int):
     if planes.size == 0:
         return [], {}
     g, f = K.geometry, K.geometry.field
-    members, traces, step = g.points[K.indices], {}, max(1, DOT_CELLS // K.k)
+    members, traces, step = g.points[K.indices], {}, max(1, kernels.DOT_CELLS // K.k)
     for lo in range(0, planes.size, step):
         block = kernels.field_dots(g.points[planes[lo:lo + step]], members, f.add, f.mul) == 0
         for h, trace, key in zip(planes[lo:lo + step], block, np.packbits(block, axis=1)):

@@ -1,11 +1,17 @@
 """Command-line round trips, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
+import pgcones
 from pgcones import cli
 from pgcones.cli import main
 
@@ -31,6 +37,27 @@ def test_spectrum_json_reports_identities(tmp_path, capsys):
     assert doc["identities_ok"] is True
     assert doc["total"] == 85
     assert doc["rows"] == [[1, 6], [6, 64], [9, 15]]
+
+
+def test_import_and_one_worker_scans_load_no_thread_pool():
+    # the pool module is imported only by a scan at more than one worker; a
+    # fresh interpreter shows what `import pgcones.cli` and each scan load
+    code = dedent("""
+        import sys
+        import pgcones.cli
+        from pgcones import field_new, geometry_new, hyperoval_cone, spectrum
+        loaded = ["concurrent.futures" in sys.modules]
+        K = hyperoval_cone(geometry_new(field_new(2, 2), 3))
+        spectrum(K, 1)
+        loaded.append("concurrent.futures" in sys.modules)
+        spectrum(K, 1, workers=2)
+        print(loaded + ["concurrent.futures" in sys.modules])
+    """)
+    src = str(Path(pgcones.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[False, False, True]"
 
 
 def test_construct_is_deterministic(tmp_path):
@@ -391,8 +418,8 @@ def test_verify_over_the_byte_budget_exits_2(capsys):
                             " of 1610612736 bytes\n")
 
 
-@pytest.mark.parametrize("p,n,d,need", [(2, 9, 4, 2328971175), (3, 8, 3, 129696664552)],
-                         ids=["PG(9,2)-d4", "PG(8,3)-d3"])
+@pytest.mark.parametrize("p,n,d,need", [(2, 10, 3, 5385318322), (3, 8, 3, 37621255015)],
+                         ids=["PG(10,2)-d3", "PG(8,3)-d3"])
 def test_spectrum_over_the_scan_bound_exits_2(tmp_path, capsys, p, n, d, need):
     # a one-point file whose d-subspace scan is charged before it is planned
     path = tmp_path / "point.json"

@@ -36,7 +36,7 @@ from pgcones.errors import (
     HypothesisViolated,
     NonSquareOrder,
 )
-from pgcones import spectra
+from pgcones import kernels, spectra
 from pgcones.counting import THEOREMS, _pencil_failures
 from pgcones.gf import factor_prime_power
 from pgcones.objects import hyperoval_cone
@@ -421,7 +421,7 @@ def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, d
     got = _pencil_failures(th, inst, K, counts)
     assert sorted(got) == _pencil_law_by_brute_force(th, inst, K, counts)
     assert bool(got) == bool(damage)
-    monkeypatch.setattr(spectra, "DOT_CELLS", 1)
+    monkeypatch.setattr(kernels, "DOT_CELLS", 1)
     assert _pencil_failures(th, inst, K, counts) == got
 
 

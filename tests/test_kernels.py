@@ -12,6 +12,7 @@ the transform's hyperplane counts, against its definition, line by line
 with `Geometry.span`.
 """
 
+import concurrent.futures
 import gc
 import weakref
 from functools import lru_cache
@@ -27,6 +28,7 @@ from pgcones.errors import GeometryTooLarge
 from pgcones.kernels import (
     ScanPlan,
     TransformPlan,
+    annihilator,
     combo_vectors,
     cone_points,
     field_dots,
@@ -177,11 +179,26 @@ def test_subspace_scan_matches_brute_force(p, h, n, d, seed, density, workers):
     want_counts, want_lone = _brute_counts(_subspace_points(p, h, n, d), mask)
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(lone, want_lone)
-    assert counts.dtype == np.min_scalar_type(theta(d, g.q)) and lone.dtype == np.int64
+    assert counts.dtype == np.min_scalar_type(theta(d, g.q)) and lone.dtype == np.int32
     # without lone points the scan sums one tensor and gives the same counts
     alone, none = _scan(g, d, mask, workers, lone=False)
     np.testing.assert_array_equal(alone, counts)
     assert alone.dtype == counts.dtype and none is None
+
+
+@pytest.mark.parametrize("p,h,n,d", SCAN_GRID)
+def test_scan_plan_codes_equal_the_digit_products(p, h, n, d):
+    # each pattern's index, built one free column at a time, is the lex list
+    # of the digits of GF(q)^k times the free columns' powers, plus the codes
+    # of the pivot and leading values of every combo
+    g = _geometry(p, h, n)
+    plan, pows = _scan_plan(g, d), g.q ** np.arange(n + 1, dtype=np.int64)
+    combos = combo_vectors(d + 1, g.q).astype(np.int64)
+    for (pivots, free), (index, _) in zip(pivot_patterns(n + 1, d + 1), plan.patterns):
+        cols = sorted({col for _, col in free})
+        digits = np.indices((g.q,) * len(cols)).reshape(len(cols), g.q ** len(cols)).T
+        np.testing.assert_array_equal(
+            index, (digits @ pows[cols])[:, None] + combos @ pows[list(pivots)])
 
 
 @pytest.mark.parametrize("met_once", [False, True])
@@ -200,10 +217,10 @@ def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_onc
     counts, lone = _scan(g, 2, mask)
     sizes = [4 ** len(free) for _, free in pivot_patterns(g.n + 1, 3)]
     with_one = sum((part == 1).any() for part in np.split(counts, np.cumsum(sizes)[:-1]))
-    assert lone.dtype == np.int64
+    assert lone.dtype == np.int32
     if met_once:  # a call per pattern over the counts, then per pattern holding a 1
         assert 0 < with_one < len(sizes)
-        assert [t.dtype for t in tensors] == [np.uint8] * len(sizes) + [np.int64] * with_one
+        assert [t.dtype for t in tensors] == [np.uint8] * len(sizes) + [np.uint32] * with_one
         want_counts, want_lone = _brute_counts(_subspace_points(2, 2, 4, 2), mask)
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(lone, want_lone)
@@ -240,7 +257,7 @@ def test_one_worker_starts_no_thread_pool(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a thread pool at one worker")
 
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     g = _geometry(2, 2, 4)
     mask = subspace_mask(g, g.span([0, 1]))
     for d in (1, 2):
@@ -485,6 +502,71 @@ def test_cone_points_of_a_subspace_are_all_its_points(p, h, n, dim):
     got = _cone_points(g, mask)
     np.testing.assert_array_equal(got, S.point_indices)
     np.testing.assert_array_equal(got, _cone_points_by_definition(pointset_from_indices(g, got)))
+
+
+def _off_law_mask(g, kind):
+    """A seeded set of each kind: a random half, a cone over a conic with an
+    (n-3)-dimensional vertex, that cone with two points dropped and one
+    added, a plane, no point and every point."""
+    rng = np.random.default_rng(g.n * g.q)
+    if kind == "random":
+        return _random_mask(g, g.q, 0.5)
+    if kind in ("cone", "damaged"):
+        mask = _conic_cone(g, g.n - 3)[0].mask.copy()
+        if kind == "damaged":
+            mask[rng.choice(np.flatnonzero(mask), size=2, replace=False)] = False
+            mask[rng.choice(np.flatnonzero(~mask))] = True
+        return mask
+    if kind == "subspace":
+        return subspace_mask(g, g.span(rng.choice(g.num_points, size=3, replace=False)))
+    return np.full(g.num_points, kind == "all")
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+@pytest.mark.parametrize("kind", ["random", "cone", "damaged", "subspace", "none", "all"])
+@pytest.mark.parametrize("p,h,n", [(3, 1, 4), (2, 2, 4), (3, 2, 3), (5, 1, 3), (2, 1, 6)])
+def test_cone_points_equal_the_annihilator_of_every_off_law_row(monkeypatch, p, h, n, kind,
+                                                                 rows_per_block):
+    # the dual of a spanning subset of the rows off the cone law is the
+    # basis one reduction of all of them gives, whatever rows a block holds
+    g = _geometry(p, h, n)
+    f, mask = g.field, _off_law_mask(g, kind)
+    counts, _ = hyperplane_intersection_counts(g.points, mask, g.count_plan(n - 1))
+    want = annihilator(g.points[g.q * counts != mask.sum() - 1], f.add, f.mul, f.inv, f.neg)
+    if rows_per_block:
+        monkeypatch.setattr(kernels, "DOT_CELLS", rows_per_block * (n + 1))
+    got = cone_points(mask, counts, g.points, f.add, f.mul, f.inv, f.neg)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 2])
+def test_cone_points_adds_rows_off_the_dual_in_rounds(monkeypatch, rows_per_block):
+    # in PG(4,3) the rows off the law are the plane x0 = x1 = 0, points 0-12,
+    # five points of the hyperplane x0 = 0 off it, and point 120 =
+    # (1,2,2,2,2) off that hyperplane; with one member a row is off the law
+    # where its count is not 0.  The 10 rows sampled span the plane.  Each
+    # round adds at most n+1 rows off the dual from the first block holding
+    # any, and reads that block again: in one block the five points come
+    # first and leave point 120 to a third round; at 2 rows a block each
+    # of the two spans takes its own round too
+    g = _geometry(3, 1, 4)
+    f, off, member = g.field, np.zeros(g.num_points, dtype=bool), np.zeros(g.num_points, bool)
+    off[[*range(13), 14, 20, 26, 32, 38, 120]], member[0] = True, True
+    got_ranks, rref = [], kernels.rref
+
+    def counted(rows, *args):
+        reduced, rank = rref(rows, *args)
+        got_ranks.append(int(rank))
+        return reduced, rank
+
+    monkeypatch.setattr(kernels, "rref", counted)
+    if rows_per_block:
+        monkeypatch.setattr(kernels, "DOT_CELLS", rows_per_block * (g.n + 1))
+    got = cone_points(member, off.astype(np.int64), g.points, f.add, f.mul, f.inv, f.neg)
+    monkeypatch.undo()
+    assert got_ranks == [3, 4, 5]
+    np.testing.assert_array_equal(got, annihilator(g.points[off], f.add, f.mul, f.inv, f.neg))
 
 
 @settings(max_examples=30)

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pgcones import (essential_points, field_new, gaussian_binomial, geometry_new,
-                     pointset_from_indices, run_verification, spectrum, theta)
+from pgcones import (PointSet, essential_points, field_new, gaussian_binomial, geometry_new,
+                     pointset_from_indices, recognize_cone, run_verification, spectrum, theta)
 from pgcones.errors import GeometryTooLarge, NotBlocking
 from pgcones.gf import _is_prime, factor_prime_power
 from pgcones.kernels import annihilator, code_table
@@ -228,6 +228,24 @@ def test_budget_charges_a_scan_its_peak(p, h, n, d):
             essential_points(K, d)
 
     assert _peak(run) <= charge(n, p ** h, d)
+
+
+def test_budget_charges_recognition_of_a_random_set_its_peak():
+    # every hyperplane of PG(10,4) is off the cone law of a random half, and
+    # `cone_points` reduces a spanning subset of those rows, not all of them
+    def run():
+        g = geometry_new(field_new(2, 2), 10)
+        K = PointSet(g, np.random.default_rng(10).random(g.num_points) < 0.5)
+        assert recognize_cone(K).vertex.dim == -1
+
+    assert _peak(run) <= charge(10, 4)
+
+
+@pytest.mark.parametrize("n,q,d", [(9, 2, 4), (14, 2, 1), (7, 3, 3), (5, 8, 2)])
+def test_budget_admits_scans_with_32_bit_lone_sums(n, q, d):
+    # by arithmetic only: with the 15 more bytes a subspace that int64 index
+    # sums and lone points were charged, each was over the bound
+    assert charge(n, q, d) <= MAX_BYTES < charge(n, q, d) + 15 * gaussian_binomial(n + 1, d + 1, q)
 
 
 @pytest.mark.parametrize("p,h,n", [(2, 1, 4), (3, 1, 3), (2, 2, 4), (5, 1, 3), (2, 3, 3),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from textwrap import dedent
 
@@ -12,6 +13,7 @@ from pgcones import (PointSet, cone, essential_points, hermitian_unital,
                      hyperoval, hyperoval_cone, is_blocking, maxarc_cone,
                      pencil_counts, pointset_from_indices, recognize_cone,
                      spectrum, unital_cone)
+from pgcones import spectra
 from pgcones.errors import NotBlocking, WrongDimension
 from pgcones.objects import axis_vertex
 from pgcones.spectra import _counts, spectrum_of_counts
@@ -91,6 +93,40 @@ def test_spectrum_compare_tally_matches_bincount(monkeypatch, pg34, top, runs, s
     assert len(calls) == (most + 1 if most <= 10 else 0)
 
 
+CHUNK = spectra.TALLY_CHUNK
+
+
+@pytest.mark.parametrize("dtype,top", [(np.uint8, 10), (np.uint8, 11), (np.uint8, 255),
+                                       (np.uint16, 1093), (np.int64, 53)])
+@pytest.mark.parametrize("runs", [True, False])
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK + 1,
+                                  3 * CHUNK + 5])
+def test_spectrum_tally_in_chunks_matches_a_counter(monkeypatch, pg34, dtype, top, runs, size):
+    # every `bincount` sees at most one chunk, and a pair tally has at most
+    # 256 (top + 1) entries; lengths around the chunk of counts and of
+    # uint8 pairs, in runs as a cone's counts come or without runs
+    rng = np.random.default_rng(size + top)
+    counts = rng.integers(0, top + 1, size)
+    if runs:
+        counts = np.repeat(counts, rng.integers(1, 50, size))[:size]
+    counts = counts.astype(dtype)
+    counts[:1] = top
+    calls, bincount = [], np.bincount
+
+    def counted(values, minlength=0):
+        calls.append((len(values), minlength))
+        return bincount(values, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    got = spectrum_of_counts(pg34, counts, 1).by_size
+    monkeypatch.undo()
+    assert got == dict(Counter(counts.tolist()))
+    assert all(length <= CHUNK and minlength <= 256 * (top + 1) for length, minlength in calls)
+    values = size // 2 if dtype == np.uint8 else size  # uint8 counts go in pairs
+    assert len(calls) == (0 if dtype == np.uint8 and (top <= 10 or size == 0)
+                          else max(1, -(-values // CHUNK)))
+
+
 def test_spectrum_tally_of_a_scan_matches_bincount(pg54):
     # the 376 805 plane counts of a cone of PG(5,4), uint8 of odd length
     counts, _ = _counts(maxarc_cone(pg54, 2), 2)
@@ -144,7 +180,7 @@ def test_essential_points_without_a_plane_met_once(pg44):
     counts, lone = _counts(K, 2, lone=True)
     assert counts.min() > 1
     np.testing.assert_array_equal(lone, np.full(len(counts), -1))
-    assert lone.dtype == np.int64
+    assert lone.dtype == np.int32
     assert essential_points(K, 2).k == 0
 
 
