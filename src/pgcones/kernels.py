@@ -7,9 +7,10 @@ space: v in GF(q)^(n+1) has the code sum_i v[i] q^i, its plan's
 the scan takes a mask, as a q-ary tensor by code, through d + 1 value
 tables, one per pivot prefix, a pattern at a time (free slots by column,
 then row) in blocks of combos, one pool task per pattern above one
-worker (the pool is imported only then), each writing its sums in place.
-Both counts sum the member indices for lone points only where a subspace
-is met once; the scan sums them in uint32 and returns them in int32.  The
+worker (the pool is imported only then), each writing its sums in place,
+with no working array over BLOCK_BYTES.  Both counts sum the member
+indices for lone points only where a subspace is met once; the scan sums
+them a byte at a time in uint8 and returns them in int32.  The
 hyperplane count reads no code table, builds no array above q^n, runs its
 products in float64 through BLAS, exact below 2^53, and takes residues by
 floor division.  Each count runs a plan of all it needs besides the point
@@ -97,7 +98,7 @@ def span_vectors(bases, add, mul):
 # intersection counts of a point set against all d-subspaces
 # ---------------------------------------------------------------------------
 
-SCAN_BLOCK = 1 << 20  # tensor entries gathered by the last take of a block
+BLOCK_BYTES = 1 << 18  # bytes of any working array of a scan block or a tally chunk
 
 
 def code_table(n, q, mul, inv):
@@ -122,14 +123,15 @@ class ScanPlan:
     the point set, built once.  Per pivot pattern: `index`, the code of its
     pivot and leading values at every value of its free columns and every
     combo c, and its blocks of combos (lo, hi, takes), one take per free
-    column.  The rows free in a column are those of the pivots before it,
-    so a value table per prefix, V_m[c, x] = sum_(r<m) c_r x_r, gives the
-    takes of every pattern; the take of m rows puts value v of combo c at
-    v b + c, b = hi - lo, and equal blocks share it.  The counts come in
-    `dtype`, the least holding theta_d, and pattern i fills `offsets[i]`
-    to `offsets[i + 1]` of the canonical order.  The plan holds the
-    `code_table` of the geometry, built from `mul` and `inv`, through which
-    the scan reads a mask by code."""
+    column, each block's last take within BLOCK_BYTES of counts, the
+    widest tensor a scan sums.  The rows free in a column are those of the
+    pivots before it, so a value table per prefix, V_m[c, x] = sum_(r<m)
+    c_r x_r, gives the takes of every pattern; the take of m rows puts
+    value v of combo c at v b + c, b = hi - lo, and equal blocks share it.
+    The counts come in `dtype`, the least holding theta_d, and pattern i
+    fills `offsets[i]` to `offsets[i + 1]` of the canonical order.  The plan
+    holds the `code_table` of the geometry, built from `mul` and `inv`,
+    through which the scan reads a mask by code."""
 
     def __init__(self, n_cols, d, q, add, mul, inv):
         patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
@@ -141,6 +143,7 @@ class ScanPlan:
         sizes = [q ** len(free) for _, free in patterns]
         self.shape, self.code_to_index = (n_cols, d, q), code_table(n_cols - 1, q, mul, inv)
         self.dtype, self.offsets = np.min_scalar_type(len(combos)), np.cumsum([0] + sizes)
+        entries = BLOCK_BYTES // self.dtype.itemsize
 
         @cache
         def take(m, lo, hi):
@@ -148,7 +151,7 @@ class ScanPlan:
 
         self.patterns = []
         for (pivots, free), size, codes in zip(patterns, sizes, at.T):
-            cols, step = sorted({col for _, col in free}), max(1, SCAN_BLOCK // size)
+            cols, step = sorted({col for _, col in free}), max(1, entries // size)
             rows = [sum(p < col for p in pivots) for col in cols]
             bounds = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
             blocks = [(lo, hi, [take(m, lo, hi) for m in rows]) for lo, hi in bounds]
@@ -165,29 +168,57 @@ def _scan_pattern(out, index, blocks, tensor, q):
     c_r B_r is c_r at pivot p_r, 0 before p_0 and, at free column k after m
     pivots, sum_(r<m) c_r times its digits: `index[:, c]` codes the first
     two, then per free column, last first, one `take` along its axis merged
-    with the combos' puts its m digit axes in.  A one-combo block's last
-    take, whose rows are the slices of `out` by the first column's digits,
-    runs SCAN_BLOCK entries at a time straight into `out`, so that no array
-    of the pattern's size is built beside it."""
+    with the combos' puts its m digit axes in.  A block holds at most
+    BLOCK_BYTES at its last take; a pattern over that, one combo a block,
+    runs in `_one_combo` under the same bound."""
+    if blocks[0][1] == 1 and blocks[0][2]:  # one combo a block, with free columns
+        return _one_combo(out, index, blocks, tensor, q)
     for lo, hi, takes in blocks:
         t = tensor[index[:, lo:hi]]  # free columns, combo
-        last = int(hi - lo == 1 and len(takes) > 0)  # the take left to the rows below
-        for k in reversed(range(last, len(takes))):  # the column at every combo and digits
+        for k in reversed(range(len(takes))):  # the column at every combo and digits
             t = t.reshape(q ** k, q * (hi - lo), -1).take(takes[k], axis=1)
-        if last:
-            t, rows = t.reshape(q, -1), out.reshape(len(takes[0]), -1)
-            step = max(1, SCAN_BLOCK // rows.shape[1])
-            for r in range(0, len(rows), step):
-                if lo == 0:  # "clip", unlike "raise", writes to `out` unbuffered
-                    t.take(takes[0][r:r + step], axis=0, out=rows[r:r + step], mode="clip")
-                else:
-                    rows[r:r + step] += t.take(takes[0][r:r + step], axis=0)
-            continue
         t = t.reshape(hi - lo, -1)
         if lo == 0:
             np.sum(t, axis=0, dtype=out.dtype, out=out)
         else:
             np.add(out, t.sum(axis=0, dtype=out.dtype), out=out)
+
+
+def _one_combo(out, index, blocks, tensor, q):
+    """`_scan_pattern` of a pattern whose blocks hold one combo each, no
+    working array over BLOCK_BYTES.  At the digits D_k of free column k the
+    combo's point has the value takes[k][D_k] there, so its term is the
+    tensor at `index[:, c]` taken along each column's axis.
+    Row column r is the first whose q values, by the digits of the columns
+    after it, fit the bound: those are gathered and taken once per value
+    tuple of the columns before r, then the rows of `takes[r]` are taken
+    from them straight into each block of `out` whose digits before r give
+    that tuple, as many rows at a time as fit."""
+    entries, sizes = BLOCK_BYTES // tensor.itemsize, [len(take) for take in blocks[0][2]]
+    r = 0
+    while r < len(sizes) - 1 and q * prod(sizes[r + 1:]) > entries:
+        r += 1
+    tail = prod(sizes[r + 1:])
+    step, rows = max(1, entries // tail), out.reshape(-1, sizes[r], tail)
+    for lo, _, takes in blocks:
+        before = np.zeros(1, dtype=np.intp)  # per block of `out`, the values before r
+        for k in range(r):
+            before = np.add.outer(before * q, takes[k]).ravel()
+        at = {}
+        for i, x in enumerate(before.tolist()):
+            at.setdefault(x, []).append(i)
+        codes = index[:, lo].reshape(q ** r, -1)
+        for x, where in at.items():
+            t = tensor[codes[x]]  # the free columns from r on
+            for k in reversed(range(r + 1, len(sizes))):
+                t = t.reshape(q ** (k - r), q, -1).take(takes[k], axis=1)
+            t = t.reshape(q, tail)
+            for i in where:
+                for a in range(0, sizes[r], step):
+                    if lo == 0:  # "clip", unlike "raise", writes to `out` unbuffered
+                        t.take(takes[r][a:a + step], axis=0, out=rows[i, a:a + step], mode="clip")
+                    else:
+                        rows[i, a:a + step] += t.take(takes[r][a:a + step], axis=0)
 
 
 def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lone=False):
@@ -197,21 +228,21 @@ def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lon
     order.  `plan` is the `ScanPlan` of (n_cols, d, q), checked.
 
     Patterns run inline at one worker, else one pool task each; the results
-    are the same.  Only if some size is 1 is a second pass made, on the
-    patterns holding a 1, over the member indices, 0 off the set, whose sum
-    is the lone point there: uint32 sums, which wrap mod 2^32 but are exact
-    where they are read, then set to -1 in place off the counts of 1.  Each
-    pattern writes its own slice, whose canonical order is the order its
-    takes run its free slots in.
+    are the same.  Only if some size is 1 is the lone point summed, on the
+    patterns holding a 1, a byte of the member indices a pass: byte b of
+    every index, 0 off the set, summed in uint8, then copied to byte b of
+    the int32 sums (little-endian).  A byte sum wraps mod 256, but where a
+    subspace holds one member it is that byte of the member's index, and
+    only there is it read; the sums are then set to -1 in place off the
+    counts of 1.  Each pattern writes its own slice, whose canonical order
+    is the order its takes run its free slots in.
     """
     if plan.shape != (n_cols, d, q):
         raise ValueError(f"a scan plan of (n_cols, d, q) = {plan.shape}, not {(n_cols, d, q)}")
-    offsets = plan.offsets
-    member_code = np.asarray(member)[plan.code_to_index]  # only the zero code, never built, is -1
+    offsets, member = plan.offsets, np.asarray(member)
+    member_code = member[plan.code_to_index]  # only the zero code, never built, is -1
 
-    def scan(tensor, which):
-        out = np.empty(offsets[-1], dtype=tensor.dtype)  # read only at the patterns of `which`
-
+    def scan(tensor, which, out):  # `out` is written only at the patterns of `which`
         def run(i):  # each pattern writes its own slice
             _scan_pattern(out[offsets[i]:offsets[i + 1]], *plan.patterns[i], tensor, q)
 
@@ -223,15 +254,16 @@ def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lon
                 list(pool.map(run, which))
         return out
 
-    counts = scan(member_code.astype(plan.dtype), range(len(plan.patterns)))
+    counts = scan(member_code.astype(plan.dtype), range(len(plan.patterns)),
+                  np.empty(offsets[-1], dtype=plan.dtype))
     if not lone or not (counts == 1).any():
         return counts, (np.full(len(counts), -1, dtype=np.int32) if lone else None)
-    # on the patterns holding a 1, in uint32: a sum wraps mod 2^32, but where a subspace
-    # holds one member it is that member's index, below theta_n < 2^31, and only there is
-    # it read
-    sums = scan(np.where(member_code, plan.code_to_index, 0).view(np.uint32),
-                np.flatnonzero(np.logical_or.reduceat(counts == 1, offsets[:-1]))).view(np.int32)
-    sums[counts != 1] = -1  # in place, with no copy of the sums
+    which = np.flatnonzero(np.logical_or.reduceat(counts == 1, offsets[:-1]))
+    index_bytes = plan.code_to_index.astype("<i4", copy=False).view(np.uint8).reshape(-1, 4)
+    sums, part = np.zeros(len(counts), dtype="<i4"), np.empty(len(counts), dtype=np.uint8)
+    for b in range(((len(member) - 1).bit_length() + 7) // 8):  # the bytes of an index
+        sums.view(np.uint8)[b::4] = scan(index_bytes[:, b] * member_code, which, part)
+    sums[np.not_equal(counts, 1, out=part.view(bool))] = -1  # in place, the mask in `part`
     return counts, sums
 
 

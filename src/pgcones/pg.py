@@ -53,16 +53,15 @@ def charge(n: int, q: int, d: int | None = None) -> int:
     GeometryTooLarge over MAX_BYTES, and before theta_n > 2^n is computed
     from n >= MAX_BYTES.bit_length().  A point costs its int16 coordinates,
     three more point matrices (cone vectors, pencil traces) and 12 words
-    (transform codes, stages, counts); 32 MiB cover fixed-size blocks: the
-    scan's combo blocks, the tally chunks and the dot products of the
-    pencil law and `kernels.cone_points`.  A scan adds per code the int32
-    table, the member mask and the uint32 index tensor; per subspace its
-    counts, uint32 index sums and one bool mask; per row count m and block
-    size theta_d q^m intp takes, and 3 words for the value tables; the codes
-    of the patterns; the digits of the value tables; and the uint32 takes of
-    one combo of the largest pattern, of nf = (d+1)(n-d) free slots, before
-    its last, which runs in fixed blocks: q^(nf-d) entries and the q^(nf-2d)
-    they are taken from."""
+    (transform codes, stages, counts); 32 MiB cover what runs in blocks of
+    at most `kernels.BLOCK_BYTES`: the scan's combo blocks, the tally
+    chunks and the dot products of the pencil law and
+    `kernels.cone_points`.  A scan adds 9 bytes per code, which cover the
+    int32 table, the member mask and the tensor it sums; per subspace its
+    counts, int32 index sums and one bool mask; per row count m and block
+    size (a block holds BLOCK_BYTES of counts at its last take) theta_d q^m
+    intp takes, and 3 words for the value tables; the codes of the
+    patterns; and the digits of the value tables."""
     if n >= MAX_BYTES.bit_length():
         raise GeometryTooLarge(f"PG({n},{q}) needs over 2^{n} bytes, which exceeds the bound"
                                f" of {MAX_BYTES} bytes")
@@ -71,16 +70,15 @@ def charge(n: int, q: int, d: int | None = None) -> int:
     need = theta(n, q) * (8 * (n + 1) + 96) + (1 << 25)
     scan = ""
     if d is not None and d < n - 1:
-        td, nf = theta(d, q), (d + 1) * (n - d)
+        td = theta(d, q)
         size = np.min_scalar_type(td).itemsize  # of a count
         span = (d + 1) * (n - d - 1)  # a column after m pivots has m to m + span free slots
-        sizes = [len({min(td, max(1, kernels.SCAN_BLOCK // q ** f))
+        sizes = [len({min(td, max(1, kernels.BLOCK_BYTES // size // q ** f))
                       for f in range(m, m + span + 1)}) for m in range(1, d + 2)]
         need += 8 * td * (sum(q ** m * (k + 3) for m, k in enumerate(sizes, 1)) + comb(n + 1, d + 1)
                           + sum(comb(n - p, d) * q ** (n - p - d) for p in range(n - d + 1)))
         need += 8 * sum(m * q ** m for m in range(1, d + 2))
         need += 9 * q ** (n + 1) + gaussian_binomial(n + 1, d + 1, q) * (5 + size)
-        need += 4 * (q ** (nf - d) + q ** (nf - 2 * d))
         scan = f" with its {d}-subspaces"
     if need > MAX_BYTES:
         raise GeometryTooLarge(f"PG({n},{q}) needs {need} bytes{scan}, which exceeds the bound"

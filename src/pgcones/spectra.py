@@ -53,7 +53,10 @@ def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
                                               workers, lone)
 
 
-TALLY_CHUNK = 1 << 15  # counts per `bincount`, which copies them to intp
+# counts per `bincount`, which copies them to intp, and per comparison, a bool
+# each: one chunk's copy or comparison is `kernels.BLOCK_BYTES`
+TALLY_CHUNK = kernels.BLOCK_BYTES // np.dtype(np.intp).itemsize
+COMPARE_CHUNK = kernels.BLOCK_BYTES
 
 
 def _tally(values, top: int) -> np.ndarray:
@@ -72,14 +75,20 @@ def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
     one value, whose `bincount` increments wait on one another.  uint8
     counts up to 10 are tallied by one comparison per value, which has no
     such wait and, over up to 11 values, costs about what pairs do where
-    there are no runs; larger ones in uint16 pairs, each adding to the tally
-    of both its bytes, whatever the byte order, the pair tally sized by the
-    largest count.  Every `bincount` runs in chunks (`_tally`)."""
+    there are no runs, a COMPARE_CHUNK of counts at a time into one bool
+    buffer; larger ones in uint16 pairs, each adding to the tally of both
+    its bytes, whatever the byte order, the pair tally sized by the largest
+    count.  Every `bincount` runs in chunks (`_tally`)."""
     top = int(counts.max(initial=0))
     if counts.dtype != np.uint8:
         tally = _tally(counts, top)
-    elif top <= 10:
-        tally = np.array([np.count_nonzero(counts == v) for v in range(top + 1)])
+    elif top <= 10:  # one chunk at least, so that no counts compare each value once too
+        tally = np.zeros(top + 1, dtype=np.intp)
+        equal = np.empty(min(len(counts), COMPARE_CHUNK), dtype=bool)
+        for lo in range(0, max(len(counts), 1), COMPARE_CHUNK):
+            chunk = counts[lo:lo + COMPARE_CHUNK]
+            for v in range(top + 1):
+                tally[v] += np.count_nonzero(np.equal(chunk, v, out=equal[:len(chunk)]))
     else:  # a pair of counts up to top is below 256 (top + 1)
         pairs = _tally(counts[:len(counts) & ~1].view(np.uint16), 256 * top + 255)
         pairs = pairs.reshape(top + 1, 256)

@@ -418,7 +418,7 @@ def test_verify_over_the_byte_budget_exits_2(capsys):
                             " of 1610612736 bytes\n")
 
 
-@pytest.mark.parametrize("p,n,d,need", [(2, 10, 3, 5385318322), (3, 8, 3, 37621255015)],
+@pytest.mark.parametrize("p,n,d,need", [(2, 10, 3, 5234323378), (3, 8, 3, 37085600887)],
                          ids=["PG(10,2)-d3", "PG(8,3)-d3"])
 def test_spectrum_over_the_scan_bound_exits_2(tmp_path, capsys, p, n, d, need):
     # a one-point file whose d-subspace scan is charged before it is planned

@@ -243,6 +243,44 @@ size,count
 9,80640
 21,505
 """,
+    # d = 3 > (n-1)/2: most combo blocks of a pattern hold one combo
+    ("maxarc", "3", "json"): """\
+{
+ "d": 3,
+ "rows": [
+  [
+   5,
+   2016
+  ],
+  [
+   21,
+   15
+  ],
+  [
+   25,
+   86016
+  ],
+  [
+   37,
+   5040
+  ],
+  [
+   85,
+   6
+  ]
+ ],
+ "total": 93093,
+ "identities_ok": true
+}
+""",
+    ("maxarc", "3", "csv"): """\
+size,count
+5,2016
+21,15
+25,86016
+37,5040
+85,6
+""",
 }
 
 RECOGNIZE_GOLDEN = {

@@ -218,9 +218,10 @@ def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_onc
     sizes = [4 ** len(free) for _, free in pivot_patterns(g.n + 1, 3)]
     with_one = sum((part == 1).any() for part in np.split(counts, np.cumsum(sizes)[:-1]))
     assert lone.dtype == np.int32
-    if met_once:  # a call per pattern over the counts, then per pattern holding a 1
+    if met_once:  # a call per pattern over the counts, then per pattern holding a 1 and
+        # byte of an index, two below theta_4 = 341, in uint8
         assert 0 < with_one < len(sizes)
-        assert [t.dtype for t in tensors] == [np.uint8] * len(sizes) + [np.uint32] * with_one
+        assert [t.dtype for t in tensors] == [np.uint8] * (len(sizes) + 2 * with_one)
         want_counts, want_lone = _brute_counts(_subspace_points(2, 2, 4, 2), mask)
         np.testing.assert_array_equal(counts, want_counts)
         np.testing.assert_array_equal(lone, want_lone)
@@ -233,12 +234,13 @@ def test_scan_sums_indices_only_when_a_subspace_is_met_once(monkeypatch, met_onc
 @pytest.mark.parametrize("p,h,n,d", [(2, 2, 3, 1), (3, 2, 3, 1), (3, 1, 4, 2)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_splits_patterns_into_combo_blocks(monkeypatch, p, h, n, d, workers):
-    # 32 entries per block: every pattern of more than 32 / theta_d subspaces
-    # is split into blocks of combos.  The geometry is built after the patch,
-    # so no plan made at the default block size is reused.  Some pattern
-    # adds several one-combo blocks to its first, and some a block of
-    # several combos, so every write of `_scan_pattern` runs.
-    monkeypatch.setattr(kernels, "SCAN_BLOCK", 32)
+    # 32 bytes, 32 uint8 counts, per block: every pattern of more than
+    # 32 / theta_d subspaces is split into blocks of combos.  The geometry is
+    # built after the patch, so no plan made at the default block size is
+    # reused.  Some pattern adds several one-combo blocks to its first, and
+    # some a block of several combos, so every write of `_scan_pattern` and
+    # `_one_combo` runs, the latter with columns before its row column.
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 32)
     g, met_once = geometry_new(field_new(p, h), n), False
     sizes = [[hi - lo for lo, hi, _ in blocks] for _, blocks in g.count_plan(d).patterns]
     assert any(len(b) > 2 and b[1:] == [1] * (len(b) - 1) for b in sizes)

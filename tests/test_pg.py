@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pgcones import (PointSet, essential_points, field_new, gaussian_binomial, geometry_new,
-                     pointset_from_indices, recognize_cone, run_verification, spectrum, theta)
+                     kernels, maxarc_cone, pointset_from_indices, recognize_cone,
+                     run_verification, spectrum, theta, unital_cone)
 from pgcones.errors import GeometryTooLarge, NotBlocking
 from pgcones.gf import _is_prime, factor_prime_power
 from pgcones.kernels import annihilator, code_table
@@ -214,20 +215,37 @@ def test_budget_charges_a_verification_its_peak(theorem, n, q):
     assert _peak(lambda: run_verification(theorem, n, q)) <= charge(n, q)
 
 
-@pytest.mark.parametrize("p,h,n,d", [(2, 2, 5, 2), (3, 2, 4, 1), (2, 1, 8, 3)],
-                         ids=["PG(5,4)-planes", "PG(4,9)-lines", "PG(8,2)-d3"])
-def test_budget_charges_a_scan_its_peak(p, h, n, d):
+@pytest.mark.parametrize("p,h,n,d,density", [(2, 2, 5, 2, 0.3), (3, 2, 4, 1, 0.3),
+                                               (2, 1, 8, 3, 0.3), (2, 1, 8, 6, 0.01)],
+                         ids=["PG(5,4)-planes", "PG(4,9)-lines", "PG(8,2)-d3", "PG(8,2)-d6"])
+def test_budget_charges_a_scan_its_peak(p, h, n, d, density):
     # a geometry, the spectrum and the essential points of a random set,
-    # which has lone points on some d-subspaces and misses others
+    # which has lone points on some d-subspaces and misses others; at d = 6
+    # of PG(8,2), past (n-1)/2, most blocks of a pattern hold one combo
     def run():
         g = geometry_new(field_new(p, h), n)
-        on = np.random.default_rng(n).random(g.num_points) < 0.3
+        on = np.random.default_rng(n).random(g.num_points) < density
         K = pointset_from_indices(g, np.flatnonzero(on))
         spectrum(K, d)
         with pytest.raises(NotBlocking):
             essential_points(K, d)
 
     assert _peak(run) <= charge(n, p ** h, d)
+
+
+@pytest.mark.parametrize("cone,p,h,n,d", [("maxarc", 2, 2, 5, 2), ("unital", 3, 2, 4, 1)],
+                         ids=["PG(5,4)-maxarc-planes", "PG(4,9)-unital-lines"])
+def test_a_scan_peaks_at_two_blocks_beside_its_counts_and_plan(cone, p, h, n, d):
+    # with the plan built, `spectrum` holds its counts (uint8, one byte a
+    # subspace), the member mask and tensor by code (q^(n+1) bytes each) and
+    # a take's source and result, each within a block: about 1.3 and 1.2 MiB
+    # beside the counts when the scan gathered 2^20 entries a block and the
+    # compare tally was one bool array the length of the counts
+    g = geometry_new(field_new(p, h), n)
+    K = maxarc_cone(g, 2) if cone == "maxarc" else unital_cone(g)
+    g.count_plan(d)
+    counts, codes = gaussian_binomial(n + 1, d + 1, p ** h), (p ** h) ** (n + 1)
+    assert _peak(lambda: spectrum(K, d)) - counts <= 2 * (kernels.BLOCK_BYTES + codes) + (1 << 14)
 
 
 def test_budget_charges_recognition_of_a_random_set_its_peak():

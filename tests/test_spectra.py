@@ -13,7 +13,7 @@ from pgcones import (PointSet, cone, essential_points, hermitian_unital,
                      hyperoval, hyperoval_cone, is_blocking, maxarc_cone,
                      pencil_counts, pointset_from_indices, recognize_cone,
                      spectrum, unital_cone)
-from pgcones import spectra
+from pgcones import field_new, geometry_new, kernels, spectra
 from pgcones.errors import NotBlocking, WrongDimension
 from pgcones.objects import axis_vertex
 from pgcones.spectra import _counts, spectrum_of_counts
@@ -93,38 +93,74 @@ def test_spectrum_compare_tally_matches_bincount(monkeypatch, pg34, top, runs, s
     assert len(calls) == (most + 1 if most <= 10 else 0)
 
 
-CHUNK = spectra.TALLY_CHUNK
+CHUNK, COMPARE = spectra.TALLY_CHUNK, spectra.COMPARE_CHUNK
 
 
-@pytest.mark.parametrize("dtype,top", [(np.uint8, 10), (np.uint8, 11), (np.uint8, 255),
-                                       (np.uint16, 1093), (np.int64, 53)])
+@pytest.mark.parametrize("dtype,top", [(np.uint8, 4), (np.uint8, 10), (np.uint8, 11),
+                                       (np.uint8, 255), (np.uint16, 1093), (np.int64, 53)])
 @pytest.mark.parametrize("runs", [True, False])
 @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK + 1,
-                                  3 * CHUNK + 5])
+                                  3 * CHUNK + 5, COMPARE - 1, COMPARE + 1, 2 * COMPARE + 1])
 def test_spectrum_tally_in_chunks_matches_a_counter(monkeypatch, pg34, dtype, top, runs, size):
     # every `bincount` sees at most one chunk, and a pair tally has at most
-    # 256 (top + 1) entries; lengths around the chunk of counts and of
-    # uint8 pairs, in runs as a cone's counts come or without runs
+    # 256 (top + 1) entries; every comparison of uint8 counts up to 10 sees
+    # at most one compare chunk, each value compared once a chunk; lengths
+    # around both chunks and the chunk of uint8 pairs, in runs as a cone's
+    # counts come or without runs
     rng = np.random.default_rng(size + top)
     counts = rng.integers(0, top + 1, size)
     if runs:
         counts = np.repeat(counts, rng.integers(1, 50, size))[:size]
     counts = counts.astype(dtype)
     counts[:1] = top
-    calls, bincount = [], np.bincount
+    calls, compared, bincount, count_nonzero = [], [], np.bincount, np.count_nonzero
 
     def counted(values, minlength=0):
         calls.append((len(values), minlength))
         return bincount(values, minlength=minlength)
 
+    def compare_counted(values):
+        compared.append(len(values))
+        return count_nonzero(values)
+
     monkeypatch.setattr(np, "bincount", counted)
+    monkeypatch.setattr(np, "count_nonzero", compare_counted)
     got = spectrum_of_counts(pg34, counts, 1).by_size
     monkeypatch.undo()
     assert got == dict(Counter(counts.tolist()))
     assert all(length <= CHUNK and minlength <= 256 * (top + 1) for length, minlength in calls)
+    assert all(length <= COMPARE for length in compared)
+    compare = dtype == np.uint8 and (top <= 10 or size == 0)
     values = size // 2 if dtype == np.uint8 else size  # uint8 counts go in pairs
-    assert len(calls) == (0 if dtype == np.uint8 and (top <= 10 or size == 0)
-                          else max(1, -(-values // CHUNK)))
+    assert len(calls) == (0 if compare else max(1, -(-values // CHUNK)))
+    most = int(counts.max(initial=0))
+    assert len(compared) == ((most + 1) * max(1, -(-size // COMPARE)) if compare else 0)
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 1, 4), (5, 1, 3), (3, 2, 3), (2, 2, 4)])
+def test_tiny_blocks_give_the_same_spectra_and_essential_points(monkeypatch, p, h, n):
+    # at 64 bytes a block the scan holds 64 uint8 entries a take, a pattern
+    # of over 32 subspaces one combo a block, some with columns before its
+    # row column, and the tallies 8 counts a `bincount` and 64 a comparison:
+    # every d, odd q among them, gives what the default blocks give
+    def outputs():
+        g, out = geometry_new(field_new(p, h), n), []
+        rng = np.random.default_rng(n)
+        for density in (0.1, 0.6):
+            K = PointSet(g, rng.random(g.num_points) < density)
+            for d in range(n):
+                try:
+                    essential = essential_points(K, d).mask.tolist()
+                except NotBlocking:
+                    essential = None
+                out.append((spectrum(K, d).by_size, is_blocking(K, d), essential))
+        return out
+
+    want = outputs()
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 64)
+    monkeypatch.setattr(spectra, "TALLY_CHUNK", 8)
+    monkeypatch.setattr(spectra, "COMPARE_CHUNK", 64)
+    assert outputs() == want
 
 
 def test_spectrum_tally_of_a_scan_matches_bincount(pg54):
