@@ -13,6 +13,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import counting, objects, spectra
 from .errors import PgconesError
 from .gf import factor_field_order, factor_prime_power, field_new
@@ -38,7 +40,7 @@ def write_pointset(path, ps: objects.PointSet, object_name: str):
         "n": g.n,
         "object": object_name,
         "size": ps.k,
-        "points": [[int(c) for c in g.points[i]] for i in ps.indices],
+        "points": g.points[ps.indices].tolist(),
     }
     text = json.dumps(doc, indent=1) + "\n"
     if path == "-":
@@ -63,21 +65,24 @@ def read_pointset(path) -> objects.PointSet:
     if not isinstance(points, list):
         raise ValueError("point-set field 'points' must be a list of coordinate vectors")
     g = Geometry(field_new(doc["p"], doc["h"]), doc["n"])
-    idx = {}
-    for vec in points:
-        if (not isinstance(vec, list) or len(vec) != g.n + 1
-                or not all(type(c) is int and 0 <= c < g.q for c in vec)):
-            raise ValueError(f"invalid coordinate vector {vec}")
-        if not any(vec):
-            raise ValueError(f"invalid coordinate vector {vec} (zero vector)")
-        i = int(g.indices_of(vec))
-        if i in idx:
-            raise ValueError(f"duplicate point {vec} (same point as {idx[i]})")
-        idx[i] = vec
+    valid = next((i for i, vec in enumerate(points)
+                  if not isinstance(vec, list) or len(vec) != g.n + 1
+                  or not all(type(c) is int and 0 <= c < g.q for c in vec)), len(points))
+    named = g.indices_of(np.array(points[:valid], dtype=np.int64).reshape(valid, g.n + 1))
+    _, first, inverse = np.unique(named, return_index=True, return_inverse=True)
+    # a zero vector or a repeat before the first invalid vector comes first in the file
+    faults = np.flatnonzero((named < 0) | (first[inverse] != np.arange(valid)))
+    if len(faults):
+        i = faults[0]
+        if named[i] < 0:
+            raise ValueError(f"invalid coordinate vector {points[i]} (zero vector)")
+        raise ValueError(f"duplicate point {points[i]} (same point as {points[first[inverse[i]]]})")
+    if valid < len(points):
+        raise ValueError(f"invalid coordinate vector {points[valid]}")
     if "size" in doc and (type(doc["size"]) is not int or doc["size"] != len(points)):
         raise ValueError(f"point-set field 'size' is {doc['size']!r},"
                          f" but the file lists {len(points)} points")
-    return objects.pointset_from_indices(g, list(idx))
+    return objects.pointset_from_indices(g, named)
 
 
 # ---------------------------------------------------------------------------

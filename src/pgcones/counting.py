@@ -57,6 +57,8 @@ class Congruence:
     def holds(self, k: int) -> bool:
         return k % self.beta == self.alpha % self.beta
 
+    __call__ = holds
+
 
 @dataclass(frozen=True)
 class TheoremInstance:
@@ -154,22 +156,19 @@ def pencil_feasible(params: TypeParameters, k: int, u_a_min: int = 0,
     return sols
 
 
-def feasible_k(params: TypeParameters, k_range, congruences=(),
-               require_all_realized: bool = True) -> list:
-    """Scan a k-range, keeping values that satisfy every congruence and
-    whose closed-form hyperplane counts are non-negative integers (all
-    >= 1 when require_all_realized).  Returns (k, (t_a, t_b, t_c)) pairs.
-    k_range has a length and is iterated once, without a copy."""
+def feasible_k(params: TypeParameters, k_range, congruences=()) -> list:
+    """Scan a k-range, keeping values that satisfy every congruence, each a
+    callable on k, and whose closed-form hyperplane counts are positive
+    integers.  Returns (k, (t_a, t_b, t_c)) pairs.  k_range has a length
+    and is iterated once, without a copy."""
     if len(k_range) == 0:
         raise EmptyRange("empty k range")
-    floor = 1 if require_all_realized else 0
     out = []
     for k in k_range:
-        if not all(c.holds(k) if isinstance(c, Congruence) else c(k)
-                   for c in congruences):
+        if not all(holds(k) for holds in congruences):
             continue
         ts = t_closed_form(params, k)
-        if all(t.denominator == 1 and t >= floor for t in ts):
+        if all(t.denominator == 1 and t >= 1 for t in ts):
             out.append((k, tuple(int(t) for t in ts)))
     return out
 
@@ -204,7 +203,7 @@ class Theorem:
     vertex_dim: Callable
     cone: Callable             # (geometry, TheoremInstance) -> the canonical cone
     k_max: Callable            # top of the feasible-k screen, which starts at c
-    modulus: Callable | None = None  # (n, q) -> beta of lemma_congruence
+    modulus: Callable | None = None  # (n, q, x) -> beta of lemma_congruence
     divisibilities: Callable | None = None  # q -> conditions on k in place of the lemma
     axis_points: int | None = None  # K-points on the feasible-k pencil axis; None: a
     instance_hypotheses: tuple = ()  # checked after the others, by theorem_instance only
@@ -218,6 +217,16 @@ class Theorem:
         for holds, message in self.hypotheses + (self.instance_hypotheses if instance else ()):
             if not holds(n, q, x):
                 raise HypothesisViolated(f"{self.id}: " + message.format(n=n, q=q, t=x, d=x))
+
+    def congruences(self, params: TypeParameters, x) -> tuple:
+        """The conditions on k, each a callable, that the counting gives at
+        the type: the divisibilities where the theorem has them, else the
+        lemma's congruence at the modulus; none where its hypothesis fails
+        there, which happens only outside the theorem's hypotheses."""
+        if self.divisibilities is not None:
+            return self.divisibilities(params.q)
+        cong = lemma_congruence(params, self.modulus(params.n, params.q, x))
+        return (cong,) if cong else ()
 
     def integral_abc(self, n: int, q: int, x) -> tuple:
         """The type (a, b, c); HypothesisViolated where it is not integral."""
@@ -259,7 +268,9 @@ THEOREMS = {th.id: th for th in (
         k=lambda n, q, t: c_rs(n - 2 * t - 1, 2 * t, q),
         vertex_dim=lambda n, q, t: n - 2 * t - 1,
         cone=lambda g, inst: objects.baer_cone(g, inst.vertex_dim, 2 * inst.t_or_d),
-        modulus=lambda n, q: q, k_max=_baer_top,
+        # at n = 2t+1 the vertex is a point, b - a = sqrt q, and the lemma
+        # holds mod beta only for beta dividing sqrt q
+        modulus=lambda n, q, t: q if n >= 2 * t + 2 else _sqrt_q(q), k_max=_baer_top,
         endpoints=(("t_a at lower interval endpoint", 0, "<0", lambda n, q, t, abc, k: k + q),
                    ("t_a at upper interval endpoint", 0, "<0", _baer_top))),
     Theorem(
@@ -273,7 +284,7 @@ THEOREMS = {th.id: th for th in (
         k=lambda n, q, x: theta(n - 2, q) + _sqrt_q(q) ** (2 * n - 1),
         vertex_dim=lambda n, q, x: n - 3,
         cone=lambda g, inst: objects.unital_cone(g),
-        modulus=lambda n, q: q ** (n - 2), k_max=lambda n, q, x, abc, k: k,
+        modulus=lambda n, q, x: q ** (n - 2), k_max=lambda n, q, x, abc, k: k,
         endpoints=(("t_c at lower interval endpoint", 2, "<0",
                     lambda n, q, x, abc, k: theta(n - 1, q) + q ** (n - 2)),
                    ("t_c at upper interval endpoint", 2, "<0",
@@ -300,7 +311,7 @@ THEOREMS = {th.id: th for th in (
         k=lambda n, q, x: theta(n - 1, q) + q ** (n - 2),
         vertex_dim=lambda n, q, x: n - 3,
         cone=lambda g, inst: objects.hyperoval_cone(g),
-        modulus=lambda n, q: q ** (n - 3), k_max=_hyperovalN_top,
+        modulus=lambda n, q, x: q ** (n - 3), k_max=_hyperovalN_top,
         endpoints=(("t_c at k = c", 2, "<0", lambda n, q, x, abc, k: abc[2]),
                    ("t_c at upper endpoint of the low interval", 2, "<0",
                     lambda n, q, x, abc, k: k - q ** (n - 3)),
@@ -324,7 +335,7 @@ THEOREMS = {th.id: th for th in (
         k=lambda n, q, d: q ** (n - 2) * (q * d + d - q) + theta(n - 3, q),
         vertex_dim=lambda n, q, d: n - 3,
         cone=lambda g, inst: objects.maxarc_cone(g, inst.t_or_d),
-        modulus=lambda n, q: q ** (n - 3), k_max=_maxarc_top,
+        modulus=lambda n, q, d: q ** (n - 3), k_max=_maxarc_top,
         endpoints=(("t_c at k = c", 2, "<0", lambda n, q, d, abc, k: abc[2]),
                    ("t_c at upper endpoint of the low interval", 2, "<0",
                     lambda n, q, d, abc, k: k - q ** (n - 3)),
@@ -368,14 +379,9 @@ def screen_defaults(theorem_id: str, n: int, q: int, t_or_d=None) -> tuple:
     th = _theorem(theorem_id)
     abc = th.integral_abc(n, q, t_or_d)
     params = TypeParameters(*abc, n, q)
-    if th.divisibilities is not None:
-        congruences = th.divisibilities(q)
-    else:
-        cong = lemma_congruence(params, th.modulus(n, q))
-        congruences = (cong,) if cong else ()
     k_max = th.k_max(n, q, t_or_d, abc, th.k(n, q, t_or_d))
     axis = params.a if th.axis_points is None else th.axis_points
-    return params, range(params.c, k_max + 1), congruences, axis
+    return params, range(params.c, k_max + 1), th.congruences(params, t_or_d), axis
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +445,6 @@ def step_sign_check(theorem_id: str, n: int, q: int, t_or_d=None) -> SignReport:
 # end-to-end verification of one instance
 # ---------------------------------------------------------------------------
 
-def _congruence_failures(th: Theorem, inst: TheoremInstance, k: int) -> list:
-    if th.divisibilities is not None:
-        if all(holds(k) for holds in th.divisibilities(inst.q)):
-            return []
-        return [f"k={k} violates the integrality divisibilities"]
-    failures = []
-    for beta in {th.modulus(inst.n, inst.q), inst.q}:
-        cong = lemma_congruence(inst.params, beta)
-        if cong is None:
-            failures.append(f"congruence hypothesis fails mod {beta}")
-        elif not cong.holds(k):
-            failures.append(f"k={k} not {cong.alpha} (mod {beta})")
-    return failures
-
-
 def _pencil_failures(th: Theorem, inst: TheoremInstance, K, counts) -> list:
     """The failures of the pencil law, `spectra.pencil_law_failures`, at the
     theorem's type and u_a; none where the theorem gives no u_a."""
@@ -487,7 +478,11 @@ def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:
     if not verify_identities(spec, K.k, n, q):
         failures.append("double-counting identities fail")
 
-    failures += _congruence_failures(th, inst, K.k)
+    conditions = th.congruences(inst.params, t_or_d)
+    if not conditions:
+        failures.append(f"congruence hypothesis fails mod {th.modulus(n, q, t_or_d)}")
+    elif not all(holds(K.k) for holds in conditions):
+        failures.append(f"k={K.k} fails a congruence")
     failures += _pencil_failures(th, inst, K, rec.counts)
 
     if rec.vertex.dim != inst.vertex_dim:

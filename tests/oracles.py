@@ -6,8 +6,9 @@ subspace scan (patterns in lexicographic order, the free slots of each by
 column, then row, as `pivot_patterns` lists them), the membership mask of
 a subspace, a set of PG(2,q) copied into the first coordinates of PG(n,q),
 the vectors of a span one coefficient row at a time, a textbook
-Gauss-Jordan elimination, and the pencil law from the full trace of every
-a-hyperplane.
+Gauss-Jordan elimination, the pencil law from the full trace of every
+a-hyperplane, and the prime powers q <= 128 with every theorem instance
+`theorem_instance` admits among them up to a dimension.
 """
 
 from collections import Counter
@@ -15,6 +16,8 @@ from collections import Counter
 import numpy as np
 
 from pgcones import kernels
+from pgcones.counting import THEOREMS, theorem_instance
+from pgcones.errors import PgconesError
 from pgcones.kernels import combo_vectors, pivot_patterns
 from pgcones.objects import pointset_from_indices
 from pgcones.pg import theta
@@ -163,3 +166,21 @@ def span_vectors_by_rows(bases, add, mul):
     for r in range(R):
         acc = add[acc, mul[combos[:, r, None], bases[..., r, None, :]]]
     return acc
+
+
+PRIMES = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
+PRIME_POWERS = sorted(p ** h for p in PRIMES for h in range(1, 8) if p ** h <= 128)
+
+
+def admitted_instances(n_max):
+    """(theorem id, n, q, t or d, instance) for every n <= n_max, prime
+    power q <= 128 and t or d that `theorem_instance` admits, t from 1 to
+    n/2 and d from 2 to q-1 as the theorems' hypotheses bound them."""
+    for theorem_id, th in THEOREMS.items():
+        for n in range(2, n_max + 1):
+            for q in PRIME_POWERS:
+                for x in {"t": range(1, n // 2 + 1), "d": range(2, q)}.get(th.param, (None,)):
+                    try:
+                        yield theorem_id, n, q, x, theorem_instance(theorem_id, n, q, x)
+                    except PgconesError:
+                        continue

@@ -316,13 +316,18 @@ _POINTS_DOC = {"p": 2, "h": 2, "n": 2, "object": "junk", "size": 2,
     ({"points": [[True, 0, 0], [0, 1, 0]]}, "[True, 0, 0]"),
     ({"points": [[1, 0, 0], [1, 0, 0]]}, "duplicate point [1, 0, 0]"),
     ({"points": [[1, 1, 0], [2, 2, 0]]}, "duplicate point [2, 2, 0]"),  # same projective point
+    # the first fault in file order is reported, a duplicate or an invalid vector
+    ({"points": [[1, 0, 0], [1, 0, 0], [1, 0]]}, "duplicate point [1, 0, 0]"),
+    ({"points": [[1, 0, 0], [1, 0], [1, 0, 0]]}, "invalid coordinate vector [1, 0]"),
+    ({"points": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "vector [0, 0, 0] (zero vector)"),
     ({"size": 3}, "'size'"),
     ({"size": True}, "'size'"),
     # refused before a primality test of p or a power p ** h is computed
     ({"p": 2 ** 61 - 1}, "exceeds the bound 128"),
     ({"h": 10 ** 12}, "exceeds the bound 128"),
 ], ids=["p-string", "h-bool", "n-float", "bool-coordinate", "duplicate", "duplicate-scaled",
-        "size-mismatch", "size-bool", "p-huge-prime", "h-huge"])
+        "invalid-after-duplicate", "duplicate-after-invalid", "zero-vector", "size-mismatch",
+        "size-bool", "p-huge-prime", "h-huge"])
 def test_point_file_contract(tmp_path, capsys, change, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_POINTS_DOC, **change}))

@@ -3,6 +3,7 @@ filters, pencil systems, and the per-theorem parameter tables."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pgcones import (
     pointset_from_indices,
     recognize_cone,
     run_verification,
+    screen_defaults,
     spectrum,
     step_sign_check,
     t_closed_form,
@@ -42,7 +44,12 @@ from pgcones.gf import factor_prime_power
 from pgcones.objects import hyperoval_cone
 from pgcones.spectra import _counts
 
-from oracles import hyperplane_point_indices, pencil_failures_full_trace, subspace_mask
+from oracles import (
+    admitted_instances,
+    hyperplane_point_indices,
+    pencil_failures_full_trace,
+    subspace_mask,
+)
 
 
 HYP3_Q4 = TypeParameters(1, 6, 9, 3, 4)
@@ -253,11 +260,6 @@ def test_feasible_k_iterates_its_range_lazily():
     assert exc.value.args == (0,)
 
 
-def test_feasible_k_floor_zero():
-    rows = feasible_k(HYP3_Q4, range(0, 10), require_all_realized=False)
-    assert all(all(t >= 0 for t in ts) for _, ts in rows)
-
-
 def test_theorem_instance_hyperoval3():
     inst = theorem_instance("hyperoval3", 3, 4)
     assert (inst.a, inst.b, inst.c) == (1, 6, 9)
@@ -307,6 +309,31 @@ def test_theorem_instance_hypothesis_failures():
         theorem_instance("baer", 4, 16, 2)  # degenerate: fractional b
     with pytest.raises(ValueError):
         theorem_instance("nonsense", 3, 4)
+
+
+def test_every_admitted_instance_meets_its_congruences():
+    # with no geometry built: at every admitted instance the lemma's
+    # hypothesis holds at the record's modulus, and k meets each condition
+    # the one rule gives
+    seen = set()
+    for theorem_id, n, q, x, inst in admitted_instances(12):
+        th = THEOREMS[theorem_id]
+        if th.modulus is not None:
+            assert lemma_congruence(inst.params, th.modulus(n, q, x)) is not None, (n, q, x)
+        conditions = th.congruences(inst.params, x)
+        assert conditions and all(holds(inst.expected_k) for holds in conditions), (n, q, x)
+        seen.add(theorem_id)
+    assert seen == set(THEOREMS)
+
+
+@pytest.mark.parametrize("n,q,t", [(5, 16, 2), (5, 25, 2), (5, 49, 2), (7, 16, 3)])
+def test_baer_screen_at_a_point_vertex_keeps_the_theorems_k(n, q, t):
+    # at n = 2t+1 the modulus is sqrt q, and the screen keeps the one k it
+    # kept with no congruence
+    params, krange, congruences, _ = screen_defaults("baer", n, q, t)
+    assert congruences == (Congruence(alpha=1, beta=isqrt(q)),)
+    assert [k for k, _ in feasible_k(params, krange, congruences)] == [
+        theorem_instance("baer", n, q, t).expected_k]
 
 
 def test_step_sign_check_unital():

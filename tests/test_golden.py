@@ -1,7 +1,8 @@
 """Golden CLI output: the full stdout and exit code of `verify` for the five
-characterizations at q = 4, of `feasible-k --format csv` for each theorem
-at its smallest (n, q) that the theorem's hypotheses admit, and of
-`spectrum` and `recognize` on two constructed cones."""
+characterizations at q = 4 and for `baer` at t = 2 in PG(5,16), of
+`feasible-k --format csv` for each theorem at its smallest (n, q) that the
+theorem's hypotheses admit, and of `spectrum` and `recognize` on two
+constructed cones."""
 
 import pytest
 
@@ -44,6 +45,14 @@ FEASIBLE_K_GOLDEN = [
 def test_verify_golden(argv, expected, capsys):
     assert main(["verify", *argv]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_verify_golden_baer_at_a_point_vertex(capsys):
+    # t = 2 at n = 2t+1: the vertex is a point and the congruence is mod sqrt q
+    assert main(["verify", "--theorem", "baer", "--n", "5", "--q", "16", "--t", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS baer n=5 q=16 t_or_d=2\n"
+        "  k=5457 spectrum={337: 69564, 341: 1048576, 1361: 341} vertex_dim=0\n")
 
 
 @pytest.mark.parametrize("argv,expected", FEASIBLE_K_GOLDEN,

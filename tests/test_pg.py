@@ -12,7 +12,7 @@ from pgcones.gf import _is_prime, factor_prime_power
 from pgcones.kernels import annihilator, code_table
 from pgcones.pg import MAX_BYTES, charge
 
-from oracles import hyperplane_point_indices, points_and_codes, subspaces_iter
+from oracles import PRIME_POWERS, hyperplane_point_indices, points_and_codes, subspaces_iter
 
 
 def _incidence(g):
@@ -60,10 +60,6 @@ def test_geometry_pg34_counts(pg34):
 def test_geometry_pg54_counts(pg54):
     assert pg54.num_points == 1365
     assert (_incidence(pg54).sum(axis=1) == theta(4, 4)).all()
-
-
-PRIMES = [p for p in range(2, 129) if all(p % d for d in range(2, p))]
-PRIME_POWERS = sorted(p ** h for p in PRIMES for h in range(1, 8) if p ** h <= 128)
 
 
 @pytest.mark.parametrize("q,n", [(q, 2) for q in PRIME_POWERS]
