@@ -10,7 +10,7 @@ from .spectra import (ConeRecognition, PencilProfile, Spectrum,
                       essential_points, is_blocking, pencil_counts,
                       recognize_cone, spectrum)
 from .counting import (THEOREMS, Congruence, Theorem, TheoremInstance,
-                       TypeParameters, c_rs, feasible_k,
+                       TypeParameters, feasible_k,
                        hyperoval3_step1_congruences, lemma_congruence,
                        pencil_feasible, run_verification, screen_defaults,
                        step_sign_check, t_closed_form, theorem_instance,

@@ -138,8 +138,11 @@ def cmd_spectrum(args) -> int:
 
 def _theorem_args(args) -> tuple:
     """(n, extra parameter) of a --theorem command; the parameter the
-    theorem names is required."""
+    theorem names is required, and one it does not name is refused."""
     th = counting.THEOREMS[args.theorem]
+    for name in ("t", "d"):
+        if name != th.param and getattr(args, name) is not None:
+            raise ValueError(f"--theorem {args.theorem} takes no --{name}")
     x = getattr(args, th.param) if th.param else None
     if th.param and x is None:
         raise ValueError(f"--theorem {args.theorem} requires --{th.param}")

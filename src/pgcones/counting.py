@@ -1,9 +1,10 @@
 """Exact counting machinery: double-counting identities, closed forms for
-the hyperplane counts, the coprime-residue congruence, Baer-cone sizes,
-feasibility screens and endpoint sign checks, together with `THEOREMS`,
-one record of facts per characterization, and `run_verification`, which
-checks one instance end to end on its canonical cone, its pencil law
-read off the hyperplane counts by `spectra.pencil_law_failures`.
+the hyperplane counts, the coprime-residue congruence, the type and size
+of a cone from its vertex and base, feasibility screens and endpoint sign
+checks, together with `THEOREMS`, one record of facts per
+characterization, and `run_verification`, which checks one instance end
+to end on its canonical cone, its pencil law read off the hyperplane
+counts by `spectra.pencil_law_failures`.
 
 The counting is integer/rational arithmetic; floating point is never
 used, so every sign and divisibility decision is exact.  The closed-form
@@ -78,19 +79,19 @@ class TheoremInstance:
         return TypeParameters(self.a, self.b, self.c, self.n, self.q)
 
 
-def c_rs(r: int, s: int, q: int):
-    """Number of points of a cone with r-dim vertex over an s-dim Baer
-    subgeometry: theta_s(sqrt q) * q^(r+1) + theta_r(q).
-
-    Exact rational for r < -1 (used only inside endpoint evaluations);
-    an integer otherwise.
-    """
-    if s < -1 or (r < -1 and s < 0):
-        raise ValueError(f"bad cone dimensions r={r}, s={s}")
-    rt = _sqrt_q(q)
-    base = (rt ** (s + 1) - 1) // (rt - 1)
-    value = base * Fraction(q) ** (r + 1) + (Fraction(q) ** (r + 1) - 1) / (q - 1)
-    return int(value) if value.denominator == 1 else value
+def cone_type(q: int, r: int, size: int, x1: int, x2: int) -> tuple:
+    """((a, b, c), k) of a cone K with an r-dim vertex V over a base X of
+    `size` points in a complement of V that every hyperplane of the
+    complement meets in x1 or x2 points: k = theta_r + q^(r+1) |X|.  A
+    hyperplane on V meets K in theta_r + q^(r+1) x_i points.  One off V
+    meets V in an (r-1)-space and each <V, P>, P in X, in an r-space
+    through it, so K in theta_(r-1) + q^r |X| = (k-1)/q points.  The type
+    is unsorted, (k-1)/q second, and that is a Fraction where it is not
+    integral."""
+    on_v, scale = theta(r, q), q ** (r + 1)
+    k = on_v + scale * size
+    b = Fraction(k - 1, q)
+    return (on_v + scale * x1, int(b) if b.denominator == 1 else b, on_v + scale * x2), k
 
 
 def t_closed_form(params: TypeParameters, k) -> tuple:
@@ -187,21 +188,23 @@ def hyperoval3_step1_congruences(q: int) -> tuple:
 @dataclass(frozen=True)
 class Theorem:
     """The facts of one characterization.  Formulas take (n, q, x), x being
-    the extra parameter named by `param`; k_max and endpoint sizes also take
-    the type (a, b, c) and the size k.  A hypothesis is (holds, message),
-    the message formatted with n, q and x (also as t and d).  An endpoint is
-    (label, index into (t_a, t_b, t_c), claim, size), the size None where
-    its interval is empty.  The pencil law, where u_a is given, holds at
-    every a-hyperplane h, for every axis of h through K ∩ h."""
+    the extra parameter named by `param`, which is None where `param` is;
+    k_max and endpoint sizes also take the type (a, b, c) and the size k.
+    The cone's shape is (r, |X|, x1, x2): the dimension of its vertex, the
+    size of its base X and the sizes x1 < x2 in which the hyperplanes of a
+    complement of the vertex meet X; `cone_type` gives the type and k.  A
+    hypothesis is (holds, message), the message formatted with n, q and x
+    (also as t and d).  An endpoint is (label, index into (t_a, t_b, t_c),
+    claim, size), the size None where its interval is empty.  The pencil
+    law, where u_a is given, holds at every a-hyperplane h, for every axis
+    of h through K ∩ h."""
 
     id: str
     param: str | None          # "t", "d" or None
     default_n: int
     hypotheses: tuple          # checked in order by theorem_instance and step_sign_check
-    abc: Callable              # the type; rational where degenerate
-    k: Callable
-    vertex_dim: Callable
-    cone: Callable             # (geometry, TheoremInstance) -> the canonical cone
+    shape: Callable            # (n, q, x) -> (r, |X|, x1, x2)
+    base: Callable             # (geometry, x) -> X, in the first coordinates
     k_max: Callable            # top of the feasible-k screen, which starts at c
     modulus: Callable | None = None  # (n, q, x) -> beta of lemma_congruence
     divisibilities: Callable | None = None  # q -> conditions on k in place of the lemma
@@ -212,8 +215,11 @@ class Theorem:
     pencil_u_a: Callable | None = None  # (q, x) -> u_a, the a-hyperplanes on each axis
 
     def check(self, n: int, q: int, x, instance: bool = True):
-        """Raise HypothesisViolated at the first hypothesis that fails; the
-        instance hypotheses are checked last, and only with instance."""
+        """Raise HypothesisViolated at a parameter the theorem does not name,
+        then at the first hypothesis that fails; the instance hypotheses
+        are checked last, and only with instance."""
+        if self.param is None and x is not None:
+            raise HypothesisViolated(f"{self.id}: no extra parameter expected")
         for holds, message in self.hypotheses + (self.instance_hypotheses if instance else ()):
             if not holds(n, q, x):
                 raise HypothesisViolated(f"{self.id}: " + message.format(n=n, q=q, t=x, d=x))
@@ -228,13 +234,14 @@ class Theorem:
         cong = lemma_congruence(params, self.modulus(params.n, params.q, x))
         return (cong,) if cong else ()
 
-    def integral_abc(self, n: int, q: int, x) -> tuple:
-        """The type (a, b, c); HypothesisViolated where it is not integral."""
-        abc = self.abc(n, q, x)
+    def integral_type(self, n: int, q: int, x) -> tuple:
+        """((a, b, c), k) of the cone; HypothesisViolated where the type is
+        not integral."""
+        abc, k = cone_type(q, *self.shape(n, q, x))
         if not all(isinstance(v, int) for v in abc):
             raise HypothesisViolated(
                 f"{self.id}: degenerate type at (n={n}, q={q}): non-integral intersection size")
-        return abc
+        return abc, k
 
 
 # _sqrt_q raises NonSquareOrder itself when q is not a square
@@ -244,10 +251,6 @@ _SQUARE_Q = (lambda n, q, x: _sqrt_q(q) >= 0, "q must be a square")
 # each the top of the feasible-k screen and the last sign-check endpoint
 def _baer_top(n, q, t, abc, k):
     return abc[0] + _sqrt_q(q) ** (2 * n - 4 * t + 3) * theta(t - 1, q)
-
-
-def _hyperovalN_top(n, q, x, abc, k):
-    return 2 * q ** (n - 1) + theta(n - 3, q)
 
 
 def _maxarc_top(n, q, d, abc, k):
@@ -263,11 +266,11 @@ THEOREMS = {th.id: th for th in (
                     _SQUARE_Q,
                     (lambda n, q, t: q >= 16 or t == 1, "need q >= 16 when t >= 2, got q={q}"),
                     (lambda n, q, t: q >= 4, "need q >= 4, got q={q}")),
-        abc=lambda n, q, t: (c_rs(n - 2 * t - 1, 2 * t - 2, q), c_rs(n - 2 * t - 2, 2 * t, q),
-                             c_rs(n - 2 * t - 1, 2 * t - 1, q)),
-        k=lambda n, q, t: c_rs(n - 2 * t - 1, 2 * t, q),
-        vertex_dim=lambda n, q, t: n - 2 * t - 1,
-        cone=lambda g, inst: objects.baer_cone(g, inst.vertex_dim, 2 * inst.t_or_d),
+        # a 2t-dim Baer subgeometry, met by the hyperplanes of its span in a
+        # (2t-2)- or a (2t-1)-dim one; an m-dim one has theta_m(sqrt q) points
+        shape=lambda n, q, t: (n - 2 * t - 1, *[theta(m, _sqrt_q(q))
+                                                for m in (2 * t, 2 * t - 2, 2 * t - 1)]),
+        base=lambda g, t: objects.baer_subgeometry(g, 2 * t),
         # at n = 2t+1 the vertex is a point, b - a = sqrt q, and the lemma
         # holds mod beta only for beta dividing sqrt q
         modulus=lambda n, q, t: q if n >= 2 * t + 2 else _sqrt_q(q), k_max=_baer_top,
@@ -278,12 +281,8 @@ THEOREMS = {th.id: th for th in (
         hypotheses=((lambda n, q, x: n >= 4, "need n >= 4, got n={n}"),
                     _SQUARE_Q,
                     (lambda n, q, x: q >= 4, "need q >= 4, got q={q}")),
-        instance_hypotheses=((lambda n, q, x: x is None, "no extra parameter expected"),),
-        abc=lambda n, q, x: (theta(n - 2, q), theta(n - 3, q) + _sqrt_q(q) ** (2 * n - 3),
-                             theta(n - 2, q) + _sqrt_q(q) ** (2 * n - 3)),
-        k=lambda n, q, x: theta(n - 2, q) + _sqrt_q(q) ** (2 * n - 1),
-        vertex_dim=lambda n, q, x: n - 3,
-        cone=lambda g, inst: objects.unital_cone(g),
+        shape=lambda n, q, x: (n - 3, q * _sqrt_q(q) + 1, 1, _sqrt_q(q) + 1),
+        base=lambda g, x: objects.hermitian_unital(g),
         modulus=lambda n, q, x: q ** (n - 2), k_max=lambda n, q, x, abc, k: k,
         endpoints=(("t_c at lower interval endpoint", 2, "<0",
                     lambda n, q, x, abc, k: theta(n - 1, q) + q ** (n - 2)),
@@ -295,10 +294,8 @@ THEOREMS = {th.id: th for th in (
         id="hyperoval3", param=None, default_n=3,
         hypotheses=((lambda n, q, x: n == 3, "the 3-dimensional statement needs n=3, got n={n}"),
                     (lambda n, q, x: q % 2 == 0, "hyperovals require even q, got q={q}")),
-        abc=lambda n, q, x: (1, q + 2, 2 * q + 1),
-        k=lambda n, q, x: q * q + 2 * q + 1,
-        vertex_dim=lambda n, q, x: 0,
-        cone=lambda g, inst: objects.hyperoval_cone(g),
+        shape=lambda n, q, x: (0, q + 2, 0, 2),
+        base=lambda g, x: objects.hyperoval(g),
         divisibilities=hyperoval3_step1_congruences,
         k_max=lambda n, q, x, abc, k: 2 * q * q + 1, axis_points=0,
         pencil_u_a=lambda q, x: q // 2),
@@ -306,19 +303,17 @@ THEOREMS = {th.id: th for th in (
         id="hyperovalN", param=None, default_n=4,
         hypotheses=((lambda n, q, x: n >= 4, "need n >= 4, got n={n}"),),
         instance_hypotheses=((lambda n, q, x: q % 2 == 0, "hyperovals require even q, got q={q}"),),
-        abc=lambda n, q, x: (theta(n - 3, q), theta(n - 2, q) + q ** (n - 3),
-                             theta(n - 2, q) + q ** (n - 2)),
-        k=lambda n, q, x: theta(n - 1, q) + q ** (n - 2),
-        vertex_dim=lambda n, q, x: n - 3,
-        cone=lambda g, inst: objects.hyperoval_cone(g),
-        modulus=lambda n, q, x: q ** (n - 3), k_max=_hyperovalN_top,
+        shape=lambda n, q, x: (n - 3, q + 2, 0, 2),
+        base=lambda g, x: objects.hyperoval(g),
+        modulus=lambda n, q, x: q ** (n - 3),
+        k_max=lambda n, q, x, abc, k: _maxarc_top(n, q, 2, abc, k),
         endpoints=(("t_c at k = c", 2, "<0", lambda n, q, x, abc, k: abc[2]),
                    ("t_c at upper endpoint of the low interval", 2, "<0",
                     lambda n, q, x, abc, k: k - q ** (n - 3)),
                    ("t_a at lower endpoint of the high interval", 0, "<=1/2",
                     lambda n, q, x, abc, k: k + q ** (n - 3) if q > 2 else None),
                    ("t_a at k = 2q^{n-1} + theta_{n-3}", 0, "<0",
-                    lambda n, q, x, abc, k: _hyperovalN_top(n, q, x, abc, k) if q > 2 else None)),
+                    lambda n, q, x, abc, k: _maxarc_top(n, q, 2, abc, k) if q > 2 else None)),
         empty_note="high interval is empty for q = 2; its checks are skipped",
         pencil_u_a=lambda q, x: q // 2),
     Theorem(
@@ -330,11 +325,8 @@ THEOREMS = {th.id: th for th in (
         instance_hypotheses=((lambda n, q, d: q % 2 == 0 and q % d == 0,
                               "maximal arcs of degree 1 < d < q exist only for even q and d | q"
                               " (Denniston; Ball, Blokhuis and Mazzocca), got d={d}, q={q}"),),
-        abc=lambda n, q, d: (theta(n - 3, q), q ** (n - 3) * (q * d + d - q) + theta(n - 4, q),
-                             q ** (n - 2) * d + theta(n - 3, q)),
-        k=lambda n, q, d: q ** (n - 2) * (q * d + d - q) + theta(n - 3, q),
-        vertex_dim=lambda n, q, d: n - 3,
-        cone=lambda g, inst: objects.maxarc_cone(g, inst.t_or_d),
+        shape=lambda n, q, d: (n - 3, q * d + d - q, 0, d),
+        base=objects.denniston_arc,
         modulus=lambda n, q, d: q ** (n - 3), k_max=_maxarc_top,
         endpoints=(("t_c at k = c", 2, "<0", lambda n, q, d, abc, k: abc[2]),
                    ("t_c at upper endpoint of the low interval", 2, "<0",
@@ -359,8 +351,7 @@ def theorem_instance(theorem_id: str, n: int, q: int, t_or_d=None) -> TheoremIns
     """
     th = _theorem(theorem_id)
     th.check(n, q, t_or_d)
-    k = th.k(n, q, t_or_d)
-    a, b, c = th.integral_abc(n, q, t_or_d)
+    (a, b, c), k = th.integral_type(n, q, t_or_d)
     ts = t_closed_form(TypeParameters(a, b, c, n, q), k)
     if not all(t.denominator == 1 and t >= 1 for t in ts):
         raise HypothesisViolated(
@@ -368,7 +359,7 @@ def theorem_instance(theorem_id: str, n: int, q: int, t_or_d=None) -> TheoremIns
     return TheoremInstance(theorem_id=theorem_id, n=n, q=q, t_or_d=t_or_d,
                            a=a, b=b, c=c, expected_k=k,
                            expected_t=tuple(int(t) for t in ts),
-                           vertex_dim=th.vertex_dim(n, q, t_or_d))
+                           vertex_dim=th.shape(n, q, t_or_d)[0])
 
 
 def screen_defaults(theorem_id: str, n: int, q: int, t_or_d=None) -> tuple:
@@ -377,9 +368,9 @@ def screen_defaults(theorem_id: str, n: int, q: int, t_or_d=None) -> tuple:
     hypotheses are not checked; a non-integral type raises
     HypothesisViolated."""
     th = _theorem(theorem_id)
-    abc = th.integral_abc(n, q, t_or_d)
+    abc, k = th.integral_type(n, q, t_or_d)
     params = TypeParameters(*abc, n, q)
-    k_max = th.k_max(n, q, t_or_d, abc, th.k(n, q, t_or_d))
+    k_max = th.k_max(n, q, t_or_d, abc, k)
     axis = params.a if th.axis_points is None else th.axis_points
     return params, range(params.c, k_max + 1), th.congruences(params, t_or_d), axis
 
@@ -426,9 +417,8 @@ def step_sign_check(theorem_id: str, n: int, q: int, t_or_d=None) -> SignReport:
     if not th.endpoints:
         raise HypothesisViolated(f"no endpoint sign checks for theorem id {theorem_id!r}")
     th.check(n, q, t_or_d, instance=False)
-    abc = th.abc(n, q, t_or_d)
+    abc, k_theorem = cone_type(q, *th.shape(n, q, t_or_d))
     params = TypeParameters(*abc, n, q)
-    k_theorem = th.k(n, q, t_or_d)
     checks = []
     for label, which, claim, size in th.endpoints:
         k = size(n, q, t_or_d, abc, k_theorem)
@@ -465,7 +455,8 @@ def run_verification(theorem_id: str, n: int, q: int, t_or_d=None) -> dict:
     charge(n, q)  # before any closed form grows with n
     inst = theorem_instance(theorem_id, n, q, t_or_d)
     th = THEOREMS[theorem_id]
-    K = th.cone(Geometry(field_new(p, h), n), inst)
+    g = Geometry(field_new(p, h), n)
+    K = objects.cone(g, objects.axis_vertex(g, inst.vertex_dim), th.base(g, t_or_d))
     rec = spectra.recognize_cone(K)
     failures = []
 

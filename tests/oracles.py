@@ -7,17 +7,21 @@ column, then row, as `pivot_patterns` lists them), the membership mask of
 a subspace, a set of PG(2,q) copied into the first coordinates of PG(n,q),
 the vectors of a span one coefficient row at a time, a textbook
 Gauss-Jordan elimination, the pencil law from the full trace of every
-a-hyperplane, and the prime powers q <= 128 with every theorem instance
-`theorem_instance` admits among them up to a dimension.
+a-hyperplane, the prime powers q <= 128 with every theorem instance
+`theorem_instance` admits among them up to a dimension, and the closed
+forms of each theorem's type, size and vertex dimension, with the
+feasible-k screen they give.
 """
 
 from collections import Counter
+from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
 from pgcones import kernels
-from pgcones.counting import THEOREMS, theorem_instance
-from pgcones.errors import PgconesError
+from pgcones.counting import THEOREMS, TypeParameters, theorem_instance
+from pgcones.errors import HypothesisViolated, NonSquareOrder, PgconesError
 from pgcones.kernels import combo_vectors, pivot_patterns
 from pgcones.objects import pointset_from_indices
 from pgcones.pg import theta
@@ -184,3 +188,68 @@ def admitted_instances(n_max):
                         yield theorem_id, n, q, x, theorem_instance(theorem_id, n, q, x)
                     except PgconesError:
                         continue
+
+
+def _root(q):
+    r = isqrt(q)
+    if r * r != q:
+        raise NonSquareOrder(f"q = {q} is not a square")
+    return r
+
+
+def c_rs(r, s, q):
+    """Number of points of a cone with r-dim vertex over an s-dim Baer
+    subgeometry: theta_s(sqrt q) * q^(r+1) + theta_r(q).
+
+    Exact rational for r < -1; an integer otherwise.
+    """
+    if s < -1 or (r < -1 and s < 0):
+        raise ValueError(f"bad cone dimensions r={r}, s={s}")
+    rt = _root(q)
+    base = (rt ** (s + 1) - 1) // (rt - 1)
+    value = base * Fraction(q) ** (r + 1) + (Fraction(q) ** (r + 1) - 1) / (q - 1)
+    return int(value) if value.denominator == 1 else value
+
+
+# theorem id -> (type (a, b, c), size k, vertex dimension), each a function
+# of (n, q, x) derived for that theorem alone; the type is rational where
+# degenerate
+CLOSED_FORMS = {
+    "baer": (lambda n, q, t: (c_rs(n - 2 * t - 1, 2 * t - 2, q), c_rs(n - 2 * t - 2, 2 * t, q),
+                              c_rs(n - 2 * t - 1, 2 * t - 1, q)),
+             lambda n, q, t: c_rs(n - 2 * t - 1, 2 * t, q),
+             lambda n, q, t: n - 2 * t - 1),
+    "unital": (lambda n, q, x: (theta(n - 2, q), theta(n - 3, q) + _root(q) ** (2 * n - 3),
+                                theta(n - 2, q) + _root(q) ** (2 * n - 3)),
+               lambda n, q, x: theta(n - 2, q) + _root(q) ** (2 * n - 1),
+               lambda n, q, x: n - 3),
+    "hyperoval3": (lambda n, q, x: (1, q + 2, 2 * q + 1),
+                   lambda n, q, x: q * q + 2 * q + 1,
+                   lambda n, q, x: 0),
+    "hyperovalN": (lambda n, q, x: (theta(n - 3, q), theta(n - 2, q) + q ** (n - 3),
+                                    theta(n - 2, q) + q ** (n - 2)),
+                   lambda n, q, x: theta(n - 1, q) + q ** (n - 2),
+                   lambda n, q, x: n - 3),
+    "maxarc": (lambda n, q, d: (theta(n - 3, q), q ** (n - 3) * (q * d + d - q) + theta(n - 4, q),
+                                q ** (n - 2) * d + theta(n - 3, q)),
+               lambda n, q, d: q ** (n - 2) * (q * d + d - q) + theta(n - 3, q),
+               lambda n, q, d: n - 3),
+}
+
+
+def closed_form_screen(theorem_id, n, q, x):
+    """(type parameters, k range, congruences, K-points on the pencil axis)
+    of the feasible-k screen from `CLOSED_FORMS`, the top of hyperovalN's
+    range its own closed form 2q^(n-1) + theta_(n-3); the record gives the
+    other tops, the congruences and the axis.  HypothesisViolated where the
+    type is not integral."""
+    th = THEOREMS[theorem_id]
+    abc_of, k_of, _ = CLOSED_FORMS[theorem_id]
+    abc = abc_of(n, q, x)
+    if not all(isinstance(v, int) for v in abc):
+        raise HypothesisViolated(f"{theorem_id}: non-integral type at (n={n}, q={q})")
+    params = TypeParameters(*abc, n, q)
+    top = (2 * q ** (n - 1) + theta(n - 3, q) if theorem_id == "hyperovalN"
+           else th.k_max(n, q, x, abc, k_of(n, q, x)))
+    axis = params.a if th.axis_points is None else th.axis_points
+    return params, range(params.c, top + 1), th.congruences(params, x), axis

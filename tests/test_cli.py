@@ -257,6 +257,21 @@ def test_feasible_k_missing_parameter(argv, capsys):
 
 
 @pytest.mark.parametrize("argv,named", [
+    (["verify", "--theorem", "unital", "--q", "9", "--t", "3"], "--theorem unital takes no --t"),
+    (["verify", "--theorem", "baer", "--n", "4", "--q", "9", "--t", "1", "--d", "5"],
+     "--theorem baer takes no --d"),
+    (["feasible-k", "--theorem", "hyperoval3", "--q", "4", "--t", "7"],
+     "--theorem hyperoval3 takes no --t"),
+], ids=["verify-unital-t", "verify-baer-d", "feasible-k-hyperoval3-t"])
+def test_theorem_refuses_a_parameter_it_does_not_name(argv, named, capsys):
+    # refused, not dropped: the run would not be the one the command line asks for
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("argv,named", [
     (["--abc", "1", "2", "3", "--n", "3", "--q", "1"], "q must be >= 2, got 1"),
     (["--abc", "1", "6", "9", "--n", "3", "--q", "6", "--format", "csv"],
      "q = 6 is not a prime power"),

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from pgcones import (
     Congruence,
     TypeParameters,
-    c_rs,
     feasible_k,
     field_new,
     geometry_new,
@@ -37,15 +36,20 @@ from pgcones.errors import (
     EmptyRange,
     HypothesisViolated,
     NonSquareOrder,
+    PgconesError,
 )
 from pgcones import kernels, spectra
-from pgcones.counting import THEOREMS, _pencil_failures
+from pgcones.counting import THEOREMS, _pencil_failures, cone_type
 from pgcones.gf import factor_prime_power
-from pgcones.objects import hyperoval_cone
+from pgcones.objects import axis_vertex, cone, hyperoval_cone
 from pgcones.spectra import _counts
 
 from oracles import (
+    CLOSED_FORMS,
+    PRIME_POWERS,
     admitted_instances,
+    c_rs,
+    closed_form_screen,
     hyperplane_point_indices,
     pencil_failures_full_trace,
     subspace_mask,
@@ -71,6 +75,63 @@ def test_c_rs_rational_for_negative_vertex_dim():
 def test_c_rs_bad_dimensions():
     with pytest.raises(ValueError):
         c_rs(1, -2, 4)
+
+
+def _hypothesis_admitted(n_max):
+    """(theorem id, n, q, t or d) for every n <= n_max, prime power q <= 128
+    and t or d that `Theorem.check` admits without the instance hypotheses,
+    t from 1 to n/2 and d from 2 to q-1; Baer's type is rational at n = 2t."""
+    for theorem_id, th in THEOREMS.items():
+        for n in range(2, n_max + 1):
+            for q in PRIME_POWERS:
+                for x in {"t": range(1, n // 2 + 1), "d": range(2, q)}.get(th.param, (None,)):
+                    try:
+                        th.check(n, q, x, instance=False)
+                    except PgconesError:
+                        continue
+                    yield theorem_id, n, q, x
+
+
+def test_cone_type_equals_each_theorems_closed_forms():
+    # the one formula on each record's (r, |X|, x1, x2) gives the type, k and
+    # vertex dimension derived for that theorem alone, each value an int or a
+    # Fraction as there, at every admitted (n, q, t or d)
+    rational = 0
+    for theorem_id, n, q, x in _hypothesis_admitted(14):
+        abc_of, k_of, r_of = CLOSED_FORMS[theorem_id]
+        shape = THEOREMS[theorem_id].shape(n, q, x)
+        got, want = cone_type(q, *shape), (abc_of(n, q, x), k_of(n, q, x))
+        assert got == want and shape[0] == r_of(n, q, x), (theorem_id, n, q, x)
+        assert [type(v) for v in (*got[0], got[1])] == [type(v) for v in (*want[0], want[1])]
+        rational += not isinstance(got[0][1], int)
+    assert rational == 36  # Baer at n = 2t
+
+
+def _screen_or_refusal(screen, theorem_id, n, q, x):
+    """The screen's parameters, k range, axis and lemma congruences, or
+    None where it is refused."""
+    try:
+        params, krange, congruences, axis = screen(theorem_id, n, q, x)
+    except (PgconesError, ValueError):
+        return None
+    return params, krange, axis, [c if isinstance(c, Congruence) else "divisibility"
+                                  for c in congruences]
+
+
+def test_screen_defaults_equal_the_closed_form_screen_outside_the_hypotheses():
+    # the unsorted formula accepts and refuses what the closed forms do,
+    # with the same screen, also where the hypotheses fail: n from 2, odd q
+    # for the hyperovals, non-square q, and t or d from -3
+    accepted = 0
+    for theorem_id, th in THEOREMS.items():
+        for n in range(2, 8):
+            for q in (2, 3, 4, 5, 8, 9, 16, 25):
+                for x in (range(-3, 12) if th.param else (None,)):
+                    got = _screen_or_refusal(screen_defaults, theorem_id, n, q, x)
+                    assert got == _screen_or_refusal(closed_form_screen, theorem_id, n, q, x), (
+                        theorem_id, n, q, x)
+                    accepted += got is not None
+    assert accepted > 0
 
 
 def test_type_parameters_require_strict_order():
@@ -139,7 +200,7 @@ def test_t_closed_form_equals_the_fraction_form(theorem_id, n, q, x):
     # the degenerate Baer types, at the screen's sizes from c, the theorem's
     # k, the sign-check endpoints and rational sizes
     th = THEOREMS[theorem_id]
-    abc, k = th.abc(n, q, x), th.k(n, q, x)
+    abc, k = cone_type(q, *th.shape(n, q, x))
     params = TypeParameters(*abc, n, q)
     sizes = [*range(int(abc[2]), int(abc[2]) + 40), k, Fraction(2 * k + 1, 2), Fraction(-3, 7)]
     sizes += [size(n, q, x, abc, k) for _, _, _, size in th.endpoints]
@@ -309,6 +370,8 @@ def test_theorem_instance_hypothesis_failures():
         theorem_instance("baer", 4, 16, 2)  # degenerate: fractional b
     with pytest.raises(ValueError):
         theorem_instance("nonsense", 3, 4)
+    with pytest.raises(HypothesisViolated, match="no extra parameter expected"):
+        theorem_instance("hyperovalN", 4, 4, 7)  # hyperovalN names no parameter
 
 
 def test_every_admitted_instance_meets_its_congruences():
@@ -388,7 +451,8 @@ PENCIL_CASES = [("unital", 4, 4, None), ("hyperoval3", 3, 4, None), ("hyperovalN
 @lru_cache(maxsize=None)
 def _canonical_cone(theorem_id, n, q, x):
     th, inst = THEOREMS[theorem_id], theorem_instance(theorem_id, n, q, x)
-    return th, inst, th.cone(geometry_new(field_new(*factor_prime_power(q)), n), inst)
+    g = geometry_new(field_new(*factor_prime_power(q)), n)
+    return th, inst, cone(g, axis_vertex(g, inst.vertex_dim), th.base(g, x))
 
 
 def _pencil_law_by_brute_force(th, inst, K, counts):
@@ -566,8 +630,7 @@ def test_pencil_law_without_an_a_hyperplane_fails_once(theorem_id, n, x):
     # the a-hyperplanes meet the q = 4 cone in its vertex (or, for the
     # unital, in the vertex joined to a point of the unital), so without
     # one vertex point no hyperplane meets the set in a points
-    th, inst = THEOREMS[theorem_id], theorem_instance(theorem_id, n, 4, x)
-    K = th.cone(geometry_new(field_new(2, 2), n), inst)
+    th, inst, K = _canonical_cone(theorem_id, n, 4, x)
     mask = K.mask.copy()
     mask[recognize_cone(K).vertex.point_indices[0]] = False
     D = pointset_from_indices(K.geometry, np.flatnonzero(mask))

@@ -4,10 +4,12 @@ An instance is a (theorem, n <= 30, prime power q <= 128, t or d) that
 `theorem_instance` admits and whose geometry `pg.charge` admits.  Each
 instance's stdout and stderr are printed in turn, with its exit code where
 it is not 0; the count, the failures and the total time go to stderr, so
-the stdout of two trees can be compared with `diff`.  Exits 1 if any
-instance exits nonzero.  Pytest does not collect this file; run it as
+the stdout of two trees can be compared with `diff`; the stdout is
+committed as tests/verify_sweep.out.  Exits 1 if any instance exits
+nonzero.  Pytest does not collect this file; run it and compare as
 
-    PYTHONPATH=src python tests/verify_sweep.py
+    PYTHONPATH=src python tests/verify_sweep.py > sweep.out
+    diff tests/verify_sweep.out sweep.out
 """
 
 import subprocess
