@@ -176,6 +176,9 @@ def cmd_feasible_k(args) -> int:
         raise ValueError(f"n = {args.n} is over the bound {MAX_BITS // bits - 1}"
                          f" of a screen at q = {args.q}")
     if args.abc:
+        for name in ("t", "d"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--abc takes no --{name}")
         if args.n is None:
             raise ValueError("--abc requires --n")
         if args.n < 2:

@@ -239,8 +239,9 @@ def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lon
     """
     if plan.shape != (n_cols, d, q):
         raise ValueError(f"a scan plan of (n_cols, d, q) = {plan.shape}, not {(n_cols, d, q)}")
-    offsets, member = plan.offsets, np.asarray(member)
-    member_code = member[plan.code_to_index]  # only the zero code, never built, is -1
+    offsets, member = plan.offsets, np.asarray(member, dtype=bool)
+    # a take of the mask's bytes, a third of a bool gather's time; the zero code, -1, is unread
+    member_code = member.view(np.uint8).take(plan.code_to_index)
 
     def scan(tensor, which, out):  # `out` is written only at the patterns of `which`
         def run(i):  # each pattern writes its own slice
@@ -254,7 +255,7 @@ def subspace_intersection_scan(n_cols, d, q, plan, member, workers: int = 1, lon
                 list(pool.map(run, which))
         return out
 
-    counts = scan(member_code.astype(plan.dtype), range(len(plan.patterns)),
+    counts = scan(member_code.astype(plan.dtype, copy=False), range(len(plan.patterns)),
                   np.empty(offsets[-1], dtype=plan.dtype))
     if not lone or not (counts == 1).any():
         return counts, (np.full(len(counts), -1, dtype=np.int32) if lone else None)
@@ -293,10 +294,13 @@ class TransformPlan:
     """What a hyperplane count over a point matrix of `shape` (points, n+1)
     needs besides the point set, built once: the least prime `ell` = 1
     (mod p) above the points in which 2 has an omega = 2^((ell-1)/p) of
-    order p, `w`[x, y] = omega^c(x y), the `scale` omega^c(s / mu), both
-    float64 for BLAS, the codes of s b per level and q^-1 mod ell.  A stage
-    sums q products below ell^2, exact in float64 below 2^53, so q ell^2 >=
-    2^53 is refused here; no geometry `pg.charge` admits reaches it."""
+    order p, `w`[x, y] = omega^c(x y) and the `scale` omega^c(s / mu), in
+    float64 for BLAS, the codes of s b per level and q^-1 mod ell.  Each
+    power is its centered representative, -1 at p = 2 and at most
+    (ell-1)/2 in size at odd p, and `w_max` is the largest size.  A stage
+    on residues, at most ell/2 + 2 in size, sums q products below ell^2 / 2,
+    exact in float64 below 2^53 - ell, so q ell^2 >= 2^53 is refused here;
+    no geometry `pg.charge` admits reaches it."""
 
     def __init__(self, shape, mul, inv, p):
         (points, n_cols), q = shape, len(mul)
@@ -307,7 +311,8 @@ class TransformPlan:
             raise GeometryTooLarge(f"{points} points overflow the transform modulus {ell}")
         omega = pow(2, (ell - 1) // p, ell)
         self.shape, self.q, self.ell, self.q_inv = shape, q, ell, pow(q, -1, ell)
-        self.w = np.array([pow(omega, j, ell) for j in range(p)], dtype=np.float64)[mul % p]
+        powers = [x if 2 * x < ell else x - ell for x in (pow(omega, j, ell) for j in range(p))]
+        self.w, self.w_max = np.array(powers, dtype=np.float64)[mul % p], max(map(abs, powers))
         self.scale, s = self.w[inv][:, 1:], np.arange(1, q)[:, None]  # 1 at mu = 0
         self.codes, sy = [s], np.zeros((q - 1, 1), dtype=np.int64)  # per level, the codes of s b
         for m in range(1, n_cols - 1):  # s (0, b) = (0, s b), s (1, y) = (s, s y)
@@ -326,38 +331,63 @@ def hyperplane_intersection_counts(points, member, plan, lone=False):
     number of points.  The rows are PG(m) = PG(m-1) ∪ AG(m), m = 1..n, and
     by scaling f^(a0, a') = H(a') + sum_(s != 0) omega^c(a0 s) G(s a'), H
     being f^ on PG(m-1), G the m-stage transform of y -> f(1, y) on GF(q)^m.
+    Each level writes H and its AG(m) in place over the values in `out`.
     Only if some count is 1 are the member indices summed the same way.
+
+    The values are integers in float64, each class mod ell held by some
+    representative, with a Python-int bound on their size for the stage
+    values, the gathered level and `out`.  A sum whose bound could pass
+    2^53 - ell is not taken: its terms are reduced first, in place, to
+    x - rint(x / ell) ell, exact there, at most ell/2 + 2 in size.  At
+    p = 2 the powers are +-1 and the counts' bound never gets there, so
+    only the final q^-1 step takes a residue.
     """
     if plan.shape != points.shape:
         raise ValueError(f"a transform plan of {plan.shape} points, not {points.shape}")
-    q, ell, w, member = plan.q, plan.ell, plan.w, np.asarray(member)
+    q, ell, w, w_max = plan.q, plan.ell, plan.w, plan.w_max
+    limit, small = (1 << 53) - ell, ell // 2 + 2  # every sum below limit is exact
 
-    def mod(x):  # the int64 residues of `%`, which numpy takes about twice as slowly
-        x = x.astype(np.int64, copy=False)
-        return x - x // ell * ell
+    def reduce(x):  # for |x| <= limit the float x / ell is within 2 / ell of x / ell
+        t = x * (1 / ell)
+        np.rint(t, out=t)
+        t *= ell
+        x -= t
+        return x
 
-    def per_hyperplane(values, bound):  # w = w^T, so w g^T = (g w)^T
-        values = values.astype(np.float64)  # 0/1 or point indices, all exact
-        out, below = np.append(-values[0] % ell, values[1:]), int(values[0])  # f^ = -f on PG(0)
-        for m, at in enumerate(plan.codes, 1):  # below: the sum of f over PG(m-1)
+    def per_hyperplane(out, top):  # the values, at most top, transformed in place; w = w^T
+        below, out[0], h_top = int(out[0]), -out[0], top  # f^ = -f on PG(0); below sums f there
+        for m, at in enumerate(plan.codes, 1):
             lo = at.shape[1]  # PG(m-1) is the first lo rows, AG(m) the q^m rows (1, y)
-            g, top = values[lo:lo + q ** m], bound
-            for _ in range(m):  # exact: reduced mod ell only where a sum could reach 2^53
-                if q * (ell - 1) * top >= 1 << 53:
-                    g, top = mod(g), ell
-                g, top = _product(w, g.reshape(-1, q).T).ravel(), q * (ell - 1) * top  # (g w)^T
+            g, g_top = out[lo:lo + q ** m], top
+            for _ in range(m):
+                if q * w_max * g_top > limit:
+                    g, g_top = reduce(g), small
+                g, g_top = _product(w, g.reshape(-1, q).T).ravel(), q * w_max * g_top  # (g w)^T
             u, h, g0 = g[at], out[:lo], int(g[0])  # U[s, b] = G(s b); G(0) sums f
-            if (q - 1) * (ell - 1) * top >= 1 << 53:  # else the scale product is exact as is
-                u = mod(u)
-            r = mod(h + _product(plan.scale, u))  # at (0, b) for mu = 0, else at (1, mu b)
+            if (q - 1) * w_max * g_top + min(h_top, small) > limit:  # unless h's alone will do
+                u, g_top = reduce(u), small
+            if (q - 1) * w_max * g_top + h_top > limit:
+                h_top = small
+                reduce(h)
+            r = _product(plan.scale, u)  # at (0, b) for mu = 0, else at (1, mu b)
+            r += h
             h[:], out[lo:lo + q ** m][at] = r[0], r[1:]
             out[lo], below = ((q - 1) * below - g0) % ell, below + g0  # (1, 0); omega^c sums to 0
-        return mod((below % ell + out) * plan.q_inv)
+            h_top = max(h_top + (q - 1) * w_max * g_top, ell - 1)
+        if (h_top + ell - 1) * (ell - 1) > limit:
+            reduce(out)
+        out += below % ell
+        out *= plan.q_inv
+        x = out.astype(np.int64)
+        x -= x // ell * ell  # numpy reuses the temporary quotient for the product
+        return x
 
-    counts = per_hyperplane(member, 2)
+    member = np.asarray(member)
+    counts = per_hyperplane(member.astype(np.float64), 1)
     if not lone or not (counts == 1).any():
         return counts, (np.full_like(counts, -1) if lone else None)
-    indices = per_hyperplane(np.where(member, np.arange(member.size), 0), member.size)
+    indices = per_hyperplane(np.where(member, np.arange(member.size, dtype=np.float64), 0),
+                             member.size - 1)
     return counts, np.where(counts == 1, indices, -1)
 
 

@@ -43,10 +43,15 @@ class ConeRecognition:
 def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
     """Intersection counts of K with every d-subspace and, if asked, the lone
     point of K on each one met once (-1 elsewhere; None unless asked), from
-    the geometry's plan for d, which charges a scan before it is built."""
+    the geometry's plan for d, which charges a scan before it is built.  At
+    d = 0 a subspace is a point: the counts are the mask as uint8 and the
+    lone points the members, in point order, with no plan."""
     g = K.geometry
     if not 0 <= d <= g.n - 1:
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
+    if d == 0:
+        return K.mask.view(np.uint8), (np.where(K.mask, np.arange(g.num_points, dtype=np.int32),
+                                                np.int32(-1)) if lone else None)
     if d == g.n - 1:
         return kernels.hyperplane_intersection_counts(g.points, K.mask, g.count_plan(d), lone)
     return kernels.subspace_intersection_scan(g.n + 1, d, g.q, g.count_plan(d), K.mask,

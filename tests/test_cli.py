@@ -262,7 +262,12 @@ def test_feasible_k_missing_parameter(argv, capsys):
      "--theorem baer takes no --d"),
     (["feasible-k", "--theorem", "hyperoval3", "--q", "4", "--t", "7"],
      "--theorem hyperoval3 takes no --t"),
-], ids=["verify-unital-t", "verify-baer-d", "feasible-k-hyperoval3-t"])
+    (["feasible-k", "--abc", "1", "6", "9", "--n", "3", "--q", "4", "--t", "7", "--k-max", "30",
+      "--format", "csv"], "--abc takes no --t"),
+    (["feasible-k", "--abc", "1", "6", "9", "--n", "3", "--q", "4", "--d", "2"],
+     "--abc takes no --d"),
+], ids=["verify-unital-t", "verify-baer-d", "feasible-k-hyperoval3-t", "feasible-k-abc-t",
+        "feasible-k-abc-d"])
 def test_theorem_refuses_a_parameter_it_does_not_name(argv, named, capsys):
     # refused, not dropped: the run would not be the one the command line asks for
     assert main(argv) == 2

@@ -306,16 +306,17 @@ def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
 
 
 def test_hyperplane_counts_reduce_only_before_an_overflow():
-    # PG(8,4) has 87 381 points and the transform modulus ell = 87 403, so
-    # each stage multiplies the bound on its values by q (ell-1) = 349 608,
-    # about 2^18.4.  Level m = 1..8 runs m stages over its 4^m values, exact
-    # in float64 below 2^53.  The indicator, below 2, stays below 2^19.4 and
-    # 2^37.8 over two stages; a third could reach 2^56.2 >= 2^53, so it is
-    # reduced first, down to ell (2^16.4), which one stage takes to 2^34.8
-    # and a second would take to 2^53.2: reductions before every stage from
-    # the third.  The indices, below 87 381, are reduced before every stage
-    # from the second.  Where a level is gathered, its transform is reduced
-    # before the scale product if q-1 terms could reach 2^53, and after it.  At
+    # PG(8,4) has 87 381 points and the transform modulus ell = 87 403.  At
+    # p = 2 the powers of omega are +-1, so each stage multiplies the bound
+    # on its values by q = 4 alone, not by q (ell-1) as with powers held in
+    # [0, ell).  Level m = 1..8 runs m stages over its 4^m values: the
+    # indicator, at most 1, stays within 4^8 = 2^16, and the indices, below
+    # 87 381 (2^16.4), within 2^32.4, far below 2^53 - ell; each level adds
+    # at most 3 times that to the bound of the levels below, so the counts
+    # stay within 2^18.4 and the indices within 2^34.4, and times q^-1 mod
+    # ell, below 2^16.4, they stay below 2^51: no value is reduced before
+    # the last step, the one residue of (out + k) q^-1.  The odd-p schedule,
+    # residues before stages and gathers, is checked at large q below.  At
     # density 0.00005 the set has a few points, some hyperplane meets it
     # once, and the index transform runs; the two denser sets meet every
     # sampled hyperplane often.
@@ -337,14 +338,23 @@ def test_hyperplane_counts_reduce_only_before_an_overflow():
         assert (want == 1).any() == (density < 0.001)
 
 
-@pytest.mark.parametrize("p,h,n", [(3, 3, 3), (5, 2, 3), (2, 4, 4), (2, 7, 2), (3, 2, 5)],
-                         ids=["PG(3,27)", "PG(3,25)", "PG(4,16)", "PG(2,128)", "PG(5,9)"])
+@pytest.mark.parametrize("p,h,n", [(3, 3, 3), (5, 2, 3), (2, 4, 4), (2, 7, 2), (3, 2, 5),
+                                   (2, 1, 12), (2, 6, 3), (2, 3, 5), (31, 1, 3)],
+                         ids=["PG(3,27)", "PG(3,25)", "PG(4,16)", "PG(2,128)", "PG(5,9)",
+                              "PG(12,2)", "PG(3,64)", "PG(5,8)", "PG(3,31)"])
 def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
-    # PG(5,9) has 66 430 points and ell = 66 463, q (ell-1) about 2^19.2:
-    # the indicator reaches 2^39.4 after two stages and a third could reach
-    # 2^58.6 >= 2^53, so levels 3 to 5 reduce before each stage from their
-    # third, at odd p.  The sample holds hyperplanes
-    # that meet the three-point set once, so the index transform runs.
+    # PG(5,9) has 66 430 points and ell = 66 463.  omega's powers, held
+    # centered, are 1 and two of size at most 7 609, so a stage multiplies
+    # the bound by 9 x 7 609, about 2^16.1: the indicator reaches 2^48.2
+    # after three stages and a fourth could pass 2^53 - ell, so levels 4
+    # and 5 reduce before their fourth stage, to at most ell/2 + 2, and
+    # levels 3 and 5 reduce their gathered values before the sum over q-1
+    # scales.  At PG(3,31) the index transform, its values below 30 784,
+    # reduces the values of its lower levels, not the gathered ones, before
+    # the level-3 sum.  At p = 2, PG(12,2), PG(3,64), PG(5,8), PG(4,16) and
+    # PG(2,128), the powers are +-1 and no count is reduced before the last
+    # step.  The sample holds hyperplanes that meet the three-point set
+    # once, so the index transform runs.
     g = _geometry(p, h, n)
     f = g.field
     rng = np.random.default_rng(g.q)
@@ -365,6 +375,25 @@ def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
         want = on.sum(axis=1)
         np.testing.assert_array_equal(counts[sample], want)
         np.testing.assert_array_equal(lone[sample], np.where(want == 1, on.argmax(axis=1), -1))
+
+
+@pytest.mark.parametrize("p,h,n", [(2, 1, 4), (2, 2, 3), (2, 3, 3), (3, 1, 4), (3, 2, 3),
+                                   (5, 2, 2), (7, 1, 3), (3, 3, 2)])
+def test_transform_powers_are_centered(p, h, n):
+    # each omega^c(x y) is held as its representative nearest 0: -1 at
+    # p = 2, where omega = -1, and at most (ell-1)/2 in size at odd p;
+    # `w_max` is the largest size, and the scale table's mu = 0 row is 1
+    g = _geometry(p, h, n)
+    plan, mul = g.count_plan(n - 1), g.field.mul
+    ell, w = plan.ell, plan.w.astype(np.int64)
+    omega = pow(2, (ell - 1) // p, ell)
+    np.testing.assert_array_equal(w % ell, [[pow(omega, int(c), ell) for c in row]
+                                            for row in mul % p])
+    if p == 2:
+        assert set(np.unique(w).tolist()) == {-1, 1} and plan.w_max == 1
+    else:
+        assert plan.w_max == np.abs(w).max() <= (ell - 1) // 2
+    np.testing.assert_array_equal(plan.scale[0], 1)
 
 
 def test_hyperplane_count_refuses_a_modulus_that_overflows():

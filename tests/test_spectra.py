@@ -220,6 +220,32 @@ def test_essential_points_without_a_plane_met_once(pg44):
     assert essential_points(K, 2).k == 0
 
 
+@pytest.mark.parametrize("p,h,n", [(2, 2, 3), (3, 1, 4)], ids=["PG(3,4)", "PG(4,3)"])
+def test_point_counts_are_the_mask(p, h, n):
+    # at d = 0 a subspace is a point, so `_counts` returns the mask and the
+    # members in point order, with no plan; the scan of the same points, in
+    # its own order, gives the same spectrum, blocking and essential points
+    g = geometry_new(field_new(p, h), n)
+    rng = np.random.default_rng(n)
+    for K in (PointSet(g, rng.random(g.num_points) < 0.5), PointSet(g, np.ones(g.num_points, bool)),
+              PointSet(g, np.zeros(g.num_points, bool))):
+        counts, lone = _counts(K, 0, lone=True)
+        np.testing.assert_array_equal(counts, K.mask)
+        np.testing.assert_array_equal(lone, np.where(K.mask, np.arange(g.num_points), -1))
+        assert counts.dtype == np.uint8 and lone.dtype == np.int32
+        scan_counts, scan_lone = kernels.subspace_intersection_scan(
+            n + 1, 0, g.q, g.count_plan(0), K.mask, lone=True)
+        assert spectrum(K, 0) == spectrum_of_counts(g, scan_counts, 0)
+        assert is_blocking(K, 0) == bool(scan_counts.min() > 0)
+        if scan_counts.min() == 0:
+            with pytest.raises(NotBlocking):
+                essential_points(K, 0)
+        else:
+            marked = np.zeros(g.num_points, dtype=bool)
+            marked[scan_lone[scan_lone >= 0]] = True
+            assert essential_points(K, 0) == PointSet(g, marked)
+
+
 def test_essential_points_of_a_line_in_space(pg34):
     # a line blocks every plane of PG(3,4) and each of its points lies on
     # planes that meet it there alone, named by the index transform
