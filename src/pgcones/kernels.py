@@ -2,11 +2,12 @@
 of a Geometry: field tables (add/mul/inv/neg), the point coordinate matrix
 and membership masks.  `span_vectors` lists the vectors of a stack of
 spans, for `Geometry.indices_of` to name.  The scan alone works in code
-space: v in GF(q)^(n+1) has the code sum_i v[i] q^i, its plan's
-`code_table` maps every nonzero code, in any scaling, to its point, and
-the scan takes a mask, as a q-ary tensor by code, through d + 1 value
-tables, one per pivot prefix, a pattern at a time (free slots by column,
-then row) in blocks of combos, one pool task per pattern above one
+space: v in GF(q)^(n+1) has the code sum_i v[i] q^i, the `code_table`
+that a geometry's first scan plan builds, and its later ones share, maps
+every nonzero code, in any scaling, to its point, and the scan takes a
+mask, as a q-ary tensor by code, through d + 1 value tables, one per
+pivot prefix, a pattern at a time (free slots by column, then row) in
+blocks of combos, one pool task per pattern above one
 worker (the pool is imported only then), each writing its sums in place,
 with no working array over BLOCK_BYTES.  Both counts sum the member
 indices for lone points only where a subspace is met once; the scan sums
@@ -25,8 +26,9 @@ alone.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import prod
 
 import numpy as np
@@ -54,6 +56,17 @@ def pivot_patterns(n_cols: int, rows: int):
     return tuple((pivots, tuple((i, col) for col in range(n_cols) if col not in pivots
                                 for i, p in enumerate(pivots) if p < col))
                  for pivots in combinations(range(n_cols), rows))
+
+
+@cache
+def pattern_columns(n_cols: int, rows: int):
+    """Per pattern of `pivot_patterns(n_cols, rows)`: its columns, the
+    pivots, the p columns before the first pivot p, then the n_cols - rows
+    - p free ones; and per free column the pivots before it."""
+    columns = tuple(pivots + tuple(col for col in range(n_cols) if col not in pivots)
+                    for pivots, _ in pivot_patterns(n_cols, rows))
+    return columns, tuple(tuple(bisect(cols[:rows], col) for col in cols[rows + cols[0]:])
+                          for cols in columns)
 
 
 def combo_vectors(dim_plus_1: int, q: int) -> np.ndarray:
@@ -103,18 +116,18 @@ BLOCK_BYTES = 1 << 18  # bytes of any working array of a scan block or a tally c
 
 def code_table(n, q, mul, inv):
     """The point of every vector v of GF(q)^(n+1) by its code sum_i v[i] q^i,
-    in int32 as theta_n < 2^31, -1 at 0; one block per leading coordinate."""
-    # led by t at n - m, then y, v is the point theta_(m-1) + sum_j (y_j / t) q^(n-j): in the
-    # cube of codes, axis a holding coordinate n - a, an outer sum over axes 0..m-1
-    table = np.empty(q ** (n + 1), dtype=np.int32)
+    in int32 as theta_n < 2^31, -1 at 0, from PG(0) up.  In PG(k) the codes
+    with v[0] = 0 are q times those of PG(k-1), naming the same points, and
+    led by t = v[0], then y, v is the point q P + y_k / t + 1, P that of
+    (t, y_1, ..., y_(k-1)) in PG(k-1)."""
+    step = np.zeros((q, q), dtype=np.int32)
+    step[:, 1:] = mul[:, inv[1:]] + 1  # [y, t] = y / t + 1
+    table = np.zeros(q, dtype=np.int32)  # PG(0): point 0, -1 at the zero code
     table[0] = -1
-    cube = table.reshape((q,) * (n + 1))
-    over_t = mul[:, inv[1:]].astype(np.int32)  # [y, t - 1] = y / t
-    for m in range(n + 1):
-        block = np.full(q - 1, (q ** m - 1) // (q - 1), dtype=np.int32)  # over t on axis m
-        for a in reversed(range(m)):
-            block = (over_t * q ** a).reshape((q,) + (1,) * (m - 1 - a) + (q - 1,)) + block
-        cube[(slice(None),) * m + (slice(1, None),) + (0,) * (n - m)] = block
+    for _ in range(n):
+        below, table = table, np.empty(q * len(table), dtype=np.int32)
+        np.add((below * q).reshape(-1, q), step[:, None], out=table.reshape(q, -1, q))
+        table[::q] = below
     return table
 
 
@@ -126,39 +139,65 @@ class ScanPlan:
     column, each block's last take within BLOCK_BYTES of counts, the
     widest tensor a scan sums.  The rows free in a column are those of the
     pivots before it, so a value table per prefix, V_m[c, x] = sum_(r<m)
-    c_r x_r, gives the takes of every pattern; the take of m rows puts
-    value v of combo c at v b + c, b = hi - lo, and equal blocks share it.
-    The counts come in `dtype`, the least holding theta_d, and pattern i
-    fills `offsets[i]` to `offsets[i + 1]` of the canonical order.  The plan
-    holds the `code_table` of the geometry, built from `mul` and `inv`,
-    through which the scan reads a mask by code."""
+    c_r x_r, in intp, gives the takes of every pattern (`_takes`).  The
+    counts come in `dtype`, the least holding theta_d, and pattern i fills
+    `offsets[i]` to `offsets[i + 1]` of the canonical order.  The plan
+    holds `code_to_index`, the geometry's `code_table`, built from `mul`
+    and `inv` unless given, through which the scan reads a mask by code."""
 
-    def __init__(self, n_cols, d, q, add, mul, inv):
+    def __init__(self, n_cols, d, q, add, mul, inv, code_to_index=None):
         patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
-        values = [field_dots(combos[:, :m], np.indices((q,) * m).reshape(m, -1).T, add, mul)
-                  for m in range(1, d + 2)]
-        pows = q ** np.arange(n_cols, dtype=np.int64)
-        place = pows[:, None] * np.arange(q)  # value x in column c has the code x q^c
-        at = combos.astype(np.int64) @ pows[[list(pivots) for pivots, _ in patterns]].T
+        total, wide = len(combos), n_cols - d - 1  # combos; free columns of a first pivot 0
         sizes = [q ** len(free) for _, free in patterns]
-        self.shape, self.code_to_index = (n_cols, d, q), code_table(n_cols - 1, q, mul, inv)
-        self.dtype, self.offsets = np.min_scalar_type(len(combos)), np.cumsum([0] + sizes)
+        self.shape = (n_cols, d, q)
+        self.code_to_index = (code_table(n_cols - 1, q, mul, inv) if code_to_index is None
+                              else code_to_index)
+        self.dtype, self.offsets = np.min_scalar_type(total), np.cumsum([0] + sizes)
         entries = BLOCK_BYTES // self.dtype.itemsize
+        flat_add, values = add.ravel().astype(np.intp), [np.zeros((total, 1), dtype=np.intp)]
+        for terms in mul[combos.T][:, :, None]:  # V_(r+1)[c, (x, y)] = V_r[c, x] + c_r y
+            values.append(flat_add.take(values[-1][:, :, None] * q + terms).reshape(total, -1))
+        columns, rows_before = pattern_columns(n_cols, d + 1)
+        weights = (q ** np.arange(n_cols, dtype=np.int64))[np.array(columns)]  # q^col
+        at = weights[:, :d + 1] @ combos.T.astype(np.int64)  # pivot and leading values' codes
+        digits = np.indices((q,) * wide, dtype=np.int64).reshape(wide, -1).T  # lex, first slowest
+        free = weights[:, d + 1:] @ digits.T  # the first q^k: the codes of k free columns
+        keys = [(rows, min(total, max(1, entries // size)))  # (rows, step) per pattern
+                for rows, size in zip(rows_before, sizes)]
+        needed = {(m, step) for rows, step in keys for m in rows}
+        takes = {(m, step): _takes(values[m], step, (m, 1) in needed) for m, step in needed}
+        blocks = {key: _blocks(total, *key, takes) for key in set(keys)}
+        self.patterns = [(free[i, :q ** (wide - cols[0]), None] + at[i], blocks[key])
+                         for i, (cols, key) in enumerate(zip(columns, keys))]
 
-        @cache
-        def take(m, lo, hi):
-            return (values[m - 1][lo:hi] * np.intp(hi - lo) + np.arange(hi - lo)[:, None]).ravel()
 
-        self.patterns = []
-        for (pivots, free), size, codes in zip(patterns, sizes, at.T):
-            cols, step = sorted({col for _, col in free}), max(1, entries // size)
-            rows = [sum(p < col for p in pivots) for col in cols]
-            bounds = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
-            blocks = [(lo, hi, [take(m, lo, hi) for m in rows]) for lo, hi in bounds]
-            index = np.zeros(1, dtype=np.int64)  # the codes of the free columns' values
-            for col in cols:  # in lex order, the first column slowest
-                index = np.add.outer(index, place[col]).ravel()
-            self.patterns.append((index[:, None] + codes, blocks))
+def _takes(value, step, rows_held):
+    """The take of each block of `step` combos from the value table V_m:
+    V_m[lo:hi] b + c - lo at combo c, b = hi - lo.  A one-combo block's is
+    its row, a view if the plan holds V_m's rows anyway (`rows_held`); the
+    others are the rows of one array, shared by every pattern."""
+    total, last = len(value), len(value) % step
+    if step == 1:
+        return list(value)
+    ramp = np.arange(step)[:, None]
+    t = value[:total - last].reshape(-1, step, value.shape[1]) * step
+    t += ramp
+    takes = list(t.reshape(len(t), -1))
+    if last == 1 and rows_held:
+        takes.append(value[-1])
+    elif last:
+        takes.append((value[-last:] * last + ramp[:last]).ravel())
+    return takes
+
+
+def _blocks(total, rows, step, takes):
+    """The blocks (lo, hi, takes) of `step` combos of free columns with
+    `rows` pivots before them, from the `_takes` of each (m, step)."""
+    if step == total:
+        return [(0, total, tuple(takes[m, step][0] for m in rows))]
+    los = range(0, total, step)
+    return list(zip(los, [*los[1:], total],
+                    zip(*[takes[m, step] for m in rows]) if rows else repeat(())))
 
 
 def _scan_pattern(out, index, blocks, tensor, q):

@@ -57,11 +57,11 @@ def charge(n: int, q: int, d: int | None = None) -> int:
     at most `kernels.BLOCK_BYTES`: the scan's combo blocks, the tally
     chunks and the dot products of the pencil law and
     `kernels.cone_points`.  A scan adds 9 bytes per code, which cover the
-    int32 table, the member mask and the tensor it sums; per subspace its
-    counts, int32 index sums and one bool mask; per row count m and block
-    size (a block holds BLOCK_BYTES of counts at its last take) theta_d q^m
-    intp takes, and 3 words for the value tables; the codes of the
-    patterns; and the digits of the value tables."""
+    geometry's int32 table, the member mask and the tensor it sums; per
+    subspace its counts, int32 index sums and one bool mask; per row count
+    m and block size (a block holds BLOCK_BYTES of counts at its last take)
+    theta_d q^m intp takes, and 3 words for the intp value tables; the
+    codes of the patterns; and the digit tables."""
     if n >= MAX_BYTES.bit_length():
         raise GeometryTooLarge(f"PG({n},{q}) needs over 2^{n} bytes, which exceeds the bound"
                                f" of {MAX_BYTES} bytes")
@@ -127,13 +127,16 @@ class Geometry:
         d-subspace: a `kernels.TransformPlan` at d = n-1, else a
         `kernels.ScanPlan`.  It depends on the geometry alone, so it is
         built the first time it is asked for and kept, a scan's once it
-        is charged."""
+        is charged.  Later scan plans share the first one's code table."""
         if d not in self._plans:
             f = self.field
             charge(self.n, self.q, d)
-            self._plans[d] = (kernels.TransformPlan(self.points.shape, f.mul, f.inv, f.p)
-                              if d == self.n - 1 else
-                              kernels.ScanPlan(self.n + 1, d, self.q, f.add, f.mul, f.inv))
+            if d == self.n - 1:
+                self._plans[d] = kernels.TransformPlan(self.points.shape, f.mul, f.inv, f.p)
+            else:
+                codes = next((plan.code_to_index for plan in self._plans.values()
+                              if isinstance(plan, kernels.ScanPlan)), None)
+                self._plans[d] = kernels.ScanPlan(self.n + 1, d, self.q, f.add, f.mul, f.inv, codes)
         return self._plans[d]
 
     # -- coordinate helpers -------------------------------------------------
@@ -154,12 +157,6 @@ class Geometry:
         named = f.mul.take(f.inv[t][:, None] * self.q + v) @ weights + offsets[lead]
         return np.where(t == 0, -1, named).astype(np.int32).reshape(shape)
 
-    def rref(self, vectors: np.ndarray) -> np.ndarray:
-        """Reduced row echelon form over the field; returns the nonzero rows."""
-        f = self.field
-        reduced, rank = kernels.rref(np.reshape(vectors, (-1, self.n + 1)), f.add, f.mul, f.inv, f.neg)
-        return reduced[:rank]
-
     def pivot_columns(self, S: Subspace) -> np.ndarray:
         """The pivot columns of the reduced basis of S, ascending: the leading
         columns of its points, as a vector of S leads at the pivot of the
@@ -172,8 +169,9 @@ class Geometry:
 
     def span(self, point_indices) -> Subspace:
         """Smallest subspace containing the given points (possibly empty)."""
-        idx = np.asarray(list(point_indices), dtype=np.int64)
-        return self.subspace_from_basis(self.rref(self.points[idx]))
+        idx, f = np.asarray(list(point_indices), dtype=np.int64), self.field
+        reduced, rank = kernels.rref(self.points[idx], f.add, f.mul, f.inv, f.neg)
+        return self.subspace_from_basis(reduced[:rank])
 
     def subspace_from_basis(self, basis: np.ndarray) -> Subspace:
         """The subspace of a basis (rows linearly independent), its points sorted."""

@@ -306,6 +306,19 @@ def pencil_law_failures(K: PointSet, counts: np.ndarray, a: int, c: int, u_a: in
 # cone recognition
 # ---------------------------------------------------------------------------
 
+def _cone_structure(K: PointSet):
+    """The vertex, base and hyperplane counts of `recognize_cone`."""
+    g = K.geometry
+    if K.k == 0:
+        raise ValueError("K must be nonempty")
+    counts, _ = _counts(K, g.n - 1)
+    f = g.field
+    vertex = g.subspace_from_basis(
+        kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv, f.neg))
+    pivots = g.pivot_columns(vertex)
+    return vertex, PointSet(g, K.mask & (g.points[:, pivots] == 0).all(axis=1)), counts
+
+
 def recognize_cone(K: PointSet) -> ConeRecognition:
     """Detect the maximal vertex of K and test whether K is a cone over it.
 
@@ -322,14 +335,6 @@ def recognize_cone(K: PointSet) -> ConeRecognition:
     least point off W, and c is W's largest free column: each step adds the
     unit vector at the largest free column left.
     """
-    g = K.geometry
-    if K.k == 0:
-        raise ValueError("K must be nonempty")
-    counts, _ = _counts(K, g.n - 1)
-    f = g.field
-    vertex = g.subspace_from_basis(
-        kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv, f.neg))
-    pivots = g.pivot_columns(vertex)
-    base = PointSet(g, K.mask & (g.points[:, pivots] == 0).all(axis=1))
-    is_cone = vertex.dim >= 0 and cone(g, vertex, base) == K
+    vertex, base, counts = _cone_structure(K)
+    is_cone = vertex.dim >= 0 and cone(K.geometry, vertex, base) == K
     return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=is_cone, counts=counts)

@@ -1,21 +1,23 @@
 """Brute-force listings that only the tests use as oracles: the points and
 the code table of PG(n,q) from a filter of all q^(n+1) vectors, the points
-of a hyperplane from a dot product with every point, every d-subspace from
+of a hyperplane from a dot product with every point, a scan plan built
+one take and one free column at a time, every d-subspace from
 the echelon bases of its pivot pattern, in the canonical order of the
 subspace scan (patterns in lexicographic order, the free slots of each by
 column, then row, as `pivot_patterns` lists them), the membership mask of
 a subspace, a set of PG(2,q) copied into the first coordinates of PG(n,q),
-the vectors of a span one coefficient row at a time, a textbook
-Gauss-Jordan elimination, the pencil law from the full trace of every
-a-hyperplane, the prime powers q <= 128 with every theorem instance
-`theorem_instance` admits among them up to a dimension, and the closed
-forms of each theorem's type, size and vertex dimension, with the
-feasible-k screen they give.
+the vectors of a span one coefficient row at a time, the reduced rows of
+a set of vectors, a textbook Gauss-Jordan elimination, the pencil law from
+the full trace of every a-hyperplane, the prime powers q <= 128 with every
+theorem instance `theorem_instance` admits among them up to a dimension,
+and the closed forms of each theorem's type, size and vertex dimension,
+with the feasible-k screen they give.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,6 +57,36 @@ def dot(g, a, vectors):
 def hyperplane_point_indices(g, h):
     """Sorted indices of the points of hyperplane h."""
     return np.flatnonzero(dot(g, g.points[h], g.points) == 0)
+
+
+def reference_scan_plan(n_cols, d, q, add, mul):
+    """The offsets and dtype of the counts of a scan plan of (n_cols, d, q)
+    and, per pivot pattern, its index, one outer sum per free column, and
+    its blocks, each take of m rows (values[m-1][lo:hi] b + c, b = hi - lo)
+    a new array, the value tables from `field_dots` of the combos with all
+    m digit tuples; no code table."""
+    patterns, combos = pivot_patterns(n_cols, d + 1), combo_vectors(d + 1, q)
+    values = [kernels.field_dots(combos[:, :m], np.indices((q,) * m).reshape(m, -1).T, add, mul)
+              for m in range(1, d + 2)]
+    pows = q ** np.arange(n_cols, dtype=np.int64)
+    place = pows[:, None] * np.arange(q)
+    at = combos.astype(np.int64) @ pows[[list(pivots) for pivots, _ in patterns]].T
+    sizes = [q ** len(free) for _, free in patterns]
+    dtype = np.min_scalar_type(len(combos))
+    entries = kernels.BLOCK_BYTES // dtype.itemsize
+    plan = SimpleNamespace(dtype=dtype, offsets=np.cumsum([0] + sizes), patterns=[])
+    for (pivots, free), size, codes in zip(patterns, sizes, at.T):
+        cols, step = sorted({col for _, col in free}), max(1, entries // size)
+        rows = [sum(p < col for p in pivots) for col in cols]
+        bounds = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
+        blocks = [(lo, hi, [(values[m - 1][lo:hi] * np.intp(hi - lo)
+                             + np.arange(hi - lo)[:, None]).ravel() for m in rows])
+                  for lo, hi in bounds]
+        index = np.zeros(1, dtype=np.int64)
+        for col in cols:
+            index = np.add.outer(index, place[col]).ravel()
+        plan.patterns.append((index[:, None] + codes, blocks))
+    return plan
 
 
 def pattern_bases(pivots, free, rows, n_cols, q):
@@ -97,6 +129,14 @@ def embed_in_first_coords(g, plane_set):
     padded = np.zeros((vecs.shape[0], g.n + 1), dtype=np.int16)
     padded[:, : small.n + 1] = vecs
     return pointset_from_indices(g, g.indices_of(padded))
+
+
+def rref(g, vectors):
+    """The nonzero rows of the reduced row echelon form over the field of g
+    of coordinate vectors (the last axis), from `kernels.rref`."""
+    f = g.field
+    reduced, rank = kernels.rref(np.reshape(vectors, (-1, g.n + 1)), f.add, f.mul, f.inv, f.neg)
+    return reduced[:rank]
 
 
 def reference_rref(g, vectors):

@@ -38,7 +38,7 @@ from pgcones.errors import (
     NonSquareOrder,
     PgconesError,
 )
-from pgcones import kernels, spectra
+from pgcones import kernels, objects, spectra
 from pgcones.counting import THEOREMS, _pencil_failures, cone_type
 from pgcones.gf import factor_prime_power
 from pgcones.objects import axis_vertex, cone, hyperoval_cone
@@ -438,6 +438,38 @@ def test_run_verification_report():
     report = run_verification("unital", 4, 4)
     assert report["ok"] and report["spectrum"] == {21: 9, 37: 320, 53: 12}
     assert len(report["sign_checks"]) == 3
+
+
+def _counted_cones(monkeypatch):
+    calls, build = [], objects.cone
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(objects, "cone", counted)
+    return calls
+
+
+@pytest.mark.parametrize("theorem,n,q,x", [("hyperoval3", 3, 4, None), ("unital", 4, 4, None),
+                                           ("hyperovalN", 4, 4, None), ("maxarc", 5, 4, 2),
+                                           ("baer", 4, 4, 1)])
+def test_verify_builds_its_cone_once(monkeypatch, theorem, n, q, x):
+    # the recognized vertex and base are those the cone was built from, so
+    # the cone over them is not built again
+    calls = _counted_cones(monkeypatch)
+    assert run_verification(theorem, n, q, x)["ok"]
+    assert len(calls) == 1
+
+
+def test_verify_rebuilds_a_cone_recognized_over_another_vertex(monkeypatch):
+    # a wrong vertex, the last point, not the axis point 0 of the hyperoval
+    # cone: the cone over it and its base is built and is not K
+    calls = _counted_cones(monkeypatch)
+    monkeypatch.setattr(kernels, "cone_points", lambda member, counts, points, *tables: points[-1:])
+    report = run_verification("hyperoval3", 3, 4)
+    assert "recognition failed to reproduce the cone" in report["failures"]
+    assert len(calls) == 2 and not report["ok"]
 
 
 # the theorem instances of the pencil-law tests: all four at q = 4, the

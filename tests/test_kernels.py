@@ -41,7 +41,8 @@ from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_in
                              unital_cone)
 from pgcones.spectra import _counts, pencil_counts
 
-from oracles import hyperplane_point_indices, span_vectors_by_rows, subspace_mask, subspaces_iter
+from oracles import (hyperplane_point_indices, points_and_codes, reference_scan_plan,
+                     span_vectors_by_rows, subspace_mask, subspaces_iter)
 
 
 def test_pivot_patterns_cover_all_subspaces():
@@ -199,6 +200,34 @@ def test_scan_plan_codes_equal_the_digit_products(p, h, n, d):
         digits = np.indices((g.q,) * len(cols)).reshape(len(cols), g.q ** len(cols)).T
         np.testing.assert_array_equal(
             index, (digits @ pows[cols])[:, None] + combos @ pows[list(pivots)])
+
+
+# 11 plans, about 35 ms of builds: lines to the 5-spaces of PG(8,2), odd and even q
+PLAN_GRID = [(3, 1, 3, 1), (3, 2, 4, 1), (3, 2, 4, 2), (2, 3, 4, 1), (2, 3, 4, 2), (2, 2, 5, 1),
+             (2, 2, 5, 2), (2, 2, 5, 3), (2, 4, 3, 1), (3, 1, 6, 4), (2, 1, 8, 5)]
+
+
+@pytest.mark.parametrize("p,h,n,d", PLAN_GRID)
+def test_scan_plan_equals_the_reference_plan(p, h, n, d):
+    # the offsets, dtype, per-pattern index, block bounds and takes of the
+    # plan, each take in intp, and its code table, against the plan built
+    # one take and one free column at a time and the filter of all vectors
+    g = _geometry(p, h, n)
+    plan, f = g.count_plan(d), g.field
+    want = reference_scan_plan(n + 1, d, g.q, f.add, f.mul)
+    assert plan.dtype == want.dtype and plan.offsets.dtype == want.offsets.dtype
+    np.testing.assert_array_equal(plan.offsets, want.offsets)
+    np.testing.assert_array_equal(plan.code_to_index, points_and_codes(f, n)[1])
+    assert len(plan.patterns) == len(want.patterns)
+    for (index, blocks), (want_index, want_blocks) in zip(plan.patterns, want.patterns):
+        assert index.dtype == want_index.dtype
+        np.testing.assert_array_equal(index, want_index)
+        assert [(lo, hi, len(takes)) for lo, hi, takes in blocks] == [
+            (lo, hi, len(takes)) for lo, hi, takes in want_blocks]
+        for (_, _, takes), (_, _, want_takes) in zip(blocks, want_blocks):
+            for take, want_take in zip(takes, want_takes):
+                assert take.dtype == np.intp and take.flags.c_contiguous
+                np.testing.assert_array_equal(take, want_take)
 
 
 @pytest.mark.parametrize("met_once", [False, True])
@@ -424,10 +453,13 @@ def test_a_geometry_keeps_its_plans_and_frees_them_with_it():
         subspace_intersection_scan(5, 2, 4, g.count_plan(1), mask)
     with pytest.raises(ValueError, match="plan"):
         hyperplane_intersection_counts(g.points[1:], mask[1:], g.count_plan(3))
-    refs = [weakref.ref(x) for x in (g, g.count_plan(1), g.count_plan(2), g.count_plan(3))]
-    del g
+    # every scan plan holds the code table of the first
+    codes = g.count_plan(1).code_to_index
+    assert g.count_plan(2).code_to_index is codes
+    refs = [weakref.ref(x) for x in (g, g.count_plan(1), g.count_plan(2), g.count_plan(3), codes)]
+    del g, codes
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 4
+    assert [ref() for ref in refs] == [None] * 5
 
 
 def _cone_points_by_definition(K):

@@ -19,7 +19,7 @@ from pgcones import field_new, geometry_new, kernels
 from pgcones.objects import PointSet, cone, pointset_from_indices, unital_cone
 from pgcones.spectra import recognize_cone
 
-from oracles import reference_rref, subspace_mask
+from oracles import reference_rref, rref, subspace_mask
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +59,7 @@ def test_rref_matches_the_reference(p, h, n):
     rng = np.random.default_rng(1000 * g.q + n)
     for _ in range(40):
         m = _random_matrix(g, rng)
-        got = g.rref(m)
+        got = rref(g, m)
         ref = reference_rref(g, m)
         assert got.dtype == np.int16 and got.shape == (ref.shape[0], g.n + 1)
         _assert_reduced_echelon(got)
@@ -82,7 +82,7 @@ def test_pivot_columns_are_the_leading_coordinates_of_the_points(p, h, n):
             subspaces = [S] if size == 0 else [S, g.subspace_from_basis(
                 kernels.annihilator(S.basis, f.add, f.mul, f.inv, f.neg))]
             for T in subspaces:
-                want = np.argmax(g.rref(T.basis) != 0, axis=1)
+                want = np.argmax(rref(g, T.basis) != 0, axis=1)
                 np.testing.assert_array_equal(g.pivot_columns(T), want)
                 assert len(want) == T.dim + 1
 
