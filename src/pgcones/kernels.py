@@ -9,10 +9,10 @@ mask, as a q-ary tensor by code, through d + 1 value tables, one per
 pivot prefix, a pattern at a time (free slots by column, then row) in
 blocks of combos, one pool task per pattern above one
 worker (the pool is imported only then), each writing its sums in place,
-with no working array over BLOCK_BYTES.  Both counts sum the member
-indices for lone points only where a subspace is met once; the scan sums
-them a byte at a time in uint8 and returns them in int32.  The
-hyperplane count reads no code table, builds no array above q^n, runs its
+with no working array over BLOCK_BYTES.  Only the scan sums member
+indices, for lone points only where a subspace is met once, a byte at a
+time in uint8, and returns them in int32.  The hyperplane count takes a
+0/1 mask, reads no code table, builds no array above q^n, runs its
 products in float64 through BLAS, exact below 2^53, and takes residues by
 floor division.  Each count runs a plan of all it needs besides the point
 set, a `ScanPlan` or a `TransformPlan`, which a Geometry builds the first
@@ -193,8 +193,6 @@ def _takes(value, step, rows_held):
 def _blocks(total, rows, step, takes):
     """The blocks (lo, hi, takes) of `step` combos of free columns with
     `rows` pivots before them, from the `_takes` of each (m, step)."""
-    if step == total:
-        return [(0, total, tuple(takes[m, step][0] for m in rows))]
     los = range(0, total, step)
     return list(zip(los, [*los[1:], total],
                     zip(*[takes[m, step] for m in rows]) if rows else repeat(())))
@@ -359,10 +357,9 @@ class TransformPlan:
             self.codes.append(np.concatenate([self.codes[-1], s * q ** m + sy], axis=1))
 
 
-def hyperplane_intersection_counts(points, member, plan, lone=False):
-    """Per-hyperplane |H ∩ member|, and with `lone` the lone member where
-    the count is 1 (-1 elsewhere; None without `lone`), as int64.  `plan`
-    is the `TransformPlan` of the shape of `points`, checked.
+def hyperplane_intersection_counts(points, member, plan):
+    """Per-hyperplane |H ∩ member| of a 0/1 mask, as int64.  `plan` is the
+    `TransformPlan` of the shape of `points`, checked.
 
     For f, 1 on the nonzero vectors of the k members, and c(y) the constant
     coefficient of y, f^(a) = sum_v f(v) omega^c(a.v) is q N(h) - k at the
@@ -371,14 +368,15 @@ def hyperplane_intersection_counts(points, member, plan, lone=False):
     by scaling f^(a0, a') = H(a') + sum_(s != 0) omega^c(a0 s) G(s a'), H
     being f^ on PG(m-1), G the m-stage transform of y -> f(1, y) on GF(q)^m.
     Each level writes H and its AG(m) in place over the values in `out`.
-    Only if some count is 1 are the member indices summed the same way.
+    Point h has the coordinates of hyperplane h, so on a mask of
+    hyperplanes the count at h is the number of them through point h.
 
     The values are integers in float64, each class mod ell held by some
     representative, with a Python-int bound on their size for the stage
-    values, the gathered level and `out`.  A sum whose bound could pass
-    2^53 - ell is not taken: its terms are reduced first, in place, to
-    x - rint(x / ell) ell, exact there, at most ell/2 + 2 in size.  At
-    p = 2 the powers are +-1 and the counts' bound never gets there, so
+    values, the gathered level and `out`, the mask's being 1.  A sum whose
+    bound could pass 2^53 - ell is not taken: its terms are reduced first,
+    in place, to x - rint(x / ell) ell, exact there, at most ell/2 + 2 in
+    size.  At p = 2 the powers are +-1 and the bound never gets there, so
     only the final q^-1 step takes a residue.
     """
     if plan.shape != points.shape:
@@ -393,41 +391,33 @@ def hyperplane_intersection_counts(points, member, plan, lone=False):
         x -= t
         return x
 
-    def per_hyperplane(out, top):  # the values, at most top, transformed in place; w = w^T
-        below, out[0], h_top = int(out[0]), -out[0], top  # f^ = -f on PG(0); below sums f there
-        for m, at in enumerate(plan.codes, 1):
-            lo = at.shape[1]  # PG(m-1) is the first lo rows, AG(m) the q^m rows (1, y)
-            g, g_top = out[lo:lo + q ** m], top
-            for _ in range(m):
-                if q * w_max * g_top > limit:
-                    g, g_top = reduce(g), small
-                g, g_top = _product(w, g.reshape(-1, q).T).ravel(), q * w_max * g_top  # (g w)^T
-            u, h, g0 = g[at], out[:lo], int(g[0])  # U[s, b] = G(s b); G(0) sums f
-            if (q - 1) * w_max * g_top + min(h_top, small) > limit:  # unless h's alone will do
-                u, g_top = reduce(u), small
-            if (q - 1) * w_max * g_top + h_top > limit:
-                h_top = small
-                reduce(h)
-            r = _product(plan.scale, u)  # at (0, b) for mu = 0, else at (1, mu b)
-            r += h
-            h[:], out[lo:lo + q ** m][at] = r[0], r[1:]
-            out[lo], below = ((q - 1) * below - g0) % ell, below + g0  # (1, 0); omega^c sums to 0
-            h_top = max(h_top + (q - 1) * w_max * g_top, ell - 1)
-        if (h_top + ell - 1) * (ell - 1) > limit:
-            reduce(out)
-        out += below % ell
-        out *= plan.q_inv
-        x = out.astype(np.int64)
-        x -= x // ell * ell  # numpy reuses the temporary quotient for the product
-        return x
-
-    member = np.asarray(member)
-    counts = per_hyperplane(member.astype(np.float64), 1)
-    if not lone or not (counts == 1).any():
-        return counts, (np.full_like(counts, -1) if lone else None)
-    indices = per_hyperplane(np.where(member, np.arange(member.size, dtype=np.float64), 0),
-                             member.size - 1)
-    return counts, np.where(counts == 1, indices, -1)
+    out = np.array(member, dtype=np.float64)  # transformed in place; w = w^T
+    below, out[0], h_top = int(out[0]), -out[0], 1  # f^ = -f on PG(0); below sums f there
+    for m, at in enumerate(plan.codes, 1):
+        lo = at.shape[1]  # PG(m-1) is the first lo rows, AG(m) the q^m rows (1, y)
+        g, g_top = out[lo:lo + q ** m], 1
+        for _ in range(m):
+            if q * w_max * g_top > limit:
+                g, g_top = reduce(g), small
+            g, g_top = _product(w, g.reshape(-1, q).T).ravel(), q * w_max * g_top  # (g w)^T
+        u, h, g0 = g[at], out[:lo], int(g[0])  # U[s, b] = G(s b); G(0) sums f
+        if (q - 1) * w_max * g_top + min(h_top, small) > limit:  # unless h's alone will do
+            u, g_top = reduce(u), small
+        if (q - 1) * w_max * g_top + h_top > limit:
+            h_top = small
+            reduce(h)
+        r = _product(plan.scale, u)  # at (0, b) for mu = 0, else at (1, mu b)
+        r += h
+        h[:], out[lo:lo + q ** m][at] = r[0], r[1:]
+        out[lo], below = ((q - 1) * below - g0) % ell, below + g0  # (1, 0); omega^c sums to 0
+        h_top = max(h_top + (q - 1) * w_max * g_top, ell - 1)
+    if (h_top + ell - 1) * (ell - 1) > limit:
+        reduce(out)
+    out += below % ell
+    out *= plan.q_inv
+    counts = out.astype(np.int64)
+    counts -= counts // ell * ell  # numpy reuses the temporary quotient for the product
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ class Spectrum:
 class PencilProfile:
     """Intersection sizes of the q+1 hyperplanes through a codim-2 axis."""
 
-    axis: Subspace = dc_field(repr=False)
-    u: dict = dc_field(default_factory=dict)
+    u: dict
 
 
 @dataclass(frozen=True)
@@ -37,25 +36,21 @@ class ConeRecognition:
     vertex: Subspace = dc_field(repr=False)
     base: PointSet = dc_field(repr=False)
     is_cone_over_vertex: bool
-    counts: np.ndarray = dc_field(repr=False)  # |K ∩ h| for every hyperplane h
 
 
-def _counts(K: PointSet, d: int, workers: int = 1, lone: bool = False):
-    """Intersection counts of K with every d-subspace and, if asked, the lone
-    point of K on each one met once (-1 elsewhere; None unless asked), from
-    the geometry's plan for d, which charges a scan before it is built.  At
-    d = 0 a subspace is a point: the counts are the mask as uint8 and the
-    lone points the members, in point order, with no plan."""
+def _counts(K: PointSet, d: int, workers: int = 1):
+    """Intersection counts of K with every d-subspace, from the geometry's
+    plan for d, which charges a scan before it is built.  At d = 0 a
+    subspace is a point: the counts are the mask as uint8, with no plan."""
     g = K.geometry
     if not 0 <= d <= g.n - 1:
         raise WrongDimension(f"need 0 <= d <= n-1, got d={d}")
     if d == 0:
-        return K.mask.view(np.uint8), (np.where(K.mask, np.arange(g.num_points, dtype=np.int32),
-                                                np.int32(-1)) if lone else None)
+        return K.mask.view(np.uint8)
     if d == g.n - 1:
-        return kernels.hyperplane_intersection_counts(g.points, K.mask, g.count_plan(d), lone)
+        return kernels.hyperplane_intersection_counts(g.points, K.mask, g.count_plan(d))
     return kernels.subspace_intersection_scan(g.n + 1, d, g.q, g.count_plan(d), K.mask,
-                                              workers, lone)
+                                              workers)[0]
 
 
 # counts per `bincount`, which copies them to intp, and per comparison, a bool
@@ -105,13 +100,12 @@ def spectrum_of_counts(g: Geometry, counts: np.ndarray, d: int) -> Spectrum:
 
 def spectrum(K: PointSet, d: int, workers: int = 1) -> Spectrum:
     """Exact intersection spectrum of K against all d-subspaces."""
-    return spectrum_of_counts(K.geometry, _counts(K, d, workers)[0], d)
+    return spectrum_of_counts(K.geometry, _counts(K, d, workers), d)
 
 
 def is_blocking(K: PointSet, d: int) -> bool:
     """True iff every d-subspace meets K."""
-    counts, _ = _counts(K, d)
-    return bool(counts.min() > 0)
+    return bool(_counts(K, d).min() > 0)
 
 
 def essential_points(K: PointSet, d: int) -> PointSet:
@@ -119,15 +113,26 @@ def essential_points(K: PointSet, d: int) -> PointSet:
 
     A point is essential exactly when some d-subspace meets K in that
     point alone.  Raises NotBlocking if K is not a d-blocking set.  The
-    lone points are marked straight from the lone array, whose -1 marks an
-    extra last entry, so no list of them is built.
+    lone points, the members at d = 0, are marked straight from the
+    scan's lone array, whose -1 marks an extra last entry.  At d = n-1
+    point h has the coordinates of hyperplane h, so the count of the
+    hyperplanes met once, if any, is the number of them through each point.
     """
-    counts, lone = _counts(K, d, lone=True)
+    g = K.geometry
+    if 0 < d < g.n - 1:
+        counts, lone = kernels.subspace_intersection_scan(g.n + 1, d, g.q, g.count_plan(d),
+                                                          K.mask, lone=True)
+    else:
+        counts, lone = _counts(K, d), K.indices if d == 0 else None
     if counts.min() == 0:
         raise NotBlocking(f"K does not block every {d}-subspace")
-    marked = np.zeros(K.geometry.num_points + 1, dtype=bool)  # -1, no lone point, marks the last
+    if lone is None:
+        once = counts == 1
+        return PointSet(g, K.mask & (kernels.hyperplane_intersection_counts(
+            g.points, once, g.count_plan(d)) > 0 if once.any() else False))
+    marked = np.zeros(g.num_points + 1, dtype=bool)  # -1, no lone point, marks the last
     marked[lone] = True
-    return PointSet(K.geometry, marked[:-1].copy())
+    return PointSet(g, marked[:-1].copy())
 
 
 def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
@@ -143,7 +148,7 @@ def pencil_counts(K: PointSet, axis: Subspace) -> PencilProfile:
     x, y = kernels.field_dots(line, off, f.add, f.mul)
     sizes = np.bincount(np.where(y == 0, g.q, f.mul[f.neg[x], f.inv[y]]), minlength=g.q + 1)
     sizes += K.k - len(off)
-    return PencilProfile(axis=axis, u=dict(Counter(sizes.tolist())))
+    return PencilProfile(u=dict(Counter(sizes.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +316,7 @@ def _cone_structure(K: PointSet):
     g = K.geometry
     if K.k == 0:
         raise ValueError("K must be nonempty")
-    counts, _ = _counts(K, g.n - 1)
+    counts = _counts(K, g.n - 1)
     f = g.field
     vertex = g.subspace_from_basis(
         kernels.cone_points(K.mask, counts, g.points, f.add, f.mul, f.inv, f.neg))
@@ -324,17 +329,17 @@ def recognize_cone(K: PointSet) -> ConeRecognition:
 
     The vertex is the subspace of the points P of K such that every line
     joining P to another point of K lies entirely in K, the annihilator of
-    the hyperplanes off the cone law in the counts of K, which the result
-    keeps.  The base is K on the greedy complement of the vertex, which
-    extends the vertex one at a time by the least point independent of it:
-    the points that are 0 at the pivot columns of the vertex's reduced
-    basis, the span of the unit vectors at its free columns.  Points are
-    listed with coordinate 0 most significant.  Let W be the span so far,
-    E_c the span of e_c, ..., e_n, and c the largest column with E_c not in
-    W.  Every point before e_c lies in E_(c+1), inside W, so e_c is the
-    least point off W, and c is W's largest free column: each step adds the
-    unit vector at the largest free column left.
+    the hyperplanes off the cone law in the counts of K.  The base is K on
+    the greedy complement of the vertex, which extends the vertex one at a
+    time by the least point independent of it: the points that are 0 at the
+    pivot columns of the vertex's reduced basis, the span of the unit
+    vectors at its free columns.  Points are listed with coordinate 0 most
+    significant.  Let W be the span so far, E_c the span of e_c, ..., e_n,
+    and c the largest column with E_c not in W.  Every point before e_c lies
+    in E_(c+1), inside W, so e_c is the least point off W, and c is W's
+    largest free column: each step adds the unit vector at the largest free
+    column left.
     """
-    vertex, base, counts = _cone_structure(K)
+    vertex, base, _ = _cone_structure(K)
     is_cone = vertex.dim >= 0 and cone(K.geometry, vertex, base) == K
-    return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=is_cone, counts=counts)
+    return ConeRecognition(vertex=vertex, base=base, is_cone_over_vertex=is_cone)

@@ -1,5 +1,6 @@
 """Command-line round trips, formats, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,8 +13,9 @@ from textwrap import dedent
 import pytest
 
 import pgcones
-from pgcones import cli
+from pgcones import cli, kernels, objects
 from pgcones.cli import main
+from pgcones.counting import THEOREMS
 
 
 def _construct(tmp_path, name, *extra):
@@ -107,6 +109,81 @@ def test_verify_pass(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS hyperoval3")
     assert "k=25" in out
+
+
+def _damage_theorem(monkeypatch, theorem, **changes):
+    monkeypatch.setitem(THEOREMS, theorem, dataclasses.replace(THEOREMS[theorem], **changes))
+
+
+def _base_without_its_last_point(monkeypatch, theorem):
+    build = THEOREMS[theorem].base
+
+    def damaged(g, x):
+        X = build(g, x)
+        mask = X.mask.copy()
+        mask[X.indices[-1]] = False
+        return objects.PointSet(g, mask)
+    _damage_theorem(monkeypatch, theorem, base=damaged)
+
+
+def _last_hyperplane_count_one_too_high(monkeypatch, theorem):
+    count = kernels.hyperplane_intersection_counts
+
+    def damaged(*args):
+        counts = count(*args)
+        counts[-1] += 1
+        return counts
+    monkeypatch.setattr(kernels, "hyperplane_intersection_counts", damaged)
+
+
+BAER = ["baer", "--n", "4", "--q", "4", "--t", "1"]
+UNITAL = ["unital", "--n", "4", "--q", "4"]
+BAER_SPECTRUM = "{21: 14, 29: 320, 53: 7}"
+
+
+@pytest.mark.parametrize("argv,damage,printed", [
+    (BAER, _base_without_its_last_point,
+     ["FAIL baer n=4 q=4 t_or_d=1",
+      "  k=101 spectrum={5: 2, 21: 12, 25: 320, 37: 3, 53: 4} vertex_dim=1",
+      "  mismatch: size 101 != expected 117",
+      "  mismatch: spectrum {5: 2, 21: 12, 25: 320, 37: 3, 53: 4} != expected " + BAER_SPECTRUM]),
+    (BAER, lambda mp, th: _damage_theorem(  # a base that is a whole plane: K is PG(4,4)
+        mp, th, base=lambda g, t: objects.PointSet(g, (g.points[:, 3:] == 0).all(axis=1))),
+     ["FAIL baer n=4 q=4 t_or_d=1",
+      "  k=341 spectrum={85: 341} vertex_dim=4",
+      "  mismatch: size 341 != expected 117",
+      "  mismatch: spectrum {85: 341} != expected " + BAER_SPECTRUM,
+      "  mismatch: recognized vertex dim 4 != 1"]),
+    (BAER, _last_hyperplane_count_one_too_high,
+     ["FAIL baer n=4 q=4 t_or_d=1",
+      "  k=117 spectrum={21: 14, 29: 319, 30: 1, 53: 7} vertex_dim=0",
+      "  mismatch: spectrum {21: 14, 29: 319, 30: 1, 53: 7} != expected " + BAER_SPECTRUM,
+      "  mismatch: double-counting identities fail",
+      "  mismatch: recognized vertex dim 0 != 1"]),
+    (UNITAL, lambda mp, th: _damage_theorem(  # 21, 37, 53 and 85 leave 0, 1, 2 and 1 mod 3
+        mp, th, modulus=lambda n, q, x: 3),
+     ["FAIL unital n=4 q=4",
+      "  k=149 spectrum={21: 9, 37: 320, 53: 12} vertex_dim=1",
+      "  mismatch: congruence hypothesis fails mod 3"]),
+    (["hyperoval3", "--q", "4"], lambda mp, th: _damage_theorem(  # 6 does not divide k = 25
+        mp, th, divisibilities=lambda q: (lambda k: k % (q + 2) == 0,)),
+     ["FAIL hyperoval3 n=3 q=4",
+      "  k=25 spectrum={1: 6, 6: 64, 9: 15} vertex_dim=0",
+      "  mismatch: k=25 fails a congruence"]),
+    (UNITAL, lambda mp, th: _damage_theorem(  # t_b at the cone's own k is 320, not < 0
+        mp, th, endpoints=(("t_b at k", 1, "<0", lambda n, q, x, abc, k: k),)),
+     ["FAIL unital n=4 q=4",
+      "  k=149 spectrum={21: 9, 37: 320, 53: 12} vertex_dim=1",
+      "  mismatch: endpoint sign check failed"]),
+], ids=["base-without-a-point", "base-a-whole-plane", "a-count-one-too-high",
+        "modulus-without-the-lemma", "divisibility-k-misses", "endpoint-claim-that-fails"])
+def test_verify_prints_each_mismatch(monkeypatch, capsys, argv, damage, printed):
+    # a damaged theorem record, or damaged hyperplane counts, fails one or
+    # more of the checks of `run_verification`, each printed on its own line
+    damage(monkeypatch, argv[0])
+    assert main(["verify", "--theorem", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == printed and captured.err == ""
 
 
 def test_calls_in_one_process_share_the_parser(tmp_path, capsys):
@@ -230,6 +307,19 @@ def test_bad_construct_arguments(capsys):
 def test_construct_baer_cone_refuses_r_or_s_out_of_range(capsys, r, s, message):
     assert main(["construct", "--object", "baer-cone", "--n", "4", "--q", "4",
                  "--r", r, "--s", s, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["baer", "--n", "4", "--q", "4", "--s", "9"], "need 0 <= s <= n, got s=9"),
+    (["unital", "--n", "2", "--q", "8"], "q = 8 is not a square"),
+    (["denniston-arc", "--n", "2", "--q", "8", "--d", "1"],
+     "degree must satisfy 2 <= d <= q, got d=1"),
+], ids=["baer-s-over-n", "unital-q-not-a-square", "denniston-arc-degree-1"])
+def test_construct_refuses_a_base_that_does_not_exist(capsys, argv, message):
+    assert main(["construct", "--object", *argv, "--out", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -271,7 +271,9 @@ def test_lemma_congruence_hyperoval_cone():
 
 
 def test_lemma_congruence_rejects_common_factor():
-    # shared residue 0 is not coprime to the modulus
+    # 3, 9, 15 and theta_2 = 21 share the residue 3 mod 6, which is not
+    # coprime to 6; 2, 4 and 6 share 0 mod 2, but theta_2 leaves 1
+    assert lemma_congruence(TypeParameters(3, 9, 15, 3, 4), 6) is None
     assert lemma_congruence(TypeParameters(2, 4, 6, 3, 4), 2) is None
 
 
@@ -540,7 +542,7 @@ def test_pencil_failures_match_pencil_counts(monkeypatch, theorem_id, n, q, x, d
         off_vertex = np.setdiff1d(K.indices, recognize_cone(K).vertex.point_indices)
         mask[rng.choice(off_vertex if damage == "remove" else np.flatnonzero(~mask))] ^= True
         K = pointset_from_indices(g, np.flatnonzero(mask))
-    counts = _counts(K, n - 1)[0]
+    counts = _counts(K, n - 1)
     got = _pencil_failures(th, inst, K, counts)
     assert sorted(got) == _pencil_law_by_brute_force(th, inst, K, counts)
     assert bool(got) == bool(damage)
@@ -574,12 +576,12 @@ def test_pencil_failures_match_brute_force_on_damaged_sets(theorem_id, n, q, x):
     # a seeded differential, 50 damaged sets per instance, 10 in PG(5,8),
     # and 310 in all; every kind of failure the law can report occurs
     th, inst, K = _canonical_cone(theorem_id, n, q, x)
-    a_planes = np.flatnonzero(_counts(K, n - 1)[0] == inst.a)
+    a_planes = np.flatnonzero(_counts(K, n - 1) == inst.a)
     rng = np.random.default_rng(sum(map(ord, theorem_id)) + 100 * n + q)
     seen = set()
     for _ in range(10 if (n, q) == (5, 8) else 50):
         D = _damaged(K, a_planes, rng)
-        counts = _counts(D, n - 1)[0]
+        counts = _counts(D, n - 1)
         got = _pencil_failures(th, inst, D, counts)
         assert sorted(got) == _pencil_law_by_brute_force(th, inst, D, counts)
         seen.update(kind for f in got for kind in KINDS if kind in f)
@@ -598,14 +600,14 @@ def test_pencil_failures_match_the_full_trace_in_order(theorem_id, n, q, x):
     # the cone and 30 seeded damaged sets per instance, 8 in PG(4,16);
     # hyperoval3, where a = 1, samples one member per trace
     th, inst, K = _canonical_cone(theorem_id, n, q, x)
-    counts = _counts(K, n - 1)[0]
+    counts = _counts(K, n - 1)
     assert _pencil_failures(th, inst, K, counts) == []
     assert pencil_failures_full_trace(th, inst, K, counts) == []
     a_planes = np.flatnonzero(counts == inst.a)
     rng = np.random.default_rng(sum(map(ord, theorem_id)) + 100 * n + q + 1)
     for _ in range(8 if q == 16 and n == 4 else 30):
         D = _damaged(K, a_planes, rng)
-        counts = _counts(D, n - 1)[0]
+        counts = _counts(D, n - 1)
         want = pencil_failures_full_trace(th, inst, D, counts)
         assert _pencil_failures(th, inst, D, counts) == want
 
@@ -624,7 +626,7 @@ def test_pencil_failures_fall_back_to_the_full_trace(monkeypatch, fallback):
     #   spans K ∩ h as it was, which holds the moved point.
     # h goes to the full trace, and the failures, in order, are its own.
     th, inst, K = _canonical_cone("unital", 4, 4, None)
-    g, counts = K.geometry, _counts(K, 3)[0]
+    g, counts = K.geometry, _counts(K, 3)
     h = np.flatnonzero(counts == inst.a)[-1]
     row = hyperplane_point_indices(g, h)
     trace, vertex = row[K.mask[row]], recognize_cone(K).vertex.point_indices
@@ -638,7 +640,7 @@ def test_pencil_failures_fall_back_to_the_full_trace(monkeypatch, fallback):
         mask[np.setdiff1d(trace, [*vertex, P])[0]], mask[y] = False, True
         D = pointset_from_indices(g, np.flatnonzero(mask))
         first, last = ([y, P, *vertex], []) if fallback == "above rank r" else ([P, *vertex], [y])
-        counts = _counts(D, 3)[0]
+        counts = _counts(D, 3)
     assert counts[h] == inst.a
     first, last = np.searchsorted(D.indices, first), np.searchsorted(D.indices, last)
     order = np.concatenate([first, np.setdiff1d(np.arange(D.k), [*first, *last]), last])
@@ -666,7 +668,7 @@ def test_pencil_law_without_an_a_hyperplane_fails_once(theorem_id, n, x):
     mask = K.mask.copy()
     mask[recognize_cone(K).vertex.point_indices[0]] = False
     D = pointset_from_indices(K.geometry, np.flatnonzero(mask))
-    counts = _counts(D, n - 1)[0]
+    counts = _counts(D, n - 1)
     assert not (counts == inst.a).any()
     assert _pencil_failures(th, inst, D, counts) == [
         f"no hyperplane meets K in a={inst.a} points to give the axes"]

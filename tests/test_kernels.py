@@ -4,10 +4,11 @@ The d-subspace scan is checked element by element against sums of the
 membership mask over `oracles.subspaces_iter`, which lists the subspaces
 in the same canonical order; the points of each hyperplane from
 `oracles.hyperplane_point_indices` and from `kernels.field_dots`, the
-hyperplane counts and lone points of the transform and of
-`spectra._counts` and the pencils of `spectra.pencil_counts` against
-hyperplane rows computed from a dense matrix of field dot products, and
-the counts also against the scan at d = n-1; and `cone_points`, read off
+hyperplane counts of the transform and of `spectra._counts`, the
+transform's count of the hyperplanes met once at each point and the
+pencils of `spectra.pencil_counts` against hyperplane rows computed from
+a dense matrix of field dot products, and the counts and lone points
+also against the scan at d = n-1; and `cone_points`, read off
 the transform's hyperplane counts, against its definition, line by line
 with `Geometry.span`.
 """
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgcones import field_new, geometry_new, kernels, theta
-from pgcones.errors import GeometryTooLarge
+from pgcones.errors import GeometryTooLarge, NotBlocking
 
 from pgcones.kernels import (
     ScanPlan,
@@ -39,7 +40,7 @@ from pgcones.kernels import (
 )
 from pgcones.objects import (axis_vertex, cone, hyperoval_cone, pointset_from_indices,
                              unital_cone)
-from pgcones.spectra import _counts, pencil_counts
+from pgcones.spectra import _counts, essential_points, pencil_counts
 
 from oracles import (hyperplane_point_indices, points_and_codes, reference_scan_plan,
                      span_vectors_by_rows, subspace_mask, subspaces_iter)
@@ -315,40 +316,37 @@ def test_hyperplane_counts_match_rows_and_scan(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
     args = (g.points, mask, g.count_plan(g.n - 1))
-    counts, lone = hyperplane_intersection_counts(*args, lone=True)
-    want_counts, want_lone = [], []
-    for row in _rows_of(g):
-        on = np.flatnonzero(row & mask)
-        want_counts.append(len(on))
-        want_lone.append(on[0] if len(on) == 1 else -1)
-    np.testing.assert_array_equal(counts, want_counts)
-    np.testing.assert_array_equal(lone, want_lone)
-    assert counts.dtype == lone.dtype == np.int64
-    # without lone points the count takes one transform and gives the same counts
-    alone, none = hyperplane_intersection_counts(*args)
-    np.testing.assert_array_equal(alone, counts)
-    assert none is None
-    # the scan lists the same hyperplanes in another order
+    counts = hyperplane_intersection_counts(*args)
+    rows = _rows_of(g)
+    np.testing.assert_array_equal(counts, (rows & mask).sum(axis=1))
+    assert counts.dtype == np.int64
+    # point h has the coordinates of hyperplane h, so the count of the
+    # hyperplanes met once is, at each point, the number of them through it
+    through = hyperplane_intersection_counts(g.points, counts == 1, args[2])
+    np.testing.assert_array_equal(through, rows[counts == 1].sum(axis=0))
+    assert through.dtype == np.int64
+    # the scan lists the same hyperplanes in another order, and its lone
+    # points are the members on a hyperplane met once
     scan_counts, scan_lone = _scan(g, g.n - 1, mask)
     np.testing.assert_array_equal(np.sort(counts), np.sort(scan_counts))
-    np.testing.assert_array_equal(np.sort(lone), np.sort(scan_lone))
+    np.testing.assert_array_equal(np.flatnonzero(mask & (through > 0)),
+                                  np.unique(scan_lone[scan_lone >= 0]))
 
 
 def test_hyperplane_counts_reduce_only_before_an_overflow():
     # PG(8,4) has 87 381 points and the transform modulus ell = 87 403.  At
     # p = 2 the powers of omega are +-1, so each stage multiplies the bound
     # on its values by q = 4 alone, not by q (ell-1) as with powers held in
-    # [0, ell).  Level m = 1..8 runs m stages over its 4^m values: the
-    # indicator, at most 1, stays within 4^8 = 2^16, and the indices, below
-    # 87 381 (2^16.4), within 2^32.4, far below 2^53 - ell; each level adds
-    # at most 3 times that to the bound of the levels below, so the counts
-    # stay within 2^18.4 and the indices within 2^34.4, and times q^-1 mod
-    # ell, below 2^16.4, they stay below 2^51: no value is reduced before
-    # the last step, the one residue of (out + k) q^-1.  The odd-p schedule,
-    # residues before stages and gathers, is checked at large q below.  At
-    # density 0.00005 the set has a few points, some hyperplane meets it
-    # once, and the index transform runs; the two denser sets meet every
-    # sampled hyperplane often.
+    # [0, ell).  Level m = 1..8 runs m stages over its 4^m values: a 0/1
+    # set, at most 1, stays within 4^8 = 2^16, far below 2^53 - ell; each
+    # level adds at most 3 times that to the bound of the levels below, so
+    # the counts stay within 2^18, and times q^-1 mod ell, below 2^16.4,
+    # below 2^35: no value is reduced before the last step, the one residue
+    # of (out + k) q^-1.  The odd-p schedule, residues before stages and
+    # gathers, is checked at large q below.  At density 0.00005 the set has
+    # a few points and some hyperplane meets it once, so the count of the
+    # hyperplanes met once, another 0/1 set, finds the lone points; the two
+    # denser sets meet every sampled hyperplane often.
     g = _geometry(2, 2, 8)
     f = g.field
     rng = np.random.default_rng(8)
@@ -357,14 +355,26 @@ def test_hyperplane_counts_reduce_only_before_an_overflow():
                            for chunk in np.array_split(sample, 6)])  # 50 rows at a time
     for density in (0.00005, 0.02, 0.3):
         mask = rng.random(g.num_points) < density
-        counts, lone = hyperplane_intersection_counts(g.points, mask, g.count_plan(g.n - 1),
-                                                      lone=True)
-        assert counts.dtype == lone.dtype == np.int64
-        on = rows & mask
-        want = on.sum(axis=1)
-        np.testing.assert_array_equal(counts[sample], want)
-        np.testing.assert_array_equal(lone[sample], np.where(want == 1, on.argmax(axis=1), -1))
+        want = _check_sampled_counts(g, mask, sample, rows)
         assert (want == 1).any() == (density < 0.001)
+
+
+def _check_sampled_counts(g, mask, sample, rows):
+    """The hyperplane counts of `mask` at the sampled hyperplanes, each one's
+    row of points `rows[i]`, and the count of the hyperplanes met once at
+    the sampled points, on the hyperplanes `rows[i]` by symmetry; the lone
+    member of each sampled hyperplane met once is on one of them.  Returns
+    the sampled counts."""
+    plan = g.count_plan(g.n - 1)
+    counts = hyperplane_intersection_counts(g.points, mask, plan)
+    on = rows & mask
+    want = on.sum(axis=1)
+    np.testing.assert_array_equal(counts[sample], want)
+    through = hyperplane_intersection_counts(g.points, counts == 1, plan)
+    np.testing.assert_array_equal(through[sample], (rows & (counts == 1)).sum(axis=1))
+    assert counts.dtype == through.dtype == np.int64
+    assert (through[on[want == 1].argmax(axis=1)] > 0).all()
+    return want
 
 
 @pytest.mark.parametrize("p,h,n", [(3, 3, 3), (5, 2, 3), (2, 4, 4), (2, 7, 2), (3, 2, 5),
@@ -378,12 +388,13 @@ def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
     # after three stages and a fourth could pass 2^53 - ell, so levels 4
     # and 5 reduce before their fourth stage, to at most ell/2 + 2, and
     # levels 3 and 5 reduce their gathered values before the sum over q-1
-    # scales.  At PG(3,31) the index transform, its values below 30 784,
-    # reduces the values of its lower levels, not the gathered ones, before
-    # the level-3 sum.  At p = 2, PG(12,2), PG(3,64), PG(5,8), PG(4,16) and
-    # PG(2,128), the powers are +-1 and no count is reduced before the last
-    # step.  The sample holds hyperplanes that meet the three-point set
-    # once, so the index transform runs.
+    # scales.  PG(3,31) has ell = 31 063 and powers up to 15 003 in size:
+    # level 2 reduces its gathered values, level 3 its values before its
+    # third stage.  Every set counted is 0/1, the hyperplanes met once
+    # too, so each runs the same schedule.  At p = 2, PG(12,2), PG(3,64),
+    # PG(5,8), PG(4,16) and PG(2,128), the powers are +-1 and no count is
+    # reduced before the last step.  The sample holds hyperplanes that meet
+    # the three-point set once, so the hyperplanes met once are counted.
     g = _geometry(p, h, n)
     f = g.field
     rng = np.random.default_rng(g.q)
@@ -397,13 +408,7 @@ def test_hyperplane_counts_match_sampled_rows_at_large_q(p, h, n):
     few_mask[few] = True
     for mask in (np.zeros(g.num_points, dtype=bool), np.ones(g.num_points, dtype=bool),
                  few_mask, rng.random(g.num_points) < 0.3):
-        counts, lone = hyperplane_intersection_counts(g.points, mask, g.count_plan(g.n - 1),
-                                                      lone=True)
-        assert counts.dtype == lone.dtype == np.int64
-        on = rows & mask
-        want = on.sum(axis=1)
-        np.testing.assert_array_equal(counts[sample], want)
-        np.testing.assert_array_equal(lone[sample], np.where(want == 1, on.argmax(axis=1), -1))
+        _check_sampled_counts(g, mask, sample, rows)
 
 
 @pytest.mark.parametrize("p,h,n", [(2, 1, 4), (2, 2, 3), (2, 3, 3), (3, 1, 4), (3, 2, 3),
@@ -443,11 +448,13 @@ def test_a_geometry_keeps_its_plans_and_frees_them_with_it():
     mask = unital_cone(_geometry(2, 2, 4)).mask
     g = geometry_new(field_new(2, 2), 4)
     for d in (1, 2, 1):
-        counts, lone = _counts(pointset_from_indices(g, np.flatnonzero(mask)), d, lone=True)
+        counts = _counts(pointset_from_indices(g, np.flatnonzero(mask)), d)
         fresh = geometry_new(field_new(2, 2), 4)
-        want = _counts(pointset_from_indices(fresh, np.flatnonzero(mask)), d, lone=True)
-        np.testing.assert_array_equal(counts, want[0])
-        np.testing.assert_array_equal(lone, want[1])
+        np.testing.assert_array_equal(
+            counts, _counts(pointset_from_indices(fresh, np.flatnonzero(mask)), d))
+        lone = subspace_intersection_scan(5, d, 4, g.count_plan(d), mask, lone=True)[1]
+        np.testing.assert_array_equal(
+            lone, subspace_intersection_scan(5, d, 4, fresh.count_plan(d), mask, lone=True)[1])
     assert g.count_plan(1) is g.count_plan(1) and g.count_plan(3) is g.count_plan(3)
     with pytest.raises(ValueError, match="plan"):
         subspace_intersection_scan(5, 2, 4, g.count_plan(1), mask)
@@ -500,7 +507,7 @@ def _conic_cone(g, r):
 def _cone_points(g, mask):
     """`cone_points` of a membership mask, from its hyperplane counts."""
     f = g.field
-    counts, _ = hyperplane_intersection_counts(g.points, mask, g.count_plan(g.n - 1))
+    counts = hyperplane_intersection_counts(g.points, mask, g.count_plan(g.n - 1))
     return g.subspace_from_basis(cone_points(mask, counts, g.points, f.add, f.mul, f.inv,
                                                f.neg)).point_indices
 
@@ -594,7 +601,7 @@ def test_cone_points_equal_the_annihilator_of_every_off_law_row(monkeypatch, p, 
     # basis one reduction of all of them gives, whatever rows a block holds
     g = _geometry(p, h, n)
     f, mask = g.field, _off_law_mask(g, kind)
-    counts, _ = hyperplane_intersection_counts(g.points, mask, g.count_plan(n - 1))
+    counts = hyperplane_intersection_counts(g.points, mask, g.count_plan(n - 1))
     want = annihilator(g.points[g.q * counts != mask.sum() - 1], f.add, f.mul, f.inv, f.neg)
     if rows_per_block:
         monkeypatch.setattr(kernels, "DOT_CELLS", rows_per_block * (n + 1))
@@ -639,11 +646,19 @@ def test_cone_points_adds_rows_off_the_dual_in_rounds(monkeypatch, rows_per_bloc
 def test_spectra_hyperplane_counts_match_dot_product_rows(geometry, seed, density):
     g = _geometry(*geometry)
     mask = _random_mask(g, seed, density)
-    counts, lone = _counts(pointset_from_indices(g, np.flatnonzero(mask)), g.n - 1, lone=True)
+    K = pointset_from_indices(g, np.flatnonzero(mask))
+    counts = _counts(K, g.n - 1)
     hits = _rows_of(g) & mask
     want_counts = hits.sum(axis=1)
     np.testing.assert_array_equal(counts, want_counts)
-    np.testing.assert_array_equal(lone, np.where(want_counts == 1, np.argmax(hits, axis=1), -1))
+    # a member is essential where it is the one member of some hyperplane
+    if want_counts.min() == 0:
+        with pytest.raises(NotBlocking):
+            essential_points(K, g.n - 1)
+    else:
+        marked = np.zeros(g.num_points, dtype=bool)
+        marked[np.argmax(hits[want_counts == 1], axis=1)] = True
+        np.testing.assert_array_equal(essential_points(K, g.n - 1).mask, marked)
 
 
 def _pencil_by_definition(K, axis):

@@ -165,7 +165,7 @@ def test_tiny_blocks_give_the_same_spectra_and_essential_points(monkeypatch, p, 
 
 def test_spectrum_tally_of_a_scan_matches_bincount(pg54):
     # the 376 805 plane counts of a cone of PG(5,4), uint8 of odd length
-    counts, _ = _counts(maxarc_cone(pg54, 2), 2)
+    counts = _counts(maxarc_cone(pg54, 2), 2)
     assert counts.dtype == np.uint8 and len(counts) % 2 == 1
     want = np.bincount(counts)
     assert spectrum_of_counts(pg54, counts, 2).by_size == {
@@ -198,22 +198,25 @@ def test_essential_points_unital_minimal(plane4):
     assert essential_points(u, 1) == u
 
 
-def test_essential_points_without_a_tangent_hyperplane(pg44):
+def test_essential_points_without_a_tangent_hyperplane(pg44, monkeypatch):
     # every hyperplane meets the unital cone of PG(4,4) in 21, 37 or 53
-    # points, so no count is 1 and the index transform is skipped
+    # points, so no count is 1 and the hyperplanes met once are not counted
     K = unital_cone(pg44)
-    counts, lone = _counts(K, 3, lone=True)
-    assert counts.min() > 1
-    np.testing.assert_array_equal(lone, np.full(pg44.num_points, -1))
-    assert lone.dtype == np.int64
-    assert essential_points(K, 3).k == 0
+    assert _counts(K, 3).min() > 1
+    calls, count = [], kernels.hyperplane_intersection_counts
+    monkeypatch.setattr(kernels, "hyperplane_intersection_counts",
+                        lambda *args: calls.append(args) or count(*args))
+    ess = essential_points(K, 3)
+    assert ess.k == 0 and ess.mask.dtype == bool and ess.mask.shape == K.mask.shape
+    assert len(calls) == 1
 
 
 def test_essential_points_without_a_plane_met_once(pg44):
     # every plane meets the unital cone of PG(4,4) in 5, 9, 13 or 21
     # points, so no count is 1 and the scan skips its index pass
     K = unital_cone(pg44)
-    counts, lone = _counts(K, 2, lone=True)
+    counts, lone = kernels.subspace_intersection_scan(5, 2, 4, pg44.count_plan(2), K.mask,
+                                                      lone=True)
     assert counts.min() > 1
     np.testing.assert_array_equal(lone, np.full(len(counts), -1))
     assert lone.dtype == np.int32
@@ -222,17 +225,17 @@ def test_essential_points_without_a_plane_met_once(pg44):
 
 @pytest.mark.parametrize("p,h,n", [(2, 2, 3), (3, 1, 4)], ids=["PG(3,4)", "PG(4,3)"])
 def test_point_counts_are_the_mask(p, h, n):
-    # at d = 0 a subspace is a point, so `_counts` returns the mask and the
-    # members in point order, with no plan; the scan of the same points, in
-    # its own order, gives the same spectrum, blocking and essential points
+    # at d = 0 a subspace is a point, so `_counts` returns the mask, with
+    # no plan, and a blocking set's essential points are its members; the
+    # scan of the same points, in its own order, gives the same spectrum,
+    # blocking and essential points
     g = geometry_new(field_new(p, h), n)
     rng = np.random.default_rng(n)
     for K in (PointSet(g, rng.random(g.num_points) < 0.5), PointSet(g, np.ones(g.num_points, bool)),
               PointSet(g, np.zeros(g.num_points, bool))):
-        counts, lone = _counts(K, 0, lone=True)
+        counts = _counts(K, 0)
         np.testing.assert_array_equal(counts, K.mask)
-        np.testing.assert_array_equal(lone, np.where(K.mask, np.arange(g.num_points), -1))
-        assert counts.dtype == np.uint8 and lone.dtype == np.int32
+        assert counts.dtype == np.uint8
         scan_counts, scan_lone = kernels.subspace_intersection_scan(
             n + 1, 0, g.q, g.count_plan(0), K.mask, lone=True)
         assert spectrum(K, 0) == spectrum_of_counts(g, scan_counts, 0)
@@ -243,12 +246,12 @@ def test_point_counts_are_the_mask(p, h, n):
         else:
             marked = np.zeros(g.num_points, dtype=bool)
             marked[scan_lone[scan_lone >= 0]] = True
-            assert essential_points(K, 0) == PointSet(g, marked)
+            assert essential_points(K, 0) == PointSet(g, marked) == K
 
 
 def test_essential_points_of_a_line_in_space(pg34):
     # a line blocks every plane of PG(3,4) and each of its points lies on
-    # planes that meet it there alone, named by the index transform
+    # planes that meet it there alone, found by counting the planes met once
     line = pointset_from_indices(pg34, pg34.span([0, 1]).point_indices)
     assert essential_points(line, 2) == line
 
@@ -275,6 +278,54 @@ def test_essential_points_import_no_masked_arrays():
     assert run.stdout.strip() == "False"
 
 
+def _essential_by_dots(K):
+    """The members that are the one member of some hyperplane, from the
+    field dot products of every hyperplane with the members, a block of
+    hyperplanes at a time; None where some hyperplane misses K."""
+    g, f = K.geometry, K.geometry.field
+    members, marked = g.points[K.indices], np.zeros(K.geometry.num_points, dtype=bool)
+    step = max(1, kernels.DOT_CELLS // K.k)
+    for lo in range(0, g.num_points, step):
+        on = kernels.field_dots(g.points[lo:lo + step], members, f.add, f.mul) == 0
+        met = on.sum(axis=1)
+        if met.min() == 0:
+            return None
+        marked[K.indices[on[met == 1].argmax(axis=1)]] = True
+    return marked
+
+
+# PG(n,q), n = 2..5, q <= 9, and PG(3,31); at PG(3,31) and PG(5,9) the
+# hyperplanes met once are counted with residues taken before stages and
+# gathers, as the hyperplane counts are
+@pytest.mark.parametrize("p,h,n", [(p, h, n) for p, h in ((2, 1), (3, 1), (2, 2), (5, 1),
+                                                          (7, 1), (2, 3), (3, 2))
+                                   for n in (2, 3, 4, 5)] + [(31, 1, 3)])
+def test_essential_points_at_hyperplanes_match_dot_products(p, h, n):
+    # a line and three points, which many hyperplanes meet once; where the
+    # dot products stay small, every point but one, which every hyperplane
+    # meets often, and a random nine tenths, blocking or not
+    g = geometry_new(field_new(p, h), n)
+    rng = np.random.default_rng(g.num_points)
+    line = np.zeros(g.num_points, dtype=bool)
+    line[g.span(rng.choice(g.num_points, 2, replace=False).tolist()).point_indices] = True
+    line[rng.choice(g.num_points, 3, replace=False)] = True
+    sets = [line]
+    if g.num_points <= 2000:
+        sets += [np.arange(g.num_points) != rng.integers(g.num_points),
+                 rng.random(g.num_points) < 0.9]
+    for mask in sets:
+        K = PointSet(g, mask)
+        want = _essential_by_dots(K)
+        if want is None:
+            with pytest.raises(NotBlocking):
+                essential_points(K, n - 1)
+        else:
+            np.testing.assert_array_equal(essential_points(K, n - 1).mask, want)
+    assert _essential_by_dots(PointSet(g, line)).any()
+    if len(sets) > 1:
+        assert not _essential_by_dots(PointSet(g, sets[1])).any()
+
+
 def test_essential_points_not_blocking(plane4):
     with pytest.raises(NotBlocking):
         essential_points(pointset_from_indices(plane4, [0]), 1)
@@ -293,7 +344,7 @@ def test_pencil_wrong_dimension(pg44):
 
 def test_pencil_unital_a_hyperplane_law(pg44):
     K = unital_cone(pg44)
-    counts, _ = _counts(K, 3)
+    counts = _counts(K, 3)
     a_hyps = np.nonzero(counts == 21)[0]
     assert len(a_hyps) == 9
     for h in a_hyps:

@@ -3,9 +3,10 @@
 An instance is a (theorem, n <= 30, prime power q <= 128, t or d) that
 `theorem_instance` admits and whose geometry `pg.charge` admits.  Each
 instance's stdout and stderr are printed in turn, with its exit code where
-it is not 0.  Each instance's wall time and peak RSS (`ru_maxrss` of the
-child, read with `os.wait4`), then the count, the failures and the total
-time go to stderr, so the stdout of two trees can be compared with `diff`;
+it is not 0.  Each instance's wall time, peak RSS (`ru_maxrss` of the
+child, read with `os.wait4`) and the bytes `pg.charge` charges its
+verification, then the count, the failures and the total time go to
+stderr, so the stdout of two trees can be compared with `diff`;
 the stdout is committed as tests/verify_sweep.out.  Exits 1 if any
 instance exits nonzero.  Pytest does not collect this file; run it and
 compare as
@@ -28,11 +29,12 @@ from pgcones.pg import charge
 
 
 def charged(n, q):
+    """The bytes `pg.charge` charges a verification in PG(n,q), None where
+    it refuses it."""
     try:
-        charge(n, q)
+        return charge(n, q)
     except GeometryTooLarge:
-        return False
-    return True
+        return None
 
 
 def run(argv):
@@ -54,9 +56,9 @@ def run(argv):
 
 def main() -> int:
     failed, start = [], time.perf_counter()
-    instances = [(theorem_id, n, q, x) for theorem_id, n, q, x, _ in admitted_instances(30)
-                 if charged(n, q)]
-    for theorem_id, n, q, x in instances:
+    instances = [(theorem_id, n, q, x, need) for theorem_id, n, q, x, _ in admitted_instances(30)
+                 if (need := charged(n, q)) is not None]
+    for theorem_id, n, q, x, need in instances:
         argv = ["verify", "--theorem", theorem_id, "--n", str(n), "--q", str(q)]
         if x is not None:
             argv += [f"--{THEOREMS[theorem_id].param}", str(x)]
@@ -66,7 +68,8 @@ def main() -> int:
             print(f"  exit {code}")
             failed.append(" ".join(argv))
         sys.stdout.flush()
-        print(f"{' '.join(argv[1:])}: {wall:.2f} s, {rss:.0f} MiB", file=sys.stderr, flush=True)
+        print(f"{' '.join(argv[1:])}: {wall:.2f} s, {rss:.0f} MiB, charged {need / 2 ** 20:.0f} MiB",
+              file=sys.stderr, flush=True)
     print(f"{len(instances)} instances, {len(failed)} failed,"
           f" {time.perf_counter() - start:.1f} s", file=sys.stderr)
     for argv in failed:
